@@ -5,6 +5,12 @@ and a closure that maps the upstream gradient onto operand gradients. A graph
 is built fresh each step and walked once, iteratively, in reverse topological
 order. There is no broadcasting beyond the explicit per-op rules below; shape
 violations raise ShapeMismatch naming both shapes.
+
+Every node carries a `needs_grad` bit fixed when it is built: leaves set it,
+constants clear it, and an op node sets it when any operand does. An op node
+keeps as parents only the operands that need a gradient, and its VJP leaves
+the others' slots None, so backward never walks a constant or computes a
+gradient nothing reads.
 """
 
 from __future__ import annotations
@@ -24,18 +30,34 @@ class Node:
     """One value in the computation graph.
 
     `value` and `grad` are float64 ndarrays of identical shape. Leaves made
-    with leaf() collect gradients; constant() nodes are skipped by backward.
+    with leaf() need and collect gradients; constant() nodes need none. An op
+    node built from `operands` with `vjp` needs a gradient when any operand
+    does; `vjp(g)` returns one gradient per operand, and `parents` holds the
+    operands that need one (`slots` their positions, None when that is all
+    of them). An op node that needs no gradient drops its operands and VJP.
     """
 
-    __slots__ = ("value", "grad", "parents", "vjp", "name", "const")
+    __slots__ = ("value", "grad", "parents", "vjp", "name", "const", "needs_grad", "slots")
 
-    def __init__(self, value, parents=(), vjp=None, name=None, const=False):
+    def __init__(self, value, operands=(), vjp=None, name=None, const=False):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.parents = parents
-        self.vjp = vjp
         self.name = name
         self.const = const
+        self.slots = None
+        if vjp is None:
+            self.needs_grad = not const
+            self.parents, self.vjp = (), None
+            return
+        live = [i for i, p in enumerate(operands) if p.needs_grad]
+        self.needs_grad = bool(live)
+        if not live:
+            self.parents, self.vjp = (), None
+        elif len(live) == len(operands):
+            self.parents, self.vjp = tuple(operands), vjp
+        else:
+            self.parents, self.vjp = tuple(operands[i] for i in live), vjp
+            self.slots = live
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -78,7 +100,7 @@ def leaf(value, name: str | None = None) -> Node:
 
 
 def constant(value) -> Node:
-    """Non-trainable input; backward never writes into it."""
+    """Non-trainable input: needs no gradient, so no VJP computes one."""
     return Node(value, const=True)
 
 
@@ -139,7 +161,8 @@ def mul(a, b) -> Node:
     av, bv = a.value, b.value
 
     def vjp(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        return (_unbroadcast(g * bv, av.shape) if a.needs_grad else None,
+                _unbroadcast(g * av, bv.shape) if b.needs_grad else None)
 
     return Node(av * bv, (a, b), vjp)
 
@@ -193,7 +216,7 @@ def matmul(a, b) -> Node:
         raise ShapeMismatch(f"matmul: shapes {av.shape} and {bv.shape} do not conform")
 
     def vjp(g):
-        return g @ bv.T, av.T @ g
+        return g @ bv.T if a.needs_grad else None, av.T @ g if b.needs_grad else None
 
     return Node(av @ bv, (a, b), vjp)
 
@@ -218,7 +241,7 @@ def mul_colvec(a, col) -> Node:
     av, cv = a.value, col.value
 
     def vjp(g):
-        return g * cv[:, None], (g * av).sum(axis=1)
+        return g * cv[:, None] if a.needs_grad else None, (g * av).sum(axis=1) if col.needs_grad else None
 
     return Node(av * cv[:, None], (a, col), vjp)
 
@@ -251,6 +274,37 @@ def narrow(a, axis: int, start: int, size: int) -> Node:
         return (out,)
 
     return Node(a.value[idx], (a,), vjp)
+
+
+def split_rows(a, n: int) -> list[Node]:
+    """Cut (n * B, ...) into n consecutive (B, ...) row blocks, one node each.
+
+    A multi-output primitive: the blocks hang off one join node over `a`, and
+    each block's VJP writes its gradient into the join's single full-size
+    buffer instead of returning a zero-padded copy of `a` per block.
+    """
+    a = _coerce(a)
+    rows = a.value.shape[0] if a.value.ndim else 0
+    if n <= 0 or rows % n:
+        raise ShapeMismatch(f"split_rows: {rows} rows do not split into {n} equal blocks")
+    size = rows // n
+
+    def hand_off(g):
+        join.grad = None  # the buffer now belongs to `a`; a later pass starts a fresh one
+        return (g,)
+
+    join = Node(a.value, (a,), hand_off)
+
+    def block(lo):
+        def vjp(g):
+            if join.grad is None:
+                join.grad = np.zeros_like(a.value)
+            join.grad[lo : lo + size] += g
+            return (None,)
+
+        return Node(a.value[lo : lo + size], (join,), vjp)
+
+    return [block(i * size) for i in range(n)]
 
 
 def reshape(a, shape) -> Node:
@@ -337,7 +391,8 @@ def bdot(q, k) -> Node:
         raise ShapeMismatch(f"bdot: shapes {qv.shape} and {kv.shape} do not conform")
 
     def vjp(g):
-        return np.einsum("bn,bnp->bp", g, kv), np.einsum("bn,bp->bnp", g, qv)
+        return (np.einsum("bn,bnp->bp", g, kv) if q.needs_grad else None,
+                np.einsum("bn,bp->bnp", g, qv) if k.needs_grad else None)
 
     return Node(np.einsum("bp,bnp->bn", qv, kv), (q, k), vjp)
 
@@ -350,7 +405,8 @@ def bdot_shared(q, k) -> Node:
         raise ShapeMismatch(f"bdot_shared: shapes {qv.shape} and {kv.shape} do not conform")
 
     def vjp(g):
-        return np.einsum("bn,bnp->p", g, kv), np.einsum("bn,p->bnp", g, qv)
+        return (np.einsum("bn,bnp->p", g, kv) if q.needs_grad else None,
+                np.einsum("bn,p->bnp", g, qv) if k.needs_grad else None)
 
     return Node(np.einsum("p,bnp->bn", qv, kv), (q, k), vjp)
 
@@ -363,7 +419,8 @@ def bmix(w, v) -> Node:
         raise ShapeMismatch(f"bmix: shapes {wv.shape} and {vv.shape} do not conform")
 
     def vjp(g):
-        return np.einsum("bh,bnh->bn", g, vv), np.einsum("bh,bn->bnh", g, wv)
+        return (np.einsum("bh,bnh->bn", g, vv) if w.needs_grad else None,
+                np.einsum("bh,bn->bnh", g, wv) if v.needs_grad else None)
 
     return Node(np.einsum("bn,bnh->bh", wv, vv), (w, v), vjp)
 
@@ -468,10 +525,11 @@ def _topo(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Populate .grad for every non-constant node reachable from `loss`.
+    """Populate .grad for every node reachable from `loss` that needs one.
 
-    The graph is single-use: calling backward twice on the same graph
-    accumulates a second pass of gradients.
+    Only parents that need a gradient are in the graph, so nodes and operands
+    without `needs_grad` are never visited. The graph is single-use: calling
+    backward twice on the same graph accumulates a second pass of gradients.
     """
     if loss.value.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
@@ -480,8 +538,11 @@ def backward(loss: Node) -> None:
     for node in reversed(order):
         if node.vjp is None or node.grad is None:
             continue
-        for parent, g in zip(node.parents, node.vjp(node.grad)):
-            if parent.const or g is None:
+        grads = node.vjp(node.grad)
+        if node.slots is not None:
+            grads = [grads[i] for i in node.slots]
+        for parent, g in zip(node.parents, grads):
+            if g is None:
                 continue
             # never accumulate in place: vjp outputs may be shared references
             parent.grad = g if parent.grad is None else parent.grad + g

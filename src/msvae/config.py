@@ -36,6 +36,7 @@ DEFAULTS: dict = {
         "prior_hidden": 128,
         "cell_dim": 32,
         "input_feed": True,
+        "obs_view": "ego",
     },
     "train": {
         "seed": 0,
@@ -133,6 +134,8 @@ def train_config(doc: dict) -> pl.TrainConfig:
         latent_dim=t["latent_dim"], learning_rate=t["learning_rate"],
         n_projections=t["n_projections"],
     )
+    if doc["model"]["obs_view"] not in gw.OBS_VIEWS:
+        raise ConfigError(f"model.obs_view {doc['model']['obs_view']!r} is not one of {sorted(gw.OBS_VIEWS)}")
     arch = pl.ArchConfig(**doc["model"])
     return pl.TrainConfig(
         seed=t["seed"], epochs=t["epochs"], iters_per_epoch=t["iters_per_epoch"],

@@ -95,8 +95,9 @@ class Corpus:
 
     def __post_init__(self):
         # replayed observations are 0/1; cache them bit-packed per record and
-        # view so batch assembly does not re-run the environment every draw
-        self._obs_cache: dict[tuple[int, str], np.ndarray] = {}
+        # view so batch assembly does not re-run the environment every draw;
+        # keyed by the replay's inputs, not id(record), which Python reuses
+        self._obs_cache: dict[tuple, np.ndarray] = {}
 
     def rebuild(self, record) -> tuple[gw.World, gw.Task]:
         return gw.rebuild_task(record["seed"], record["tries"], self.difficulty,
@@ -104,7 +105,8 @@ class Corpus:
 
     def trajectory(self, record, view: str = "grid") -> gw.Trajectory:
         encode, dim = gw.OBS_VIEWS[view][0], gw.OBS_VIEWS[view][1]
-        packed = self._obs_cache.get((id(record), view))
+        key = (record["seed"], record["tries"], tuple(record["actions"]), view)
+        packed = self._obs_cache.get(key)
         if packed is None:
             world, _ = self.rebuild(record)
             states, traj = gw.rollout(world, record["actions"])
@@ -112,7 +114,7 @@ class Corpus:
                 obs = np.stack([encode(s) for s in states[:-1]]) if record["actions"] else \
                     np.zeros((0, dim))
                 traj = gw.Trajectory(obs, traj.actions)
-            self._obs_cache[(id(record), view)] = np.packbits(traj.observations.astype(np.uint8), axis=1)
+            self._obs_cache[key] = np.packbits(traj.observations.astype(np.uint8), axis=1)
             return traj
         obs = np.unpackbits(packed, axis=1, count=dim).astype(np.float64)
         return gw.Trajectory(obs, tuple(record["actions"]))

@@ -202,9 +202,11 @@ class ObsMlp(nn.Layer):
     def features_steps(self, obs: np.ndarray) -> list[Node]:
         """(B, T, obs_dim) -> T per-step (B, H) nodes.
 
-        Per-step nodes keep backward gradients small and let two decoder
-        passes share the same forward computation."""
-        return [self(ad.constant(obs[:, t, :])) for t in range(obs.shape[1])]
+        The MLP runs once over all T * B rows, step-major; split_rows cuts
+        the result into steps and gathers their gradients in one buffer."""
+        b, t, d = obs.shape
+        rows = obs.transpose(1, 0, 2).reshape(t * b, d)
+        return ad.split_rows(self(ad.constant(rows)), t)
 
 
 def _grid_shape(obs_view: str, obs_dim: int) -> tuple[int, int]:
@@ -240,33 +242,34 @@ class GridReadout(nn.Layer):
         super().__init__()
         self.n_cells, self.channels = _grid_shape(cfg.obs_view, cfg.obs_dim)
         self.cell_block = self.n_cells * self.channels  # trailing dims (carried object) are global
-        self.proj_dim = proj_dim
         self.scale = 1.0 / np.sqrt(proj_dim)
         self.wc = self._child("wc", nn.Linear(rng, self.channels, proj_dim))
         self.pos = self._param("pos", rng.normal(0.0, 0.02, size=(self.n_cells, proj_dim)))
         self.wq = self._child("wq", nn.Linear(rng, query_dim, proj_dim))
 
     def step_features(self, obs: np.ndarray, t: int) -> Node:
-        """Channel projections of step t's cells -> (B, n_cells, P).
+        """Step t's cell grid as a constant (B, n_cells, channels) node.
 
-        Built per step as an independent small node: slicing one fused
-        all-steps tensor made every backward allocate full-size gradients.
-        Position embeddings are folded into the attention instead of being
-        added here (q . (k + pos) = q . k + q . pos), which avoids a large
-        broadcast add per step.
+        The cells are never projected: __call__ applies the channel
+        projection to the query and to the attended mix instead.
         """
         b = obs.shape[0]
-        cells = obs[:, t, : self.cell_block].reshape(b * self.n_cells, self.channels)
-        feats = self.wc(ad.constant(cells))
-        return ad.reshape(feats, (b, self.n_cells, self.proj_dim))
+        return ad.constant(obs[:, t, : self.cell_block].reshape(b, self.n_cells, self.channels))
 
     def __call__(self, query: Node, cells: Node) -> Node:
-        """query (B, q) x cells (B, n_cells, P) -> attended cell features
-        (channel projection + position embedding of the attended cells)."""
+        """query (B, q) x cells (B, n_cells, channels) -> attended cell features
+        (channel projection + position embedding of the attended cells).
+
+        Keys and values are wc(cells) + pos, and attention is linear in them:
+        q . (c W + b + p) = (q W^T) . c + q . p + q . b, where the q . b term is
+        the same for every cell and cancels in the softmax; the weights sum to
+        one, so sum_n w_n wc(c_n) = wc(sum_n w_n c_n).
+        """
         q = self.wq(query)
-        scores = ad.add(ad.bdot(q, cells), ad.matmul(q, ad.transpose2(self.pos)))
+        scores = ad.add(ad.bdot(ad.matmul(q, ad.transpose2(self.wc.w)), cells),
+                        ad.matmul(q, ad.transpose2(self.pos)))
         w = ad.softmax(ad.scale(scores, self.scale), axis=-1)
-        return ad.add(ad.bmix(w, cells), ad.matmul(w, self.pos))
+        return ad.add(self.wc(ad.bmix(w, cells)), ad.matmul(w, self.pos))
 
 
 class LanguageEncoderCore(nn.Layer):

@@ -10,6 +10,7 @@ sequences are lists of per-step matrices plus optional (B,) step masks.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -111,8 +112,8 @@ def fused_gru_step(x: Node, h: Node, w: Node, u: Node, bx: Node, bh: Node) -> No
         dpre_z = dz * z * (1.0 - z)
         dgx = np.concatenate([dpre_r, dpre_z, dpre_n], axis=1)
         dgh = np.concatenate([dpre_r, dpre_z, dpre_n * r], axis=1)
-        dx = dgx @ w.value.T
-        dh = dgh @ u.value.T + g * z
+        dx = dgx @ w.value.T if x.needs_grad else None
+        dh = dgh @ u.value.T + g * z if h.needs_grad else None
         dw = xv.T @ dgx
         du = hv.T @ dgh
         return dx, dh, dw, du, dgx.sum(axis=0), dgh.sum(axis=0)
@@ -316,6 +317,8 @@ _MAGIC = b"MSVCKPT1"
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Write atomically: a temp file in the same directory replaces `path`,
+    so a crash mid-write leaves the previous checkpoint intact."""
     entries = []
     offset = 0
     blobs = []
@@ -326,25 +329,42 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
         blobs.append(blob)
         offset += len(blob)
     header = json.dumps({"version": 1, "meta": meta or {}, "entries": entries}, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for blob in blobs:
-            f.write(blob)
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<Q", len(header)))
+            f.write(header)
+            for blob in blobs:
+                f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; a truncated or padded file raises ValueError."""
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen))
+        raw = f.read(8)
+        if len(raw) != 8:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        (hlen,) = struct.unpack("<Q", raw)
+        head = f.read(hlen)
+        if len(head) != hlen:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        header = json.loads(head)
         body = f.read()
+    sizes = [8 * (int(np.prod(e["shape"])) if e["shape"] else 1) for e in header["entries"]]
+    expected = sum(sizes)
+    if len(body) != expected:
+        raise ValueError(f"{path}: checkpoint body holds {len(body)} bytes, header expects {expected}")
     arrays = {}
-    for e in header["entries"]:
-        size = int(np.prod(e["shape"])) if e["shape"] else 1
+    for e, size in zip(header["entries"], sizes):
         start = e["offset"]
-        arrays[e["name"]] = np.frombuffer(body[start : start + 8 * size], dtype=np.float64).reshape(e["shape"]).copy()
+        arrays[e["name"]] = np.frombuffer(body[start : start + size], dtype=np.float64).reshape(e["shape"]).copy()
     return arrays, header["meta"]

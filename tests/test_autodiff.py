@@ -129,6 +129,118 @@ class TestPrimitiveGradients:
             check_op(build, [x, w])
 
 
+def check_with_constant(op, arrays, const_at):
+    """Gradcheck quad(op(*operands)) where operand `const_at` is a constant."""
+
+    def build(leaves):
+        it = iter(leaves)
+        operands = [ad.constant(a) if i == const_at else next(it) for i, a in enumerate(arrays)]
+        return quad(op(*operands))
+
+    check_op(build, [a for i, a in enumerate(arrays) if i != const_at])
+
+
+# the ops whose VJPs skip operands that need no gradient, with sample shapes
+SKIPPING_OPS = {
+    "matmul": (ad.matmul, [(3, 5), (5, 2)]),
+    "mul": (ad.mul, [(3, 4), (3, 4)]),
+    "mul_colvec": (ad.mul_colvec, [(3, 5), (3,)]),
+    "bdot": (ad.bdot, [(3, 4), (3, 5, 4)]),
+    "bdot_shared": (ad.bdot_shared, [(4,), (3, 5, 4)]),
+    "bmix": (ad.bmix, [(3, 5), (3, 5, 4)]),
+}
+
+
+class TestConstantOperands:
+    """VJPs compute only the operand gradients that are needed."""
+
+    @pytest.mark.parametrize("name", sorted(SKIPPING_OPS))
+    @pytest.mark.parametrize("const_at", [0, 1])
+    def test_gradient_with_one_constant_operand(self, name, const_at):
+        op, shapes = SKIPPING_OPS[name]
+        r = rng_for(40 + const_at)
+        check_with_constant(op, [r.normal(size=s) for s in shapes], const_at)
+
+    @pytest.mark.parametrize("name", sorted(SKIPPING_OPS))
+    @pytest.mark.parametrize("const_at", [0, 1])
+    def test_constant_slot_never_computed(self, name, const_at):
+        op, shapes = SKIPPING_OPS[name]
+        r = rng_for(50)
+        operands = [ad.constant(r.normal(size=s)) if i == const_at else ad.leaf(r.normal(size=s))
+                    for i, s in enumerate(shapes)]
+        out = op(*operands)
+        assert out.needs_grad and not operands[const_at].needs_grad
+        grads = out.vjp(np.ones_like(out.value))
+        assert grads[const_at] is None
+        assert grads[1 - const_at].shape == operands[1 - const_at].value.shape
+        assert out.parents == (operands[1 - const_at],)
+        ad.backward(ad.reduce_sum(out))
+        assert operands[const_at].grad is None
+
+    def test_needs_grad_propagates(self):
+        x = ad.leaf(np.ones((2, 2)))
+        c = ad.constant(np.ones((2, 2)))
+        assert x.needs_grad and not c.needs_grad
+        const_only = ad.tanh(ad.add(c, c))
+        assert not const_only.needs_grad
+        assert const_only.parents == () and const_only.vjp is None
+        mixed = ad.mul(ad.matmul(x, const_only), c)
+        assert mixed.needs_grad
+        assert ad.reduce_sum(mixed).needs_grad
+        # raw arrays are constants too
+        assert not ad.add(np.ones(2), np.ones(2)).needs_grad
+
+    def test_backward_never_visits_constant_subgraphs(self):
+        x = ad.leaf(np.ones(3))
+        c = ad.exp(ad.constant(np.zeros(3)))
+        loss = ad.reduce_sum(ad.mul(x, c))
+        assert c not in ad._topo(loss)
+        ad.backward(loss)
+        assert c.grad is None
+        np.testing.assert_array_equal(x.gradient, np.ones(3))
+
+
+class TestSplitRows:
+    def test_gradient(self):
+        for seed in range(3):
+            r = rng_for(60 + seed)
+            a = r.normal(size=(6, 4))
+            weights = [r.normal(size=(2, 4)) for _ in range(3)]
+
+            def build(l):
+                parts = ad.split_rows(ad.tanh(l[0]), 3)
+                total = ad.reduce_sum(ad.mul(parts[0], parts[0]))
+                for part, w in zip(parts[1:], weights[1:]):
+                    total = ad.add(total, ad.reduce_sum(ad.mul(part, ad.constant(w))))
+                return total
+
+            check_op(build, [a])
+
+    def test_values_and_unused_blocks(self):
+        a = ad.leaf(np.arange(12.0).reshape(6, 2))
+        parts = ad.split_rows(a, 3)
+        assert [p.value.tolist() for p in parts] == [[[0, 1], [2, 3]], [[4, 5], [6, 7]], [[8, 9], [10, 11]]]
+        ad.backward(ad.reduce_sum(parts[1]))
+        expected = np.zeros((6, 2))
+        expected[2:4] = 1.0
+        np.testing.assert_array_equal(a.gradient, expected)
+
+    def test_shared_input(self):
+        # `a` also feeds another consumer, so its gradient is a sum
+        r = rng_for(70)
+        a = ad.leaf(r.normal(size=(4, 3)))
+        parts = ad.split_rows(a, 2)
+        loss = ad.add(ad.reduce_sum(ad.mul(a, a)),
+                      ad.add(ad.reduce_sum(parts[0]), ad.reduce_sum(ad.scale(parts[1], 3.0))))
+        ad.backward(loss)
+        expected = 2 * a.value + np.repeat([[1.0], [3.0]], 2, axis=0)
+        np.testing.assert_allclose(a.gradient, expected, rtol=1e-15)
+
+    def test_uneven_split_rejected(self):
+        with pytest.raises(ad.ShapeMismatch, match="5 rows"):
+            ad.split_rows(ad.leaf(np.zeros((5, 2))), 2)
+
+
 class TestForwardValues:
     def test_softmax_symmetry(self):
         out = ad.softmax(ad.constant(np.zeros(3))).value

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from msvae import cli, config as cfg_mod
+from msvae import cli, config as cfg_mod, nn
 
 
 def run_cli(*argv):
@@ -91,6 +91,17 @@ class TestTrain:
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["pipeline"] == "msvae"
         assert cfg["resolved"]["train"]["epochs"] == 2
+
+    def test_obs_view_override(self, corpus_dir, tmp_path):
+        out = tmp_path / "grid"
+        code = run_cli("train", "--pipeline", "supervised-follower", "--corpus", str(corpus_dir),
+                       "--out", str(out), *SMOKE_SETS, "--set", "train.epochs=1",
+                       "--set", "model.obs_view=grid")
+        assert code == 0
+        _, meta = nn.load_checkpoint(out / "checkpoints" / "best.bin")
+        assert meta["model_config"]["obs_view"] == "grid"
+        assert run_cli("train", "--pipeline", "supervised-follower", "--corpus", str(corpus_dir),
+                       "--out", str(tmp_path / "bad"), "--set", "model.obs_view=polar") == 1
 
     def test_unknown_pipeline_usage_error(self, corpus_dir, tmp_path):
         code = run_cli("train", "--pipeline", "warp", "--corpus", str(corpus_dir),

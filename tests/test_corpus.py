@@ -102,6 +102,19 @@ class TestGenerate:
         traj = c.trajectory(c.paired[0])
         assert traj.observations.shape == (len(traj.actions), gw.obs_dim())
 
+    def test_observation_cache_keyed_by_content(self, small_corpus_dir):
+        c = corpus.load(small_corpus_dir)
+        a, b = c.paired[0], c.paired[1]
+        first = c.trajectory(dict(a), "ego")
+        again = c.trajectory(dict(a), "ego")  # a distinct dict with equal content
+        assert len(c._obs_cache) == 1
+        np.testing.assert_array_equal(first.observations, again.observations)
+        other = c.trajectory(dict(b), "ego")
+        assert len(c._obs_cache) == 2
+        fresh = corpus.load(small_corpus_dir).trajectory(b, "ego")
+        np.testing.assert_array_equal(other.observations, fresh.observations)
+        assert other.actions == fresh.actions
+
     def test_custom_subgoal_weights_persisted(self, tmp_path):
         w = (0.0, 0.0, 0.0, 1.0)
         corpus.generate(tmp_path, seed=2, difficulty="boss", m=4, n=0, val_tasks=1, test_tasks=1,

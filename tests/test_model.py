@@ -350,3 +350,64 @@ class TestPersistence:
         f2, meta = md.load_model(tmp_path / "f.bin")
         assert meta["kind"] == "follower" and meta["attention"] is False
         assert f2.attention is False
+
+
+def _materialised_readout(readout, query, obs, t):
+    """GridReadout as first written: project every cell to a key, attend over
+    keys + positions, and mix the projected keys."""
+    b = obs.shape[0]
+    cells = obs[:, t, : readout.cell_block].reshape(b * readout.n_cells, readout.channels)
+    keys = ad.reshape(readout.wc(ad.constant(cells)), (b, readout.n_cells, readout.pos.value.shape[1]))
+    q = readout.wq(query)
+    scores = ad.add(ad.bdot(q, keys), ad.matmul(q, ad.transpose2(readout.pos)))
+    w = ad.softmax(ad.scale(scores, readout.scale), axis=-1)
+    return ad.add(ad.bmix(w, keys), ad.matmul(w, readout.pos))
+
+
+class TestHoistedFeatures:
+    """The reassociated readout and the all-steps observation MLP against the
+    formulations they replace."""
+
+    @pytest.mark.parametrize("view", ["ego", "grid", "synthetic"])
+    def test_readout_matches_materialised_keys(self, view):
+        obs_dim = gw.OBS_VIEWS[view][1] if view in gw.OBS_VIEWS else 5
+        cfg = tiny_cfg(obs_dim=obs_dim, obs_view=view, cell_dim=6)
+        r = np.random.default_rng(31)
+        readout = md.GridReadout(r, query_dim=4, proj_dim=6, cfg=cfg)
+        for p in readout.params():  # move every parameter off its initial scale
+            p.value[...] = r.normal(size=p.value.shape)
+        obs = r.normal(size=(3, 2, obs_dim))
+        query = ad.leaf(r.normal(size=(3, 4)))
+        weights = ad.constant(r.normal(size=(3, 6)))
+
+        def run(readout_fn):
+            for p in readout.params() + [query]:
+                p.grad = None
+            out = readout_fn()
+            ad.backward(ad.reduce_sum(ad.mul(out, weights)))
+            return out.value, {n: p.gradient.copy() for n, p in readout.named_params().items()}, \
+                query.gradient.copy()
+
+        fast = run(lambda: readout(query, readout.step_features(obs, 1)))
+        oracle = run(lambda: _materialised_readout(readout, query, obs, 1))
+        assert ad.max_rel_error(fast[0], oracle[0]) <= 1e-12
+        assert set(fast[1]) == {"wc.w", "wc.b", "pos", "wq.w", "wq.b"}
+        for name in fast[1]:
+            assert ad.max_rel_error(fast[1][name], oracle[1][name]) <= 1e-12, name
+        assert ad.max_rel_error(fast[2], oracle[2]) <= 1e-12
+
+    def test_obs_features_match_per_step_mlp(self):
+        r = np.random.default_rng(32)
+        mlp = md.ObsMlp(r, obs_dim=5, hidden=4, width=6)
+        obs = r.normal(size=(3, 4, 5))
+        weights = [ad.constant(r.normal(size=(3, 4))) for _ in range(4)]
+
+        def run(feats):
+            ad.zero_grad(mlp.params())
+            ad.backward(ad.reduce_sum(ad.stack([ad.mul(f, w) for f, w in zip(feats, weights)])))
+            return [f.value for f in feats], [p.gradient.copy() for p in mlp.params()]
+
+        fast = run(mlp.features_steps(obs))
+        oracle = run([mlp(ad.constant(obs[:, t, :])) for t in range(4)])
+        for a, b in zip(fast[0] + fast[1], oracle[0] + oracle[1]):
+            assert ad.max_rel_error(a, b) <= 1e-12

@@ -315,3 +315,35 @@ class TestCheckpoint:
         p.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError, match="not a checkpoint"):
             nn.load_checkpoint(p)
+
+    def test_truncated_file_names_byte_counts(self, tmp_path):
+        path = tmp_path / "model.bin"
+        nn.save_checkpoint(path, {"w": np.ones((4, 3)), "b": np.zeros(3)}, meta={"epoch": 1})
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        with pytest.raises(ValueError, match=r"model\.bin.*holds 112 bytes, header expects 120"):
+            nn.load_checkpoint(path)
+        path.write_bytes(data[:20])
+        with pytest.raises(ValueError, match="truncated checkpoint header"):
+            nn.load_checkpoint(path)
+
+    def test_save_replaces_without_leftovers(self, tmp_path):
+        path = tmp_path / "model.bin"
+        nn.save_checkpoint(path, {"w": np.ones(2)})
+        nn.save_checkpoint(path, {"w": np.full(2, 3.0)})
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        np.testing.assert_array_equal(nn.load_checkpoint(path)[0]["w"], np.full(2, 3.0))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        nn.save_checkpoint(path, {"w": np.ones(2)})
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(nn.os, "replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            nn.save_checkpoint(path, {"w": np.zeros(2)})
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        np.testing.assert_array_equal(nn.load_checkpoint(path)[0]["w"], np.ones(2))
