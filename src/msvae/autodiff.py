@@ -45,19 +45,20 @@ class Node:
         self.name = name
         self.const = const
         self.slots = None
+        self.needs_grad = not const
+        self.parents, self.vjp = operands, vjp
         if vjp is None:
-            self.needs_grad = not const
-            self.parents, self.vjp = (), None
             return
-        live = [i for i, p in enumerate(operands) if p.needs_grad]
-        self.needs_grad = bool(live)
-        if not live:
-            self.parents, self.vjp = (), None
-        elif len(live) == len(operands):
-            self.parents, self.vjp = tuple(operands), vjp
+        for p in operands:
+            if not p.needs_grad:
+                break
         else:
-            self.parents, self.vjp = tuple(operands[i] for i in live), vjp
-            self.slots = live
+            return  # every operand needs a gradient: the common case
+        live = [i for i, p in enumerate(operands) if p.needs_grad]
+        if live:
+            self.parents, self.slots = tuple(operands[i] for i in live), live
+        else:
+            self.needs_grad, self.parents, self.vjp = False, (), None
 
     @property
     def shape(self) -> tuple[int, ...]:
