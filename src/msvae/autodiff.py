@@ -54,9 +54,13 @@ class Node:
                 break
         else:
             return  # every operand needs a gradient: the common case
-        live = [i for i, p in enumerate(operands) if p.needs_grad]
-        if live:
-            self.parents, self.slots = tuple(operands[i] for i in live), live
+        parents, slots = [], []
+        for i, p in enumerate(operands):
+            if p.needs_grad:
+                parents.append(p)
+                slots.append(i)
+        if slots:
+            self.parents, self.slots = tuple(parents), slots
         else:
             self.needs_grad, self.parents, self.vjp = False, (), None
 
