@@ -281,33 +281,45 @@ def narrow(a, axis: int, start: int, size: int) -> Node:
     return Node(a.value[idx], (a,), vjp)
 
 
-def split_rows(a, n: int) -> list[Node]:
+def split_rows(a, n: int, rows=None) -> list[Node]:
     """Cut (n * B, ...) into n consecutive (B, ...) row blocks, one node each.
 
     A multi-output primitive: the blocks hang off one join node over `a`, and
     each block's VJP writes its gradient into the join's single full-size
     buffer instead of returning a zero-padded copy of `a` per block.
+
+    With `rows`, a boolean (n * B,) mask over the stacked block, `a` holds
+    only the rows the mask marks, in order; the other rows are zeros and pass
+    no gradient back.
     """
     a = _coerce(a)
-    rows = a.value.shape[0] if a.value.ndim else 0
-    if n <= 0 or rows % n:
-        raise ShapeMismatch(f"split_rows: {rows} rows do not split into {n} equal blocks")
-    size = rows // n
+    value = a.value
+    if rows is not None:
+        rows = np.asarray(rows, dtype=bool)
+        if rows.ndim != 1 or value.ndim == 0 or int(rows.sum()) != value.shape[0]:
+            raise ShapeMismatch(f"split_rows: row mask {rows.shape} with {int(rows.sum())} set "
+                                f"does not match shape {value.shape}")
+        value = np.zeros((rows.size,) + a.value.shape[1:])
+        value[rows] = a.value
+    total = value.shape[0] if value.ndim else 0
+    if n <= 0 or total % n:
+        raise ShapeMismatch(f"split_rows: {total} rows do not split into {n} equal blocks")
+    size = total // n
 
     def hand_off(g):
         join.grad = None  # the buffer now belongs to `a`; a later pass starts a fresh one
-        return (g,)
+        return (g if rows is None else g[rows],)
 
-    join = Node(a.value, (a,), hand_off)
+    join = Node(value, (a,), hand_off)
 
     def block(lo):
         def vjp(g):
             if join.grad is None:
-                join.grad = np.zeros_like(a.value)
+                join.grad = np.zeros_like(value)
             join.grad[lo : lo + size] += g
             return (None,)
 
-        return Node(a.value[lo : lo + size], (join,), vjp)
+        return Node(value[lo : lo + size], (join,), vjp)
 
     return [block(i * size) for i in range(n)]
 

@@ -199,14 +199,19 @@ class ObsMlp(nn.Layer):
     def __call__(self, x: Node) -> Node:
         return ad.tanh(self.l2(ad.tanh(self.l1(x))))
 
-    def features_steps(self, obs: np.ndarray) -> list[Node]:
-        """(B, T, obs_dim) -> T per-step (B, H) nodes.
+    def features_steps(self, obs: np.ndarray, mask: np.ndarray) -> list[Node]:
+        """(B, T, obs_dim) observations with their (B, T) step mask -> T
+        per-step (B, H) nodes.
 
-        The MLP runs once over all T * B rows, step-major; split_rows cuts
-        the result into steps and gathers their gradients in one buffer."""
-        b, t, d = obs.shape
-        rows = obs.transpose(1, 0, 2).reshape(t * b, d)
-        return ad.split_rows(self(ad.constant(rows)), t)
+        The MLP runs once over the valid (step, row) pairs only, step-major;
+        split_rows places them in their steps, gives padded rows zero
+        features and gathers the steps' gradients in one buffer. Padded steps
+        never reach a loss: encoders carry their state through them and
+        decoders mask their terms out."""
+        t = obs.shape[1]
+        valid = mask.T.reshape(-1) > 0
+        rows = obs.transpose(1, 0, 2).reshape(valid.size, -1)[valid]
+        return ad.split_rows(self(ad.constant(rows)), t, rows=valid)
 
 
 def _grid_shape(obs_view: str, obs_dim: int) -> tuple[int, int]:
@@ -229,6 +234,34 @@ def observation_encoder(cfg: ModelConfig):
     return gw.observe
 
 
+def fused_grid_readout(query: Node, cells: np.ndarray, wq_w: Node, wq_b: Node, wc_w: Node,
+                       wc_b: Node, pos: Node, scale: float) -> Node:
+    """GridReadout attention as a single graph node with a hand-written backward.
+
+    Equivalent to GridReadout.call_composed, the oracle it is tested against,
+    with one node where the composed form builds fifteen. `cells` is the
+    constant (B, n_cells, channels) grid, captured rather than an operand.
+    """
+    qv = query.value @ wq_w.value + wq_b.value
+    qc = qv @ wc_w.value.T
+    scores = (np.matmul(cells, qc[:, :, None])[:, :, 0] + qv @ pos.value.T) * scale
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    mix = np.matmul(w[:, None, :], cells)[:, 0, :]
+    out = mix @ wc_w.value + wc_b.value + w @ pos.value
+
+    def vjp(g):
+        dw = np.matmul(cells, (g @ wc_w.value.T)[:, :, None])[:, :, 0] + g @ pos.value.T
+        ds = w * (dw - (dw * w).sum(axis=1, keepdims=True)) * scale
+        dqc = np.matmul(ds[:, None, :], cells)[:, 0, :]
+        dq = ds @ pos.value + dqc @ wc_w.value
+        dquery = dq @ wq_w.value.T if query.needs_grad else None
+        return (dquery, query.value.T @ dq, dq.sum(axis=0),
+                mix.T @ g + dqc.T @ qv, g.sum(axis=0), w.T @ g + ds.T @ qv)
+
+    return Node(out, (query, wq_w, wq_b, wc_w, wc_b, pos), vjp)
+
+
 class GridReadout(nn.Layer):
     """Spatial attention over grid cells.
 
@@ -247,24 +280,31 @@ class GridReadout(nn.Layer):
         self.pos = self._param("pos", rng.normal(0.0, 0.02, size=(self.n_cells, proj_dim)))
         self.wq = self._child("wq", nn.Linear(rng, query_dim, proj_dim))
 
-    def step_features(self, obs: np.ndarray, t: int) -> Node:
-        """Step t's cell grid as a constant (B, n_cells, channels) node.
+    def step_features(self, obs: np.ndarray, t: int) -> np.ndarray:
+        """Step t's cell grid as a constant (B, n_cells, channels) array.
 
-        The cells are never projected: __call__ applies the channel
+        The cells are never projected: the readout applies the channel
         projection to the query and to the attended mix instead.
         """
         b = obs.shape[0]
-        return ad.constant(obs[:, t, : self.cell_block].reshape(b, self.n_cells, self.channels))
+        return obs[:, t, : self.cell_block].reshape(b, self.n_cells, self.channels)
 
-    def __call__(self, query: Node, cells: Node) -> Node:
+    def __call__(self, query: Node, cells: np.ndarray) -> Node:
         """query (B, q) x cells (B, n_cells, channels) -> attended cell features
-        (channel projection + position embedding of the attended cells).
+        (channel projection + position embedding of the attended cells), as
+        one fused_grid_readout node."""
+        return fused_grid_readout(query, cells, self.wq.w, self.wq.b, self.wc.w, self.wc.b,
+                                  self.pos, self.scale)
+
+    def call_composed(self, query: Node, cells: np.ndarray) -> Node:
+        """Elementary-op formulation; the oracle for fused_grid_readout.
 
         Keys and values are wc(cells) + pos, and attention is linear in them:
         q . (c W + b + p) = (q W^T) . c + q . p + q . b, where the q . b term is
         the same for every cell and cancels in the softmax; the weights sum to
         one, so sum_n w_n wc(c_n) = wc(sum_n w_n c_n).
         """
+        cells = ad.constant(cells)
         q = self.wq(query)
         scores = ad.add(ad.bdot(ad.matmul(q, ad.transpose2(self.wc.w)), cells),
                         ad.matmul(q, ad.transpose2(self.pos)))
@@ -342,7 +382,7 @@ class ActionDecoder(nn.Layer):
     def init_context(self, batch: int) -> Node:
         return ad.constant(np.zeros((batch, self.memory_dim)))
 
-    def step_logits(self, obs_feat: Node, cell_feats: Node, prev_ids, h: Node, memory, prepared,
+    def step_logits(self, obs_feat: Node, cell_feats: np.ndarray, prev_ids, h: Node, memory, prepared,
                     memory_mask=None, prev_ctx: Node | None = None):
         if prev_ctx is None:
             prev_ctx = self.init_context(obs_feat.value.shape[0])
@@ -458,7 +498,7 @@ class MsVae(nn.Layer):
 
     def obs_features(self, traj: TrajBatch) -> list[Node]:
         """Decoder-side observation features (the policy path), per step."""
-        return self.obs_mlp.features_steps(traj.obs)
+        return self.obs_mlp.features_steps(traj.obs, traj.mask)
 
     def encode_language(self, lang: LangBatch) -> tuple[Node, Node]:
         hidden, _ = self.lang_enc.hidden_states(lang)
@@ -466,7 +506,7 @@ class MsVae(nn.Layer):
 
     def encode_trajectory(self, traj: TrajBatch, obs_feats: list[Node] | None = None) -> tuple[Node, Node]:
         if obs_feats is None:
-            obs_feats = self.enc_obs_mlp.features_steps(traj.obs)
+            obs_feats = self.enc_obs_mlp.features_steps(traj.obs, traj.mask)
         hidden, _ = self.traj_enc.hidden_states(traj, obs_feats)
         return self.traj_bottleneck(hidden, traj.mask)
 
@@ -585,7 +625,8 @@ class BaselineFollower(nn.Layer):
 
     def action_log_likelihood(self, lang: LangBatch, traj: TrajBatch) -> Node:
         memory, mask, h0 = self._encode(lang)
-        return self.act_dec.teacher_forced_logll(traj, self.obs_mlp.features_steps(traj.obs), memory, mask, h0=h0)
+        obs_feats = self.obs_mlp.features_steps(traj.obs, traj.mask)
+        return self.act_dec.teacher_forced_logll(traj, obs_feats, memory, mask, h0=h0)
 
     def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64, **_):
         lang = make_lang_batch([list(tokens)])
@@ -627,7 +668,7 @@ class BaselineSpeaker(nn.Layer):
         self.init_map = self._child("init_map", nn.Linear(rng, cfg.hidden, cfg.hidden))
 
     def _encode(self, traj: TrajBatch):
-        hidden, final = self.traj_enc.hidden_states(traj, self.obs_mlp.features_steps(traj.obs))
+        hidden, final = self.traj_enc.hidden_states(traj, self.obs_mlp.features_steps(traj.obs, traj.mask))
         memory = hidden if self.attention else final
         mask = traj.mask if self.attention else None
         return memory, mask, ad.tanh(self.init_map(final))

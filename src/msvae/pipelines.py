@@ -171,7 +171,7 @@ class _Run:
         self.out = Path(out_dir)
         self.pipeline = pipeline
         (self.out / "checkpoints").mkdir(parents=True, exist_ok=True)
-        self.config_doc = {"pipeline": pipeline, "train": _config_doc(cfg)}
+        self.config_doc = {"pipeline": pipeline, "train": asdict(cfg)}
         (self.out / "config.json").write_text(json.dumps(self.config_doc, sort_keys=True) + "\n")
 
         self.rngs = {
@@ -191,9 +191,14 @@ class _Run:
 
         if resume_from is not None:
             self._load_state(resume_from)
+            # rows logged after the checkpoint, before a crash, are replayed
+            last_step = self.start_epoch * cfg.iters_per_epoch
+            for name in ("metrics.csv", "timing.csv"):
+                _truncate_steps(self.out / name, last_step)
         mode = "a" if resume_from is not None else "w"
-        self.metrics_f = open(self.out / "metrics.csv", mode)
-        self.timing_f = open(self.out / "timing.csv", mode)
+        # line-buffered, so a crash leaves only whole rows on disk
+        self.metrics_f = open(self.out / "metrics.csv", mode, buffering=1)
+        self.timing_f = open(self.out / "timing.csv", mode, buffering=1)
         if mode == "w":
             self.metrics_f.write("step," + ",".join(md.LossReport.FIELDS) + "\n")
             self.timing_f.write("step,seconds\n")
@@ -302,9 +307,13 @@ class _Run:
         return best_path, record
 
 
-def _config_doc(cfg: TrainConfig) -> dict:
-    doc = asdict(cfg)
-    return doc
+def _truncate_steps(path: Path, last_step: int) -> None:
+    """Keep the header and the whole rows of a step log up to `last_step`."""
+    if not path.exists():  # resumed into a fresh run directory
+        return
+    header, *rows = path.read_text().splitlines(keepends=True)
+    keep = [r for r in rows if r.endswith("\n") and int(r.split(",", 1)[0]) <= last_step]
+    path.write_text(header + "".join(keep))
 
 
 def warm_start(model, ckpt_path, rename: dict[str, str] | None = None) -> list[str]:
@@ -547,13 +556,16 @@ def pragmatic_candidates(follower, speaker, tokens, world, n_candidates: int, rn
     candidates = [(greedy_traj, greedy_states)]
     for _ in range(n_candidates):
         candidates.append(follower.follow(tokens, world, mode="sample", rng=rng, max_steps=max_steps))
+    # the follower already observed the visited states; re-encode them only
+    # when the speaker sees the world through a different view
+    same_view = follower.cfg.obs_view == speaker.cfg.obs_view
     encode = md.observation_encoder(speaker.cfg)
     scores = []
     for traj, states in candidates:
         if not traj.actions:
             scores.append(-np.inf)
             continue
-        seen = gw.Trajectory(np.stack([encode(s) for s in states[:-1]]), traj.actions)
+        seen = traj if same_view else gw.Trajectory(np.stack([encode(s) for s in states[:-1]]), traj.actions)
         scores.append(speaker.trajectory_language_score(seen, tokens))
     return candidates, scores
 

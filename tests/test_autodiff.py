@@ -236,6 +236,35 @@ class TestSplitRows:
         expected = 2 * a.value + np.repeat([[1.0], [3.0]], 2, axis=0)
         np.testing.assert_allclose(a.gradient, expected, rtol=1e-15)
 
+    def test_gradient_with_rows(self):
+        for seed in range(3):
+            r = rng_for(80 + seed)
+            rows = np.zeros(9, dtype=bool)
+            rows[r.choice(9, size=5, replace=False)] = True
+            a = r.normal(size=(5, 4))
+            weights = [r.normal(size=(3, 4)) for _ in range(3)]
+
+            def build(l):
+                parts = ad.split_rows(ad.tanh(l[0]), 3, rows=rows)
+                total = ad.reduce_sum(ad.mul(parts[0], parts[0]))
+                for part, w in zip(parts[1:], weights[1:]):
+                    total = ad.add(total, ad.reduce_sum(ad.mul(part, ad.constant(w))))
+                return total
+
+            check_op(build, [a])
+
+    def test_rows_place_values_and_zero_the_rest(self):
+        a = ad.leaf(np.arange(6.0).reshape(3, 2))
+        rows = np.array([True, False, False, True, True, False])
+        parts = ad.split_rows(a, 2, rows=rows)
+        assert [p.value.tolist() for p in parts] == [[[0, 1], [0, 0], [0, 0]], [[2, 3], [4, 5], [0, 0]]]
+        ad.backward(ad.add(ad.reduce_sum(parts[0]), ad.reduce_sum(ad.scale(parts[1], 2.0))))
+        np.testing.assert_array_equal(a.gradient, [[1, 1], [2, 2], [2, 2]])
+
+    def test_rows_count_mismatch_rejected(self):
+        with pytest.raises(ad.ShapeMismatch, match="row mask"):
+            ad.split_rows(ad.leaf(np.zeros((3, 2))), 2, rows=np.ones(4, dtype=bool))
+
     def test_uneven_split_rejected(self):
         with pytest.raises(ad.ShapeMismatch, match="5 rows"):
             ad.split_rows(ad.leaf(np.zeros((5, 2))), 2)

@@ -407,7 +407,55 @@ class TestHoistedFeatures:
             ad.backward(ad.reduce_sum(ad.stack([ad.mul(f, w) for f, w in zip(feats, weights)])))
             return [f.value for f in feats], [p.gradient.copy() for p in mlp.params()]
 
-        fast = run(mlp.features_steps(obs))
+        fast = run(mlp.features_steps(obs, np.ones((3, 4))))
         oracle = run([mlp(ad.constant(obs[:, t, :])) for t in range(4)])
+        for a, b in zip(fast[0] + fast[1], oracle[0] + oracle[1]):
+            assert ad.max_rel_error(a, b) <= 1e-12
+
+    def test_padded_obs_rows_do_not_reach_the_loss(self):
+        # garbage in padded observation rows changes neither the objective
+        # nor any parameter gradient
+        obs_dim = gw.OBS_VIEWS["grid"][1]
+        m = md.MsVae(np.random.default_rng(2), tiny_cfg(obs_dim=obs_dim, obs_view="grid"))
+        r = np.random.default_rng(34)
+        lang = md.make_lang_batch([synth_lang(r, n) for n in (2, 4, 3)])
+        traj = md.make_traj_batch([synth_traj(r, t, obs_dim) for t in (2, 5, 3)])
+        unpaired = md.make_traj_batch([synth_traj(r, t, obs_dim) for t in (4, 1, 2)])
+        hp = md.HyperParams(alpha=0.3, gamma=2.0, k_slots=2, latent_dim=3)
+
+        def run():
+            loss, report = md.total_loss(m, lang, traj, unpaired, hp, np.random.default_rng(7))
+            ad.zero_grad(m.params())
+            ad.backward(loss)
+            return report.total, {n: p.gradient.copy() for n, p in m.named_params().items()}
+
+        clean = run()
+        for batch in (traj, unpaired):
+            pad = batch.mask == 0
+            batch.obs[pad] = r.normal(size=batch.obs[pad].shape)
+        noisy = run()
+        assert noisy[0] == clean[0]
+        for name, g in clean[1].items():
+            np.testing.assert_array_equal(noisy[1][name], g, err_msg=name)
+
+    def test_obs_features_skip_padded_steps(self):
+        # rows of unequal length: padded (row, step) pairs get zero features
+        # and contribute nothing to the MLP's gradients
+        r = np.random.default_rng(33)
+        mlp = md.ObsMlp(r, obs_dim=5, hidden=4, width=6)
+        obs = r.normal(size=(3, 4, 5))
+        mask = (np.arange(4)[None, :] < np.array([[4], [1], [3]])).astype(float)
+        weights = [ad.constant(r.normal(size=(3, 4))) for _ in range(4)]
+
+        def run(feats):
+            ad.zero_grad(mlp.params())
+            ad.backward(ad.reduce_sum(ad.stack([ad.mul(f, w) for f, w in zip(feats, weights)])))
+            return [f.value for f in feats], [p.gradient.copy() for p in mlp.params()]
+
+        fast = run(mlp.features_steps(obs, mask))
+        oracle = run([ad.mul_colvec(mlp(ad.constant(obs[:, t, :])), ad.constant(mask[:, t]))
+                      for t in range(4)])
+        for t, f in enumerate(fast[0]):
+            assert not f[mask[:, t] == 0].any()
         for a, b in zip(fast[0] + fast[1], oracle[0] + oracle[1]):
             assert ad.max_rel_error(a, b) <= 1e-12

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -136,6 +137,29 @@ class TestMsVae:
         pl.train_msvae(resumed_cfg, small_corpus, tmp_path / "part", resume_from=state)
         assert read_metrics(tmp_path / "part") == read_metrics(tmp_path / "full")
 
+    def test_resume_after_crash_mid_epoch(self, small_corpus, tmp_path, monkeypatch):
+        cfg = small_cfg(seed=3, epochs=4, iters_per_epoch=3)
+        pl.train_msvae(cfg, small_corpus, tmp_path / "full")
+        real_loss, calls = md.total_loss, []
+
+        def crash_in_third_epoch(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2 * cfg.iters_per_epoch + 2:
+                raise RuntimeError("crash")
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(md, "total_loss", crash_in_third_epoch)
+        with pytest.raises(RuntimeError, match="crash"):
+            pl.train_msvae(cfg, small_corpus, tmp_path / "part")
+        gc.collect()  # the crashed run's logs are closed, as at process exit
+        monkeypatch.setattr(md, "total_loss", real_loss)
+        state = tmp_path / "part" / "checkpoints" / "epoch_0001.bin"
+        pl.train_msvae(cfg, small_corpus, tmp_path / "part", resume_from=state)
+        for name in ("metrics.csv", "checkpoints/best.bin"):
+            assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+        steps = [int(r.split(",")[0]) for r in (tmp_path / "part" / "timing.csv").read_text().splitlines()[1:]]
+        assert steps == list(range(1, 13))
+
     def test_warm_start_speeds_convergence(self, small_corpus, tmp_path):
         # warm start begins at the supervised follower; reaching its SR takes
         # fewer epochs than from scratch (deterministic under fixed seeds)
@@ -257,6 +281,48 @@ class TestPragmatic:
                                        np.random.default_rng(4), 20)
         assert chosen.actions == cands[int(np.argmax(scores))][0].actions
         assert max(scores) == scores[int(np.argmax(scores))]
+
+    def test_same_view_reuses_follower_observations(self, small_corpus, pair, monkeypatch):
+        follower, speaker = pair
+        assert follower.cfg.obs_view == speaker.cfg.obs_view == "ego"
+        rec = small_corpus.test[1]
+        world, _ = small_corpus.rebuild(rec)
+        seen = []
+        real_score = speaker.trajectory_language_score
+        monkeypatch.setattr(speaker, "trajectory_language_score",
+                            lambda traj, tokens: seen.append(traj) or real_score(traj, tokens))
+        observe, dim, *rest = gw.OBS_VIEWS["ego"]
+        observed = []
+        monkeypatch.setitem(gw.OBS_VIEWS, "ego", (lambda w: observed.append(1) or observe(w), dim, *rest))
+        cands, scores = pl.pragmatic_candidates(follower, speaker, rec["tokens"], world, 4,
+                                                np.random.default_rng(4), 20)
+        # the speaker scores the follower's own trajectories; the only encoder
+        # calls are the follower's, one per step it took
+        assert [id(t) for t, _ in cands if t.actions] == [id(t) for t in seen]
+        assert len(observed) == sum(len(t.actions) for t, _ in cands)
+        for (traj, states), score in zip(cands, scores):
+            if traj.actions:
+                again = gw.Trajectory(np.stack([observe(s) for s in states[:-1]]), traj.actions)
+                assert score == real_score(again, rec["tokens"])
+
+    def test_other_view_is_re_encoded(self, small_corpus, pair, monkeypatch):
+        follower, _ = pair
+        mcfg = small_cfg(arch=pl.ArchConfig(hidden=24, word_emb=12, action_emb=8, attn_dim=16,
+                                            prior_hidden=16, obs_view="grid"))
+        speaker = md.BaselineSpeaker(np.random.default_rng(0), mcfg.model_config(len(small_corpus.vocab)))
+        seen = []
+        real_score = speaker.trajectory_language_score
+        monkeypatch.setattr(speaker, "trajectory_language_score",
+                            lambda traj, tokens: seen.append(traj) or real_score(traj, tokens))
+        rec = small_corpus.test[1]
+        world, _ = small_corpus.rebuild(rec)
+        cands, _ = pl.pragmatic_candidates(follower, speaker, rec["tokens"], world, 2,
+                                           np.random.default_rng(4), 20)
+        moved = [(t, s) for t, s in cands if t.actions]
+        assert len(seen) == len(moved)
+        for traj, (cand, states) in zip(seen, moved):
+            np.testing.assert_array_equal(traj.observations, np.stack([gw.observe(s) for s in states[:-1]]))
+            assert traj.actions == cand.actions
 
 
 class TestEvalHelpers:
