@@ -23,7 +23,7 @@ trajs = [gw.Trajectory(rng.normal(size=(3, 6)), (0, 1, 5)),
          gw.Trajectory(rng.normal(size=(4, 6)), (2, 2, 1, 5))]
 unpaired = [gw.Trajectory(rng.normal(size=(3, 6)), (2, 0, 5)) for _ in range(3)]
 
-hp = md.HyperParams(alpha=0.1, gamma=2.0, beta=0.5, k_slots=2, latent_dim=4)
+hp = md.HyperParams(alpha=0.1, gamma=2.0, beta=0.5)
 loss, report = md.total_loss(model, lang, md.make_traj_batch(trajs),
                              md.make_traj_batch(unpaired), hp, np.random.default_rng(0))
 

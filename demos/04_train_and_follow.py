@@ -21,8 +21,8 @@ c = corpus.load(work / "corpus")
 
 cfg = pl.TrainConfig(seed=0, epochs=6, iters_per_epoch=60, paired_batch=24, unpaired_batch=24,
                      eval_every=2, eval_tasks=30,
-                     hp=md.HyperParams(learning_rate=3e-3, k_slots=2, latent_dim=32),
-                     arch=pl.ArchConfig(hidden=48, attn_dim=48, prior_hidden=48))
+                     hp=md.HyperParams(learning_rate=3e-3),
+                     model=md.ModelConfig(hidden=48, attn_dim=48, prior_hidden=48, k_slots=2, latent_dim=32))
 ck, record = pl.train_msvae(cfg, c, work / "run")
 print("\nvalidation curve (epoch, SR, BLEU):")
 for e in record.entries:

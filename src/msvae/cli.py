@@ -25,8 +25,8 @@ from . import pipelines as pl
 
 logger = logging.getLogger(__name__)
 
-PIPELINES = ("supervised-follower", "supervised-speaker", "msvae",
-             "speaker-follower", "msvae-speaker-follower")
+RESUMABLE = ("supervised-follower", "supervised-speaker", "msvae")
+PIPELINES = (*RESUMABLE, "speaker-follower", "msvae-speaker-follower")
 
 
 class UsageError(ValueError):
@@ -110,6 +110,8 @@ def cmd_train(args) -> int:
     doc = cfg_mod.resolve(args.preset, args.config, args.overrides)
     if args.pipeline not in PIPELINES:
         raise UsageError(f"unknown pipeline {args.pipeline!r}; have {PIPELINES}")
+    if args.resume is not None and args.pipeline not in RESUMABLE:
+        raise UsageError(f"--resume works only with the {', '.join(RESUMABLE)} pipelines")
     corpus = corpus_mod.load(args.corpus)
     tc = cfg_mod.train_config(doc)
     out = Path(args.out)

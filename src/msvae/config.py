@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import gridworld as gw
@@ -15,6 +16,24 @@ from . import pipelines as pl
 class ConfigError(ValueError):
     pass
 
+
+def _fields(cls, skip=()) -> list[str]:
+    return [f.name for f in fields(cls) if f.name not in skip]
+
+
+def _pick(doc: dict, keys) -> dict:
+    return {k: doc[k] for k in keys}
+
+
+# The model and train sections come from the dataclasses' fields and
+# defaults. The corpus and the gridworld fix vocab_size, obs_dim and
+# n_actions, so they are no keys; the latent geometry is set in the train
+# section, next to the objective weights.
+_LATENT_KEYS = ["k_slots", "latent_dim"]
+_MODEL_KEYS = _fields(md.ModelConfig, skip=["vocab_size", "obs_dim", "n_actions", *_LATENT_KEYS])
+_HP_KEYS = _fields(md.HyperParams)
+_TRAIN_KEYS = _fields(pl.TrainConfig, skip=["hp", "model"])
+_TRAIN = asdict(pl.TrainConfig())
 
 # the full key schema with desk-scale defaults; presets override sections
 DEFAULTS: dict = {
@@ -27,38 +46,8 @@ DEFAULTS: dict = {
         "seed": 0,
         "subgoal_weights": list(gw.SUBGOAL_WEIGHTS),
     },
-    "model": {
-        "hidden": 64,
-        "obs_hidden": 128,
-        "word_emb": 32,
-        "action_emb": 16,
-        "attn_dim": 64,
-        "prior_hidden": 128,
-        "cell_dim": 32,
-        "input_feed": True,
-        "obs_view": "ego",
-    },
-    "train": {
-        "seed": 0,
-        "epochs": 60,
-        "iters_per_epoch": 100,
-        "paired_batch": 32,
-        "unpaired_batch": 32,
-        "alpha": 1.0 / 20.0,
-        "gamma": 100.0,
-        "beta": 0.1,
-        "k_slots": 4,
-        "latent_dim": 128,
-        "learning_rate": 1e-3,
-        "n_projections": 50,
-        "pretrain_follower": None,
-        "pretrain_speaker": None,
-        "eval_every": 1,
-        "eval_tasks": 100,
-        "arch_variant": "attention",
-        "include_real_pairs": True,
-        "follow_cap": 64,
-    },
+    "model": _pick(_TRAIN["model"], _MODEL_KEYS),
+    "train": {**_pick(_TRAIN, _TRAIN_KEYS), **_TRAIN["hp"], **_pick(_TRAIN["model"], _LATENT_KEYS)},
     "eval": {
         "split": "test",
         "decoding": "greedy",
@@ -128,19 +117,11 @@ def resolve(preset: str = "desk_scale", config_path=None, overrides: list[str] |
 
 
 def train_config(doc: dict) -> pl.TrainConfig:
-    t = doc["train"]
-    hp = md.HyperParams(
-        alpha=t["alpha"], gamma=t["gamma"], beta=t["beta"], k_slots=t["k_slots"],
-        latent_dim=t["latent_dim"], learning_rate=t["learning_rate"],
-        n_projections=t["n_projections"],
-    )
-    if doc["model"]["obs_view"] not in gw.OBS_VIEWS:
-        raise ConfigError(f"model.obs_view {doc['model']['obs_view']!r} is not one of {sorted(gw.OBS_VIEWS)}")
-    arch = pl.ArchConfig(**doc["model"])
+    t, m = doc["train"], doc["model"]
+    if m["obs_view"] not in gw.OBS_VIEWS:
+        raise ConfigError(f"model.obs_view {m['obs_view']!r} is not one of {sorted(gw.OBS_VIEWS)}")
     return pl.TrainConfig(
-        seed=t["seed"], epochs=t["epochs"], iters_per_epoch=t["iters_per_epoch"],
-        paired_batch=t["paired_batch"], unpaired_batch=t["unpaired_batch"], hp=hp, arch=arch,
-        pretrain_follower=t["pretrain_follower"], pretrain_speaker=t["pretrain_speaker"],
-        eval_every=t["eval_every"], eval_tasks=t["eval_tasks"], arch_variant=t["arch_variant"],
-        include_real_pairs=t["include_real_pairs"], follow_cap=t["follow_cap"],
+        **_pick(t, _TRAIN_KEYS),
+        hp=md.HyperParams(**_pick(t, _HP_KEYS)),
+        model=md.ModelConfig(**m, **_pick(t, _LATENT_KEYS)),
     )

@@ -340,32 +340,22 @@ def _place_candidate(rng: np.random.Generator, difficulty: str, width: int, heig
     return world, Task(subgoals, tuple(connectors))
 
 
-def sample_task(rng, difficulty: str, *, width: int = DEFAULT_SIZE, height: int = DEFAULT_SIZE,
-                subgoal_weights=SUBGOAL_WEIGHTS, max_tries: int = 100) -> tuple[World, Task]:
-    """Sample a solvable (world, task); `rng` is a Generator or an int seed.
+def sample_task(seed: int, difficulty: str, **kw) -> tuple[World, Task]:
+    """Sample a solvable (world, task) from an int seed; see sample_task_record."""
+    return sample_task_record(seed, difficulty, **kw)[:2]
 
-    Integer seeds use attempt-indexed substreams so a record can be rebuilt
-    later without re-running solvability checks (see sample_task_record).
+
+def sample_task_record(seed: int, difficulty: str, *, width: int = DEFAULT_SIZE,
+                       height: int = DEFAULT_SIZE, subgoal_weights=SUBGOAL_WEIGHTS,
+                       max_tries: int = 100) -> tuple[World, Task, int]:
+    """Sample a solvable (world, task) and return the accepted attempt index.
+
+    Attempt i draws from the substream [seed, i], so a record can be rebuilt
+    later without re-running solvability checks (see rebuild_task).
     """
-    seed = rng if isinstance(rng, (int, np.integer)) else None
     for attempt in range(max_tries):
-        r = np.random.default_rng([seed, attempt]) if seed is not None else rng
-        world, task = _place_candidate(r, difficulty, width, height, subgoal_weights)
-        try:
-            oracle_solve(world, task)
-        except UnsolvableTask:
-            continue
-        return world, task
-    raise UnsolvableTask(f"no solvable placement in {max_tries} tries (seed={seed})")
-
-
-def sample_task_record(seed: int, difficulty: str, **kw) -> tuple[World, Task, int]:
-    """Like sample_task but also returns the accepted attempt index."""
-    max_tries = kw.pop("max_tries", 100)
-    for attempt in range(max_tries):
-        world, task = _place_candidate(np.random.default_rng([seed, attempt]), difficulty,
-                                       kw.get("width", DEFAULT_SIZE), kw.get("height", DEFAULT_SIZE),
-                                       kw.get("subgoal_weights", SUBGOAL_WEIGHTS))
+        rng = np.random.default_rng([seed, attempt])
+        world, task = _place_candidate(rng, difficulty, width, height, subgoal_weights)
         try:
             oracle_solve(world, task)
         except UnsolvableTask:

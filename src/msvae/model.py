@@ -25,13 +25,11 @@ START_ACTION_OFFSET = 0  # start id = n_actions + 0, pad id = n_actions + 1
 
 @dataclass
 class HyperParams:
-    """Objective weights and shared latent geometry."""
+    """Objective weights and optimizer settings."""
 
     alpha: float = 1.0 / 20.0
     gamma: float = 100.0
     beta: float = 0.1
-    k_slots: int = 4
-    latent_dim: int = 128
     learning_rate: float = 1e-3
     n_projections: int = 50
 
@@ -42,8 +40,8 @@ class HyperParams:
 
 @dataclass
 class ModelConfig:
-    vocab_size: int
-    obs_dim: int
+    vocab_size: int = 0  # set from the corpus vocabulary by TrainConfig.model_config
+    obs_dim: int = 0  # 0 takes the width of obs_view
     n_actions: int = gw.N_ACTIONS
     word_emb: int = 32
     action_emb: int = 16
@@ -58,11 +56,13 @@ class ModelConfig:
     obs_view: str = "ego"  # model-side observation frame: ego | grid | synthetic
 
     def __post_init__(self):
-        if self.obs_view in gw.OBS_VIEWS and self.obs_dim != gw.OBS_VIEWS[self.obs_view][1]:
-            raise ValueError(
-                f"obs_dim {self.obs_dim} does not match view {self.obs_view!r} "
-                f"(expected {gw.OBS_VIEWS[self.obs_view][1]})"
-            )
+        if self.obs_view not in gw.OBS_VIEWS:
+            return
+        dim = gw.OBS_VIEWS[self.obs_view][1]
+        if self.obs_dim == 0:
+            self.obs_dim = dim
+        elif self.obs_dim != dim:
+            raise ValueError(f"obs_dim {self.obs_dim} does not match view {self.obs_view!r} (expected {dim})")
 
 
 @dataclass
@@ -810,16 +810,19 @@ def total_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, unpaired: TrajBat
 # persistence
 
 
-def save_model(path, model, vocab_words: list[str], extra: dict | None = None) -> None:
-    meta = {
+def checkpoint_meta(model, vocab_words: list[str]) -> dict:
+    """The checkpoint metadata load_model rebuilds `model` from."""
+    return {
         "kind": model.kind,
         "model_config": asdict(model.cfg),
         "vocab_words": vocab_words,
         "attention": getattr(model, "attention", True),
     }
-    meta.update(extra or {})
+
+
+def save_model(path, model, vocab_words: list[str], extra: dict | None = None) -> None:
     arrays = {k: v.value for k, v in model.named_params().items()}
-    nn.save_checkpoint(path, arrays, meta)
+    nn.save_checkpoint(path, arrays, {**checkpoint_meta(model, vocab_words), **(extra or {})})
 
 
 def build_model(kind: str, rng, cfg: ModelConfig, attention: bool = True):

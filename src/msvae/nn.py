@@ -289,11 +289,6 @@ def prior_log_density_params(prior: AutoregressivePrior, z: Node) -> tuple[Node,
     return ad.stack(means, axis=1), ad.stack(logvars, axis=1)
 
 
-def gaussian_kl(q_mean, q_logvar, p_mean, p_logvar) -> Node:
-    """Closed-form diagonal-Gaussian KL(q || p), summed over all entries."""
-    return ad.reduce_sum(gaussian_kl_elements(q_mean, q_logvar, p_mean, p_logvar))
-
-
 def gaussian_kl_per_sample(q_mean, q_logvar, p_mean, p_logvar) -> Node:
     """(B, K, D) inputs -> per-sample KL (B,), summed over slots and dims."""
     return ad.reduce_sum(gaussian_kl_elements(q_mean, q_logvar, p_mean, p_logvar), axis=(1, 2))

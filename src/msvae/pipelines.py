@@ -1,6 +1,6 @@
-"""Training loops and experiment pipelines: supervised baselines, the
-semi-supervised latent model, speaker-follower augmentation, and simplified
-pragmatic inference.
+"""The training loop and the experiment pipelines on it: supervised
+baselines, the semi-supervised latent model, speaker-follower augmentation,
+and simplified pragmatic inference.
 
 Every pipeline is bit-deterministic under (seed, config, corpus): all
 randomness flows from named substreams of the config seed, metrics.csv holds
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,55 +36,27 @@ class NumericFailure(RuntimeError):
 
 
 @dataclass
-class ArchConfig:
-    hidden: int = 64
-    obs_hidden: int = 128
-    word_emb: int = 32
-    action_emb: int = 16
-    attn_dim: int = 64
-    prior_hidden: int = 128
-    cell_dim: int = 32
-    input_feed: bool = True
-    obs_view: str = "ego"
-
-
-@dataclass
 class TrainConfig:
-    seed: int
+    seed: int = 0
     epochs: int = 60
     iters_per_epoch: int = 100
     paired_batch: int = 32
     unpaired_batch: int = 32
     hp: md.HyperParams = field(default_factory=md.HyperParams)
-    arch: ArchConfig = field(default_factory=ArchConfig)
+    model: md.ModelConfig = field(default_factory=md.ModelConfig)
     pretrain_follower: str | None = None
     pretrain_speaker: str | None = None
     eval_every: int = 1
     eval_tasks: int = 100
     arch_variant: str = "attention"  # supervised follower: attention | no_attention | bottleneck
     include_real_pairs: bool = True  # speaker-follower: mix real pairs into pseudo data
-    follow_cap: int = 64
 
     def __post_init__(self):
         if min(self.epochs, self.iters_per_epoch, self.paired_batch) <= 0:
             raise ValueError("epochs, iterations and batch sizes must be positive")
 
     def model_config(self, vocab_size: int) -> md.ModelConfig:
-        return md.ModelConfig(
-            vocab_size=vocab_size,
-            obs_dim=gw.OBS_VIEWS[self.arch.obs_view][1],
-            hidden=self.arch.hidden,
-            obs_hidden=self.arch.obs_hidden,
-            word_emb=self.arch.word_emb,
-            action_emb=self.arch.action_emb,
-            attn_dim=self.arch.attn_dim,
-            k_slots=self.hp.k_slots,
-            latent_dim=self.hp.latent_dim,
-            prior_hidden=self.arch.prior_hidden,
-            cell_dim=self.arch.cell_dim,
-            input_feed=self.arch.input_feed,
-            obs_view=self.arch.obs_view,
-        )
+        return replace(self.model, vocab_size=vocab_size)
 
 
 @dataclass
@@ -162,14 +134,13 @@ def _zero_report(objective: float, slot: str) -> md.LossReport:
 
 
 class _Run:
-    """Shared training-loop state: model, optimizer, rng streams, logging."""
+    """The training loop every pipeline shares, and its state: model,
+    optimizer, rng streams, step logs and checkpoints."""
 
-    def __init__(self, cfg: TrainConfig, corpus, out_dir, kind: str, pipeline: str,
-                 build_model, resume_from=None):
+    def __init__(self, cfg: TrainConfig, corpus, out_dir, pipeline: str, build_model,
+                 resume_from=None):
         self.cfg = cfg
-        self.corpus = corpus
         self.out = Path(out_dir)
-        self.pipeline = pipeline
         (self.out / "checkpoints").mkdir(parents=True, exist_ok=True)
         self.config_doc = {"pipeline": pipeline, "train": asdict(cfg)}
         (self.out / "config.json").write_text(json.dumps(self.config_doc, sort_keys=True) + "\n")
@@ -180,8 +151,8 @@ class _Run:
             "eval": np.random.default_rng([cfg.seed, 2]),
         }
         self.model = build_model(np.random.default_rng([cfg.seed, 3]))
+        self.meta = {**md.checkpoint_meta(self.model, corpus.vocab.id_to_word[4:]), "pipeline": pipeline}
         self.opt = ad.Adam(self.model.params(), lr=cfg.hp.learning_rate)
-        self.kind = kind
         self.start_epoch = 0
         self.entries: list[dict] = []
         self.best_metric = -np.inf
@@ -189,36 +160,90 @@ class _Run:
         self.best_params: dict[str, np.ndarray] | None = None
         self.skips = 0
 
+        elapsed = 0.0
         if resume_from is not None:
             self._load_state(resume_from)
             # rows logged after the checkpoint, before a crash, are replayed
             last_step = self.start_epoch * cfg.iters_per_epoch
-            for name in ("metrics.csv", "timing.csv"):
-                _truncate_steps(self.out / name, last_step)
+            _truncate_steps(self.out / "metrics.csv", last_step)
+            timing = _truncate_steps(self.out / "timing.csv", last_step)
+            if timing:  # the seconds column runs on from the last kept row
+                elapsed = float(timing[-1].split(",")[1])
         mode = "a" if resume_from is not None else "w"
-        # line-buffered, so a crash leaves only whole rows on disk
-        self.metrics_f = open(self.out / "metrics.csv", mode, buffering=1)
-        self.timing_f = open(self.out / "timing.csv", mode, buffering=1)
-        if mode == "w":
-            self.metrics_f.write("step," + ",".join(md.LossReport.FIELDS) + "\n")
-            self.timing_f.write("step,seconds\n")
-        self.t0 = time.monotonic()
+        self.metrics_f = _open_log(self.out / "metrics.csv", mode, "step," + ",".join(md.LossReport.FIELDS))
+        self.timing_f = _open_log(self.out / "timing.csv", mode, "step,seconds")
+        self.t0 = time.monotonic() - elapsed
+
+    # -- the loop --------------------------------------------------------------
+
+    def fit(self, step_loss, evaluate, metric_name: str) -> tuple[Path, RunRecord]:
+        """Train the remaining epochs, then write best.bin and runrecord.json.
+
+        step_loss(model, batch_rng, loss_rng) draws one batch and returns
+        (loss node to minimize, LossReport); evaluate(model) returns the
+        validation (sr, bleu); metric_name, "sr" or "bleu", picks the best
+        epoch from the smoothed curve.
+        """
+        cfg = self.cfg
+        step = self.start_epoch * cfg.iters_per_epoch
+        for epoch in range(self.start_epoch, cfg.epochs):
+            totals = []
+            for _ in range(cfg.iters_per_epoch):
+                step += 1
+                loss_node, report = step_loss(self.model, self.rngs["batch"], self.rngs["loss"])
+                self._apply(loss_node, report, step)
+                self.metrics_f.write(f"{step}," + ",".join(repr(v) for v in report.as_row()) + "\n")
+                self.timing_f.write(f"{step},{time.monotonic() - self.t0:.3f}\n")
+                totals.append(report.total)
+            if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
+                sr, bleu = evaluate(self.model)
+                self._note_eval(epoch, sr, bleu, float(np.mean(totals)), metric_name)
+            self.save_state(epoch)
+        return self._finish(metric_name)
+
+    def _apply(self, loss_node, report, step: int) -> None:
+        if not np.isfinite(report.total):
+            self.skips += 1
+            logger.warning("non-finite loss at step %d; skipped (%d consecutive)", step, self.skips)
+            if self.skips >= MAX_CONSECUTIVE_SKIPS:
+                raise NumericFailure(f"{self.skips} consecutive non-finite losses")
+            return
+        self.skips = 0
+        self.opt.zero_grad()
+        ad.backward(loss_node)
+        self.opt.step()
+
+    def _note_eval(self, epoch: int, sr: float, bleu: float, mean_total: float, metric_name: str):
+        values = [e[metric_name] for e in self.entries] + [sr if metric_name == "sr" else bleu]
+        smooth = smoothed_curve(values)[-1]
+        self.entries.append({"epoch": epoch, "sr": sr, "bleu": bleu,
+                             "mean_total": mean_total, "smoothed": smooth})
+        if smooth > self.best_metric:
+            self.best_metric = smooth
+            self.best_epoch = epoch
+            self.best_params = {k: v.value.copy() for k, v in self.model.named_params().items()}
+
+    def _finish(self, metric_name: str) -> tuple[Path, RunRecord]:
+        self.metrics_f.close()
+        self.timing_f.close()
+        if self.best_params is None:  # no eval ran; fall back to final weights
+            self.best_params = {k: v.value.copy() for k, v in self.model.named_params().items()}
+            self.best_epoch = self.cfg.epochs - 1
+            self.best_metric = 0.0
+        best_path = self.out / "checkpoints" / "best.bin"
+        nn.save_checkpoint(best_path, self.best_params, {**self.meta, "selected_epoch": self.best_epoch})
+        record = RunRecord(
+            entries=self.entries,
+            selected_epoch=self.best_epoch,
+            selected_metric=float(self.best_metric),
+            metric_name=metric_name,
+            checkpoint=str(best_path),
+            config=self.config_doc,
+        )
+        record.save(self.out / "runrecord.json")
+        return best_path, record
 
     # -- state checkpoints ---------------------------------------------------
-
-    def _state_meta(self, epoch: int) -> dict:
-        return {
-            "kind": self.kind,
-            "model_config": asdict(self.model.cfg),
-            "attention": getattr(self.model, "attention", True),
-            "vocab_words": self.corpus.vocab.id_to_word[4:],
-            "pipeline": self.pipeline,
-            "epoch": epoch,
-            "entries": self.entries,
-            "best": {"metric": float(self.best_metric), "epoch": self.best_epoch},
-            "rng_states": {k: r.bit_generator.state for k, r in self.rngs.items()},
-            "train_state": True,
-        }
 
     def save_state(self, epoch: int) -> Path:
         arrays = {k: v.value for k, v in self.model.named_params().items()}
@@ -226,7 +251,14 @@ class _Run:
         if self.best_params is not None:
             arrays.update({f"best.{k}": v for k, v in self.best_params.items()})
         path = self.out / "checkpoints" / f"epoch_{epoch:04d}.bin"
-        nn.save_checkpoint(path, arrays, self._state_meta(epoch))
+        nn.save_checkpoint(path, arrays, {
+            **self.meta,
+            "epoch": epoch,
+            "entries": self.entries,
+            "best": {"metric": float(self.best_metric), "epoch": self.best_epoch},
+            "rng_states": {k: r.bit_generator.state for k, r in self.rngs.items()},
+            "train_state": True,
+        })
         prev = self.out / "checkpoints" / f"epoch_{epoch - 1:04d}.bin"
         if prev.exists():
             prev.unlink()
@@ -248,72 +280,25 @@ class _Run:
         best = {k[len("best."):]: v for k, v in arrays.items() if k.startswith("best.")}
         self.best_params = best or None
 
-    # -- logging -------------------------------------------------------------
 
-    def log_step(self, step: int, report: md.LossReport):
-        row = ",".join(repr(v) for v in report.as_row())
-        self.metrics_f.write(f"{step},{row}\n")
-        self.timing_f.write(f"{step},{time.monotonic() - self.t0:.3f}\n")
-
-    def apply(self, loss_node, report, step: int) -> bool:
-        if not np.isfinite(report.total):
-            self.skips += 1
-            logger.warning("non-finite loss at step %d; skipped (%d consecutive)", step, self.skips)
-            if self.skips >= MAX_CONSECUTIVE_SKIPS:
-                raise NumericFailure(f"{self.skips} consecutive non-finite losses")
-            return False
-        self.skips = 0
-        self.opt.zero_grad()
-        ad.backward(loss_node)
-        self.opt.step()
-        return True
-
-    def note_eval(self, epoch: int, sr: float, bleu: float, mean_total: float, metric_name: str):
-        values = [e[metric_name] for e in self.entries] + [sr if metric_name == "sr" else bleu]
-        smooth = smoothed_curve(values)[-1]
-        self.entries.append({"epoch": epoch, "sr": sr, "bleu": bleu,
-                             "mean_total": mean_total, "smoothed": smooth})
-        if smooth > self.best_metric:
-            self.best_metric = smooth
-            self.best_epoch = epoch
-            self.best_params = {k: v.value.copy() for k, v in self.model.named_params().items()}
-
-    def finish(self, metric_name: str) -> tuple[Path, RunRecord]:
-        self.metrics_f.close()
-        self.timing_f.close()
-        if self.best_params is None:  # no eval ran; fall back to final weights
-            self.best_params = {k: v.value.copy() for k, v in self.model.named_params().items()}
-            self.best_epoch = self.cfg.epochs - 1
-            self.best_metric = 0.0
-        best_path = self.out / "checkpoints" / "best.bin"
-        meta = {
-            "kind": self.kind,
-            "model_config": asdict(self.model.cfg),
-            "attention": getattr(self.model, "attention", True),
-            "vocab_words": self.corpus.vocab.id_to_word[4:],
-            "pipeline": self.pipeline,
-            "selected_epoch": self.best_epoch,
-        }
-        nn.save_checkpoint(best_path, self.best_params, meta)
-        record = RunRecord(
-            entries=self.entries,
-            selected_epoch=self.best_epoch,
-            selected_metric=float(self.best_metric),
-            metric_name=metric_name,
-            checkpoint=str(best_path),
-            config=self.config_doc,
-        )
-        record.save(self.out / "runrecord.json")
-        return best_path, record
-
-
-def _truncate_steps(path: Path, last_step: int) -> None:
-    """Keep the header and the whole rows of a step log up to `last_step`."""
+def _truncate_steps(path: Path, last_step: int) -> list[str]:
+    """Keep the header and the whole rows of a step log up to `last_step`;
+    returns the kept rows."""
     if not path.exists():  # resumed into a fresh run directory
-        return
+        return []
     header, *rows = path.read_text().splitlines(keepends=True)
     keep = [r for r in rows if r.endswith("\n") and int(r.split(",", 1)[0]) <= last_step]
     path.write_text(header + "".join(keep))
+    return keep
+
+
+def _open_log(path: Path, mode: str, header: str):
+    """Line-buffered, so a crash leaves only whole rows on disk; a new file
+    starts with its header row, also when a resume appends to it."""
+    f = open(path, mode, buffering=1)
+    if f.tell() == 0:
+        f.write(header + "\n")
+    return f
 
 
 def warm_start(model, ckpt_path, rename: dict[str, str] | None = None) -> list[str]:
@@ -344,6 +329,11 @@ def warm_start(model, ckpt_path, rename: dict[str, str] | None = None) -> list[s
 # pipelines
 
 
+def _paired_batch(records, corpus, cfg: TrainConfig, rng) -> tuple[md.LangBatch, md.TrajBatch]:
+    idx = rng.integers(0, len(records), size=min(cfg.paired_batch, len(records)))
+    return pair_batches(records, corpus, idx, cfg.model.obs_view)
+
+
 def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
                               resume_from=None, pipeline_name="supervised-follower"):
     """Imitation learning on paired records (teacher forcing).
@@ -355,9 +345,10 @@ def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
     if not records:
         raise ValueError("no paired records to train on")
     mcfg = cfg.model_config(len(corpus.vocab))
+    bottleneck = cfg.arch_variant == "bottleneck"
 
     def build(rng):
-        if cfg.arch_variant == "bottleneck":
+        if bottleneck:
             model = md.MsVae(rng, mcfg)
         elif cfg.arch_variant in ("attention", "no_attention"):
             model = md.BaselineFollower(rng, mcfg, attention=cfg.arch_variant == "attention")
@@ -367,34 +358,17 @@ def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
             warm_start(model, cfg.pretrain_follower)
         return model
 
-    kind = "msvae" if cfg.arch_variant == "bottleneck" else "follower"
-    run = _Run(cfg, corpus, out_dir, kind, pipeline_name, build, resume_from)
-
-    def loss_fn(model, idx, rng):
-        lang, traj = pair_batches(records, corpus, idx, cfg.arch.obs_view)
-        if cfg.arch_variant == "bottleneck":
-            mean, _ = model.encode_language(lang)
-            ll = model.action_log_likelihood(mean, traj)
-        else:
-            ll = model.action_log_likelihood(lang, traj)
-        mean_ll = ad.reduce_mean(ll)
+    def step_loss(model, batch_rng, loss_rng):
+        lang, traj = _paired_batch(records, corpus, cfg, batch_rng)
+        memory = model.encode_language(lang)[0] if bottleneck else lang
+        mean_ll = ad.reduce_mean(model.action_log_likelihood(memory, traj))
         return ad.neg(mean_ll), _zero_report(float(mean_ll.value), "c2")
 
-    step = run.start_epoch * cfg.iters_per_epoch
-    for epoch in range(run.start_epoch, cfg.epochs):
-        totals = []
-        for _ in range(cfg.iters_per_epoch):
-            step += 1
-            idx = run.rngs["batch"].integers(0, len(records), size=min(cfg.paired_batch, len(records)))
-            loss_node, report = loss_fn(run.model, idx, run.rngs["loss"])
-            run.apply(loss_node, report, step)
-            run.log_step(step, report)
-            totals.append(report.total)
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            rep = evaluate_follower(run.model, corpus, corpus.val, limit=cfg.eval_tasks)
-            run.note_eval(epoch, rep.sr, 0.0, float(np.mean(totals)), "sr")
-        run.save_state(epoch)
-    return run.finish("sr")
+    def evaluate(model):
+        return evaluate_follower(model, corpus, corpus.val, limit=cfg.eval_tasks).sr, 0.0
+
+    run = _Run(cfg, corpus, out_dir, pipeline_name, build, resume_from)
+    return run.fit(step_loss, evaluate, "sr")
 
 
 def train_supervised_speaker(cfg: TrainConfig, corpus, out_dir, resume_from=None):
@@ -410,25 +384,16 @@ def train_supervised_speaker(cfg: TrainConfig, corpus, out_dir, resume_from=None
             warm_start(model, cfg.pretrain_speaker)
         return model
 
-    run = _Run(cfg, corpus, out_dir, "speaker", "supervised-speaker", build, resume_from)
+    def step_loss(model, batch_rng, loss_rng):
+        lang, traj = _paired_batch(records, corpus, cfg, batch_rng)
+        mean_ll = ad.reduce_mean(model.language_log_likelihood(traj, lang))
+        return ad.neg(mean_ll), _zero_report(float(mean_ll.value), "c1")
 
-    step = run.start_epoch * cfg.iters_per_epoch
-    for epoch in range(run.start_epoch, cfg.epochs):
-        totals = []
-        for _ in range(cfg.iters_per_epoch):
-            step += 1
-            idx = run.rngs["batch"].integers(0, len(records), size=min(cfg.paired_batch, len(records)))
-            lang, traj = pair_batches(records, corpus, idx, cfg.arch.obs_view)
-            mean_ll = ad.reduce_mean(run.model.language_log_likelihood(traj, lang))
-            report = _zero_report(float(mean_ll.value), "c1")
-            run.apply(ad.neg(mean_ll), report, step)
-            run.log_step(step, report)
-            totals.append(report.total)
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            bleu, _ = evaluate_speaker(run.model, corpus, corpus.val, limit=cfg.eval_tasks)
-            run.note_eval(epoch, 0.0, bleu, float(np.mean(totals)), "bleu")
-        run.save_state(epoch)
-    return run.finish("bleu")
+    def evaluate(model):
+        return 0.0, evaluate_speaker(model, corpus, corpus.val, limit=cfg.eval_tasks)[0]
+
+    run = _Run(cfg, corpus, out_dir, "supervised-speaker", build, resume_from)
+    return run.fit(step_loss, evaluate, "bleu")
 
 
 def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
@@ -439,6 +404,7 @@ def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
     if not corpus.paired:
         raise ValueError("no paired records to train on")
     mcfg = cfg.model_config(len(corpus.vocab))
+    use_unpaired = cfg.unpaired_batch > 0 and len(corpus.unpaired) > 0
 
     def build(rng):
         model = md.MsVae(rng, mcfg)
@@ -450,30 +416,21 @@ def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
             logger.info("warm start (speaker): %d tensors", len(n))
         return model
 
-    run = _Run(cfg, corpus, out_dir, "msvae", "msvae", build, resume_from)
-    use_unpaired = cfg.unpaired_batch > 0 and len(corpus.unpaired) > 0
+    def step_loss(model, batch_rng, loss_rng):
+        lang, traj = _paired_batch(corpus.paired, corpus, cfg, batch_rng)
+        unpaired = None
+        if use_unpaired:
+            uidx = batch_rng.integers(0, len(corpus.unpaired), size=cfg.unpaired_batch)
+            unpaired = traj_batch(corpus.unpaired, corpus, uidx, cfg.model.obs_view)
+        return md.total_loss(model, lang, traj, unpaired, cfg.hp, loss_rng)
 
-    step = run.start_epoch * cfg.iters_per_epoch
-    for epoch in range(run.start_epoch, cfg.epochs):
-        totals = []
-        for _ in range(cfg.iters_per_epoch):
-            step += 1
-            pidx = run.rngs["batch"].integers(0, len(corpus.paired), size=min(cfg.paired_batch, len(corpus.paired)))
-            lang, traj = pair_batches(corpus.paired, corpus, pidx, cfg.arch.obs_view)
-            unpaired = None
-            if use_unpaired:
-                uidx = run.rngs["batch"].integers(0, len(corpus.unpaired), size=cfg.unpaired_batch)
-                unpaired = traj_batch(corpus.unpaired, corpus, uidx, cfg.arch.obs_view)
-            loss_node, report = md.total_loss(run.model, lang, traj, unpaired, cfg.hp, run.rngs["loss"])
-            run.apply(loss_node, report, step)
-            run.log_step(step, report)
-            totals.append(report.total)
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            rep = evaluate_follower(run.model, corpus, corpus.val, limit=cfg.eval_tasks)
-            bleu, _ = evaluate_speaker(run.model, corpus, corpus.val, limit=min(cfg.eval_tasks, 50))
-            run.note_eval(epoch, rep.sr, bleu, float(np.mean(totals)), "sr")
-        run.save_state(epoch)
-    return run.finish("sr")
+    def evaluate(model):
+        sr = evaluate_follower(model, corpus, corpus.val, limit=cfg.eval_tasks).sr
+        bleu, _ = evaluate_speaker(model, corpus, corpus.val, limit=min(cfg.eval_tasks, 50))
+        return sr, bleu
+
+    run = _Run(cfg, corpus, out_dir, "msvae", build, resume_from)
+    return run.fit(step_loss, evaluate, "sr")
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +495,7 @@ def train_speaker_follower(cfg: TrainConfig, corpus, out_dir, speaker_ckpt,
     if dropped:
         logger.warning("augment: dropped %d empty pseudo instructions", dropped)
     records = usable + (list(corpus.paired) if cfg.include_real_pairs else [])
-    sub = TrainConfig(**{**asdict(cfg), "arch_variant": "attention",
-                         "hp": cfg.hp, "arch": cfg.arch})
+    sub = replace(cfg, arch_variant="attention")
     return train_supervised_follower(sub, corpus, out, records=records,
                                      pipeline_name=pipeline_name)
 

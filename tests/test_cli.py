@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from msvae import cli, config as cfg_mod, nn
+from msvae import cli, config as cfg_mod, nn, pipelines as pl
 
 
 def run_cli(*argv):
@@ -37,6 +38,26 @@ class TestConfig:
         paper = cfg_mod.resolve("paper_scale")
         assert paper["corpus"]["m"] == 1000 and paper["corpus"]["n"] == 1_000_000
         assert paper["train"]["epochs"] == 200 and paper["train"]["paired_batch"] == 256
+        assert cfg_mod.train_config(desk) == pl.TrainConfig(seed=0)
+
+    def test_every_model_and_train_key_reaches_the_train_config(self):
+        other = {"obs_view": "grid", "arch_variant": "bottleneck"}
+        for section in ("model", "train"):
+            for key, default in cfg_mod.DEFAULTS[section].items():
+                if isinstance(default, bool):
+                    value = not default
+                elif isinstance(default, (int, float)):
+                    value = default + 1
+                elif default is None:
+                    value = "ckpt.bin"
+                else:
+                    value = other[key]
+                doc = cfg_mod.resolve("desk_scale", overrides=[f"{section}.{key}={json.dumps(value)}"])
+                tc = cfg_mod.train_config(doc)
+                # each key is declared by exactly one of the config dataclasses
+                holders = [o for o in (tc, tc.hp, tc.model) if key in {f.name for f in fields(o)}]
+                assert len(holders) == 1, key
+                assert getattr(holders[0], key) == value, key
 
     def test_unknown_key_rejected(self):
         with pytest.raises(cfg_mod.ConfigError, match="unknown config key: corpus.bogus"):
@@ -133,6 +154,15 @@ class TestTrain:
         assert run_cli(*base, "--out", str(part), "--set", "train.epochs=4",
                        "--resume", str(state)) == 0
         assert (full / "metrics.csv").read_bytes() == (part / "metrics.csv").read_bytes()
+
+    def test_resume_rejected_for_speaker_follower_pipelines(self, corpus_dir, tmp_path, capsys):
+        for pipeline in ("speaker-follower", "msvae-speaker-follower"):
+            out = tmp_path / pipeline
+            code = run_cli("train", "--pipeline", pipeline, "--corpus", str(corpus_dir), "--out", str(out),
+                           *SMOKE_SETS, "--resume", str(tmp_path / "epoch_0000.bin"))
+            assert code == 1
+            assert "supervised-follower, supervised-speaker, msvae" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_speaker_follower_with_reused_speaker(self, corpus_dir, tmp_path):
         spk = tmp_path / "spk"

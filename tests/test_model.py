@@ -113,7 +113,7 @@ class TestPairedLoss:
         r = np.random.default_rng(8)
         lang = md.make_lang_batch([synth_lang(r, 3)])
         traj = md.make_traj_batch([synth_traj(r, 3)])
-        hp = md.HyperParams(beta=0.0, k_slots=2, latent_dim=3)
+        hp = md.HyperParams(beta=0.0)
         p = paired = md.paired_loss(tiny_model, lang, traj, hp, np.random.default_rng(0))
         expected = 0.5 * (float(p["a1"].value) + float(p["c1"].value)
                           + float(p["a2"].value) + float(p["c2"].value))
@@ -124,7 +124,7 @@ class TestPairedLoss:
         r = np.random.default_rng(9)
         lang = md.make_lang_batch([synth_lang(r, 3)])
         traj = md.make_traj_batch([synth_traj(r, 4)])
-        hp = md.HyperParams(k_slots=2, latent_dim=3)
+        hp = md.HyperParams()
         p = md.paired_loss(tiny_model, lang, traj, hp, np.random.default_rng(42))
         # replay the same noise stream to rebuild z1
         rng = np.random.default_rng(42)
@@ -149,7 +149,7 @@ class TestUnpairedLoss:
         m.prior.logvar_head.b.value[...] = 0.0
         r = np.random.default_rng(10)
         traj = md.make_traj_batch([synth_traj(r, 2)])
-        hp = md.HyperParams(beta=1.0, k_slots=1, latent_dim=1)
+        hp = md.HyperParams(beta=1.0)
         u = md.unpaired_loss(m, traj, hp, np.random.default_rng(0))
         assert abs(float(u["b1"].value) + 0.5) < 1e-12
         assert abs(float(u["v"].value) - (float(u["a1"].value) - 0.5)) < 1e-12
@@ -157,7 +157,7 @@ class TestUnpairedLoss:
     def test_v_le_a1_with_beta_one(self, tiny_model):
         r = np.random.default_rng(11)
         traj = md.make_traj_batch([synth_traj(r, 3) for _ in range(3)])
-        hp = md.HyperParams(beta=1.0, k_slots=2, latent_dim=3)
+        hp = md.HyperParams(beta=1.0)
         u = md.unpaired_loss(tiny_model, traj, hp, np.random.default_rng(0))
         assert float(u["v"].value) <= float(u["a1"].value) + 1e-12
         assert float(u["b1"].value) <= 1e-12
@@ -225,7 +225,7 @@ class TestTotalLoss:
 
     def test_paired_only_reduction(self, tiny_model):
         lang, traj, _ = self.batches()
-        hp = md.HyperParams(gamma=0.0, alpha=0.0, k_slots=2, latent_dim=3)
+        hp = md.HyperParams(gamma=0.0, alpha=0.0)
         loss, report = md.total_loss(tiny_model, lang, traj, None, hp, np.random.default_rng(0))
         p = md.paired_loss(tiny_model, lang, traj, hp, np.random.default_rng(0))
         assert abs(report.total - float(p["jbar"].value)) < 1e-12
@@ -233,14 +233,14 @@ class TestTotalLoss:
 
     def test_alpha_zero_reports_dprime(self, tiny_model):
         lang, traj, unpaired = self.batches()
-        hp = md.HyperParams(alpha=0.0, gamma=1.0, k_slots=2, latent_dim=3)
+        hp = md.HyperParams(alpha=0.0, gamma=1.0)
         _, report = md.total_loss(tiny_model, lang, traj, unpaired, hp, np.random.default_rng(0))
         assert report.dprime > 0.0
         assert abs(report.total - report.recombine(hp)) < 1e-10
 
     def test_accounting_identity(self, tiny_model):
         lang, traj, unpaired = self.batches()
-        hp = md.HyperParams(alpha=0.3, gamma=2.0, beta=0.5, k_slots=2, latent_dim=3)
+        hp = md.HyperParams(alpha=0.3, gamma=2.0, beta=0.5)
         loss, report = md.total_loss(tiny_model, lang, traj, unpaired, hp, np.random.default_rng(0))
         assert abs(report.total - report.recombine(hp)) < 1e-10
         assert abs(float(loss.value) + report.total) < 1e-12
@@ -255,7 +255,7 @@ class TestFullLossGradient:
         lang = md.make_lang_batch([synth_lang(r, 2)])
         traj = md.make_traj_batch([synth_traj(r, 2)])
         unpaired = md.make_traj_batch([synth_traj(r, 2)])
-        hp = md.HyperParams(alpha=0.25, gamma=1.5, beta=0.7, k_slots=2, latent_dim=3)
+        hp = md.HyperParams(alpha=0.25, gamma=1.5, beta=0.7)
 
         def build():
             loss, _ = md.total_loss(m, lang, traj, unpaired, hp, np.random.default_rng(7))
@@ -421,7 +421,7 @@ class TestHoistedFeatures:
         lang = md.make_lang_batch([synth_lang(r, n) for n in (2, 4, 3)])
         traj = md.make_traj_batch([synth_traj(r, t, obs_dim) for t in (2, 5, 3)])
         unpaired = md.make_traj_batch([synth_traj(r, t, obs_dim) for t in (4, 1, 2)])
-        hp = md.HyperParams(alpha=0.3, gamma=2.0, k_slots=2, latent_dim=3)
+        hp = md.HyperParams(alpha=0.3, gamma=2.0)
 
         def run():
             loss, report = md.total_loss(m, lang, traj, unpaired, hp, np.random.default_rng(7))

@@ -1,5 +1,6 @@
 import gc
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ def small_cfg(seed=0, **kw):
     base = dict(
         seed=seed, epochs=2, iters_per_epoch=4, paired_batch=8, unpaired_batch=8,
         eval_tasks=6, eval_every=1,
-        hp=md.HyperParams(k_slots=2, latent_dim=16),
-        arch=pl.ArchConfig(hidden=24, word_emb=12, action_emb=8, attn_dim=16, prior_hidden=16),
+        model=md.ModelConfig(hidden=24, word_emb=12, action_emb=8, attn_dim=16, prior_hidden=16,
+                             k_slots=2, latent_dim=16),
     )
     base.update(kw)
     return pl.TrainConfig(**base)
@@ -110,7 +111,7 @@ class TestMsVae:
 
     def test_paired_only_ablation_row(self, small_corpus, tmp_path):
         # gamma=0, alpha=0 run: no unpaired batch is consumed
-        cfg = small_cfg(hp=md.HyperParams(gamma=0.0, alpha=0.0, k_slots=2, latent_dim=16),
+        cfg = small_cfg(hp=md.HyperParams(gamma=0.0, alpha=0.0),
                         unpaired_batch=0)
         pl.train_msvae(cfg, small_corpus, tmp_path / "mv0")
         rows = read_metrics(tmp_path / "mv0")
@@ -159,6 +160,40 @@ class TestMsVae:
             assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
         steps = [int(r.split(",")[0]) for r in (tmp_path / "part" / "timing.csv").read_text().splitlines()[1:]]
         assert steps == list(range(1, 13))
+
+    def test_resume_into_new_dir_writes_headers(self, small_corpus, tmp_path):
+        cfg = small_cfg(seed=3, iters_per_epoch=3)
+        pl.train_msvae(cfg, small_corpus, tmp_path / "full")
+        pl.train_msvae(replace(cfg, epochs=1), small_corpus, tmp_path / "first")
+        state = tmp_path / "first" / "checkpoints" / "epoch_0000.bin"
+        pl.train_msvae(cfg, small_corpus, tmp_path / "new", resume_from=state)
+        full = read_metrics(tmp_path / "full")
+        assert read_metrics(tmp_path / "new") == full[:1] + full[1 + cfg.iters_per_epoch:]
+        timing = (tmp_path / "new" / "timing.csv").read_text().splitlines()
+        assert timing[0] == "step,seconds"
+        assert [int(r.split(",")[0]) for r in timing[1:]] == [4, 5, 6]
+
+    def test_resume_after_crash_keeps_seconds_non_decreasing(self, small_corpus, tmp_path, monkeypatch):
+        cfg = small_cfg(seed=3, epochs=3, iters_per_epoch=3)
+        real_loss, calls = md.total_loss, []
+
+        def crash_in_third_epoch(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2 * cfg.iters_per_epoch + 2:
+                raise RuntimeError("crash")
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(md, "total_loss", crash_in_third_epoch)
+        with pytest.raises(RuntimeError, match="crash"):
+            pl.train_msvae(cfg, small_corpus, tmp_path / "run")
+        gc.collect()  # the crashed run's logs are closed, as at process exit
+        monkeypatch.setattr(md, "total_loss", real_loss)
+        state = tmp_path / "run" / "checkpoints" / "epoch_0001.bin"
+        pl.train_msvae(cfg, small_corpus, tmp_path / "run", resume_from=state)
+        rows = [r.split(",") for r in (tmp_path / "run" / "timing.csv").read_text().splitlines()[1:]]
+        assert [int(step) for step, _ in rows] == list(range(1, 10))
+        seconds = [float(s) for _, s in rows]
+        assert seconds == sorted(seconds)
 
     def test_warm_start_speeds_convergence(self, small_corpus, tmp_path):
         # warm start begins at the supervised follower; reaching its SR takes
@@ -307,8 +342,8 @@ class TestPragmatic:
 
     def test_other_view_is_re_encoded(self, small_corpus, pair, monkeypatch):
         follower, _ = pair
-        mcfg = small_cfg(arch=pl.ArchConfig(hidden=24, word_emb=12, action_emb=8, attn_dim=16,
-                                            prior_hidden=16, obs_view="grid"))
+        mcfg = small_cfg(model=md.ModelConfig(hidden=24, word_emb=12, action_emb=8, attn_dim=16,
+                                              prior_hidden=16, k_slots=2, latent_dim=16, obs_view="grid"))
         speaker = md.BaselineSpeaker(np.random.default_rng(0), mcfg.model_config(len(small_corpus.vocab)))
         seen = []
         real_score = speaker.trajectory_language_score
