@@ -120,8 +120,11 @@ def train_config(doc: dict) -> pl.TrainConfig:
     t, m = doc["train"], doc["model"]
     if m["obs_view"] not in gw.OBS_VIEWS:
         raise ConfigError(f"model.obs_view {m['obs_view']!r} is not one of {sorted(gw.OBS_VIEWS)}")
-    return pl.TrainConfig(
-        **_pick(t, _TRAIN_KEYS),
-        hp=md.HyperParams(**_pick(t, _HP_KEYS)),
-        model=md.ModelConfig(**m, **_pick(t, _LATENT_KEYS)),
-    )
+    try:
+        return pl.TrainConfig(
+            **_pick(t, _TRAIN_KEYS),
+            hp=md.HyperParams(**_pick(t, _HP_KEYS)),
+            model=md.ModelConfig(**m, **_pick(t, _LATENT_KEYS)),
+        )
+    except (ValueError, TypeError) as e:  # a value the dataclasses reject
+        raise ConfigError(f"bad config value: {e}") from e

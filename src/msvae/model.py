@@ -20,8 +20,6 @@ from . import gridworld as gw
 from . import nn
 from .autodiff import Node
 
-START_ACTION_OFFSET = 0  # start id = n_actions + 0, pad id = n_actions + 1
-
 
 @dataclass
 class HyperParams:
@@ -348,16 +346,37 @@ class TrajEncoderCore(nn.Layer):
         return ad.stack(states, axis=1), states[-1]
 
 
-class ActionDecoder(nn.Layer):
-    """Autoregressive policy head; the memory enters only through attention
-    contexts (fed to the head and, with input_feed, to the next step)."""
+class _Decoder(nn.Layer):
+    """What both autoregressive decoders share: the context they read from
+    the memory, by attention or, without it, as the fixed (B, memory_dim)
+    summary itself."""
 
-    def __init__(self, rng, cfg: ModelConfig, memory_dim: int, use_attention: bool = True):
+    def __init__(self, cfg: ModelConfig, memory_dim: int, use_attention: bool):
         super().__init__()
         self.use_attention = use_attention
         self.memory_dim = memory_dim
         self.input_feed = cfg.input_feed
-        self.blind = False  # diagnostic: replace contexts with zeros
+
+    def _context(self, h: Node, memory, prepared, memory_mask):
+        if self.use_attention:
+            ctx, _ = self.attn(h, prepared, memory, memory_mask)
+            return ctx
+        return memory
+
+    def prepare(self, memory):
+        return self.attn.prepare(memory) if self.use_attention else None
+
+    def init_context(self, batch: int) -> Node:
+        return ad.constant(np.zeros((batch, self.memory_dim)))
+
+
+class ActionDecoder(_Decoder):
+    """Autoregressive policy head; the memory enters only through attention
+    contexts (fed to the head and, with input_feed, to the next step)."""
+
+    def __init__(self, rng, cfg: ModelConfig, memory_dim: int, use_attention: bool = True):
+        super().__init__(cfg, memory_dim, use_attention)
+        self.start_id = cfg.n_actions
         self.emb = self._child("emb", nn.Embedding(rng, cfg.n_actions + 2, cfg.action_emb))
         in_dim = cfg.hidden + cfg.action_emb + (memory_dim if cfg.input_feed else 0)
         self.gru = self._child("gru", nn.GruCell(rng, in_dim, cfg.hidden))
@@ -367,20 +386,6 @@ class ActionDecoder(nn.Layer):
         # over grid cells; the dot product binds the instruction to cells
         self.readout = self._child("readout", GridReadout(rng, cfg.hidden + memory_dim, cfg.cell_dim, cfg))
         self.head = self._child("head", nn.Linear(rng, memory_dim + cfg.hidden + cfg.cell_dim, cfg.n_actions))
-
-    def _context(self, h: Node, memory, prepared, memory_mask):
-        if self.blind:
-            return self.init_context(h.value.shape[0])
-        if self.use_attention:
-            ctx, _ = self.attn(h, prepared, memory, memory_mask)
-            return ctx
-        return memory  # fixed (B, memory_dim) summary
-
-    def prepare(self, memory):
-        return self.attn.prepare(memory) if self.use_attention else None
-
-    def init_context(self, batch: int) -> Node:
-        return ad.constant(np.zeros((batch, self.memory_dim)))
 
     def step_logits(self, obs_feat: Node, cell_feats: np.ndarray, prev_ids, h: Node, memory, prepared,
                     memory_mask=None, prev_ctx: Node | None = None):
@@ -410,36 +415,42 @@ class ActionDecoder(nn.Layer):
             total = masked if total is None else ad.add(total, masked)
         return total
 
+    def rollout(self, world: gw.World, obs_mlp: ObsMlp, encode_obs, memory, memory_mask, h: Node,
+                mode: str, rng, max_steps: int):
+        """Act in the environment from one episode's memory and initial
+        state until `done` or max_steps; returns (trajectory, visited states)."""
+        prepared = self.prepare(memory)
+        ctx = None
+        prev = np.array([self.start_id], dtype=np.intp)
+        states = [world]
+        obs_rows, actions = [], []
+        for _ in range(max_steps):
+            o = encode_obs(world)
+            of = obs_mlp(ad.constant(o[None, :]))
+            cf = self.readout.step_features(o[None, None, :], 0)
+            logits, h, ctx = self.step_logits(of, cf, prev, h, memory, prepared, memory_mask, prev_ctx=ctx)
+            a = _pick(logits.value[0], mode, rng)
+            obs_rows.append(o)
+            actions.append(a)
+            world, done = gw.step(world, a)
+            states.append(world)
+            prev = np.array([a], dtype=np.intp)
+            if done:
+                break
+        return gw.Trajectory(np.array(obs_rows), tuple(actions)), states
 
-class WordDecoder(nn.Layer):
+
+class WordDecoder(_Decoder):
     """Autoregressive language head; bos-prefixed, eos-terminated."""
 
     def __init__(self, rng, cfg: ModelConfig, memory_dim: int, use_attention: bool = True):
-        super().__init__()
-        self.use_attention = use_attention
-        self.memory_dim = memory_dim
-        self.input_feed = cfg.input_feed
-        self.blind = False
+        super().__init__(cfg, memory_dim, use_attention)
         self.emb = self._child("emb", nn.Embedding(rng, cfg.vocab_size, cfg.word_emb))
         in_dim = cfg.word_emb + (memory_dim if cfg.input_feed else 0)
         self.gru = self._child("gru", nn.GruCell(rng, in_dim, cfg.hidden))
         if use_attention:
             self.attn = self._child("attn", nn.KeyValueAttention(rng, cfg.hidden, memory_dim, cfg.attn_dim))
         self.head = self._child("head", nn.Linear(rng, memory_dim + cfg.hidden, cfg.vocab_size))
-
-    def _context(self, h, memory, prepared, memory_mask):
-        if self.blind:
-            return self.init_context(h.value.shape[0])
-        if self.use_attention:
-            ctx, _ = self.attn(h, prepared, memory, memory_mask)
-            return ctx
-        return memory
-
-    def prepare(self, memory):
-        return self.attn.prepare(memory) if self.use_attention else None
-
-    def init_context(self, batch: int) -> Node:
-        return ad.constant(np.zeros((batch, self.memory_dim)))
 
     def step_logits(self, prev_ids, h, memory, prepared, memory_mask=None,
                     prev_ctx: Node | None = None):
@@ -463,6 +474,22 @@ class WordDecoder(nn.Layer):
             masked = ad.mul(picked, ad.constant(lang.enc_mask[:, t]))
             total = masked if total is None else ad.add(total, masked)
         return total
+
+    def rollout(self, memory, memory_mask, h: Node, mode: str, rng, len_cap: int, eos: int):
+        """Speak from one episode's memory and initial state until eos or
+        len_cap tokens; returns (token ids, truncated flag)."""
+        prepared = self.prepare(memory)
+        ctx = None
+        prev = np.array([1], dtype=np.intp)  # bos
+        out = []
+        for _ in range(len_cap):
+            logits, h, ctx = self.step_logits(prev, h, memory, prepared, memory_mask, prev_ctx=ctx)
+            w = _pick(logits.value[0], mode, rng)
+            if w == eos:
+                return out, False
+            out.append(w)
+            prev = np.array([w], dtype=np.intp)
+        return out, True
 
 
 # ---------------------------------------------------------------------------
@@ -523,61 +550,20 @@ class MsVae(nn.Layer):
     def prior_params(self, z: Node) -> tuple[Node, Node]:
         return nn.prior_log_density_params(self.prior, z)
 
-    # rollouts ---------------------------------------------------------------
+    # rollouts: perfbench wraps these methods and the decoders' step_logits by name
 
-    def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None,
-               max_steps: int = 64, z_mode: str = "mean", noise_rng=None):
-        """Roll the policy in the environment from a language instruction.
-
-        Returns (trajectory, visited states). Uses posterior mean slots by
-        default; z_mode="sample" draws one latent sample instead.
-        """
-        lang = make_lang_batch([list(tokens)])
-        mean, logvar = self.encode_language(lang)
-        if z_mode == "sample":
-            z = nn.reparameterize(mean, logvar, noise_rng.standard_normal(mean.value.shape))
-        else:
-            z = mean
-        prepared = self.act_dec.prepare(z)
-        h = self.act_dec.gru.init_state(1)
-        ctx = None
-        encode_obs = observation_encoder(self.cfg)
-        prev = np.array([self.cfg.n_actions], dtype=np.intp)  # start id
-        states = [world]
-        obs_rows, actions = [], []
-        for _ in range(max_steps):
-            o = encode_obs(world)
-            of = self.obs_mlp(ad.constant(o[None, :]))
-            cf = self.act_dec.readout.step_features(o[None, None, :], 0)
-            logits, h, ctx = self.act_dec.step_logits(of, cf, prev, h, z, prepared, prev_ctx=ctx)
-            a = _pick(logits.value[0], mode, rng)
-            obs_rows.append(o)
-            actions.append(a)
-            world, done = gw.step(world, a)
-            states.append(world)
-            prev = np.array([a], dtype=np.intp)
-            if done:
-                break
-        return gw.Trajectory(np.array(obs_rows), tuple(actions)), states
+    def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
+        """Roll the policy in the environment from a language instruction,
+        reading the posterior mean slots; returns (trajectory, visited states)."""
+        mean, _ = self.encode_language(make_lang_batch([list(tokens)]))
+        return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), mean, None,
+                                    self.act_dec.gru.init_state(1), mode, rng, max_steps)
 
     def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None,
               len_cap: int = 30, eos: int = 2) -> tuple[list[int], bool]:
         """Describe a trajectory; returns (token ids, truncated flag)."""
-        batch = make_traj_batch([traj], self.cfg.n_actions)
-        mean, _ = self.encode_trajectory(batch)
-        prepared = self.word_dec.prepare(mean)
-        h = self.word_dec.gru.init_state(1)
-        ctx = None
-        prev = np.array([1], dtype=np.intp)  # bos
-        out = []
-        for _ in range(len_cap):
-            logits, h, ctx = self.word_dec.step_logits(prev, h, mean, prepared, prev_ctx=ctx)
-            w = _pick(logits.value[0], mode, rng)
-            if w == eos:
-                return out, False
-            out.append(w)
-            prev = np.array([w], dtype=np.intp)
-        return out, True
+        mean, _ = self.encode_trajectory(make_traj_batch([traj], self.cfg.n_actions))
+        return self.word_dec.rollout(mean, None, self.word_dec.gru.init_state(1), mode, rng, len_cap, eos)
 
     def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
         """log p(tokens | mean latent of traj); the pragmatic-inference score."""
@@ -628,29 +614,10 @@ class BaselineFollower(nn.Layer):
         obs_feats = self.obs_mlp.features_steps(traj.obs, traj.mask)
         return self.act_dec.teacher_forced_logll(traj, obs_feats, memory, mask, h0=h0)
 
-    def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64, **_):
-        lang = make_lang_batch([list(tokens)])
-        memory, mask, h = self._encode(lang)
-        prepared = self.act_dec.prepare(memory)
-        ctx = None
-        encode_obs = observation_encoder(self.cfg)
-        prev = np.array([self.cfg.n_actions], dtype=np.intp)
-        states = [world]
-        obs_rows, actions = [], []
-        for _ in range(max_steps):
-            o = encode_obs(world)
-            of = self.obs_mlp(ad.constant(o[None, :]))
-            cf = self.act_dec.readout.step_features(o[None, None, :], 0)
-            logits, h, ctx = self.act_dec.step_logits(of, cf, prev, h, memory, prepared, mask, prev_ctx=ctx)
-            a = _pick(logits.value[0], mode, rng)
-            obs_rows.append(o)
-            actions.append(a)
-            world, done = gw.step(world, a)
-            states.append(world)
-            prev = np.array([a], dtype=np.intp)
-            if done:
-                break
-        return gw.Trajectory(np.array(obs_rows), tuple(actions)), states
+    def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
+        memory, mask, h = self._encode(make_lang_batch([list(tokens)]))
+        return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), memory, mask, h,
+                                    mode, rng, max_steps)
 
 
 class BaselineSpeaker(nn.Layer):
@@ -679,20 +646,8 @@ class BaselineSpeaker(nn.Layer):
 
     def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None, len_cap: int = 30,
               eos: int = 2) -> tuple[list[int], bool]:
-        batch = make_traj_batch([traj], self.cfg.n_actions)
-        memory, mask, h = self._encode(batch)
-        prepared = self.word_dec.prepare(memory)
-        ctx = None
-        prev = np.array([1], dtype=np.intp)
-        out = []
-        for _ in range(len_cap):
-            logits, h, ctx = self.word_dec.step_logits(prev, h, memory, prepared, mask, prev_ctx=ctx)
-            w = _pick(logits.value[0], mode, rng)
-            if w == eos:
-                return out, False
-            out.append(w)
-            prev = np.array([w], dtype=np.intp)
-        return out, True
+        memory, mask, h = self._encode(make_traj_batch([traj], self.cfg.n_actions))
+        return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap, eos)
 
     def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
         tb = make_traj_batch([traj], self.cfg.n_actions)

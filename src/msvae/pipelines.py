@@ -71,10 +71,6 @@ class RunRecord:
     def save(self, path):
         Path(path).write_text(json.dumps(asdict(self), sort_keys=True) + "\n")
 
-    @classmethod
-    def load(cls, path):
-        return cls(**json.loads(Path(path).read_text()))
-
 
 def smoothed_curve(values, window: int = SMOOTH_WINDOW) -> list[float]:
     """Trailing moving average; entry i averages the last <= window values."""
@@ -148,7 +144,6 @@ class _Run:
         self.rngs = {
             "batch": np.random.default_rng([cfg.seed, 0]),
             "loss": np.random.default_rng([cfg.seed, 1]),
-            "eval": np.random.default_rng([cfg.seed, 2]),
         }
         self.model = build_model(np.random.default_rng([cfg.seed, 3]))
         self.meta = {**md.checkpoint_meta(self.model, corpus.vocab.id_to_word[4:]), "pipeline": pipeline}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -128,6 +131,15 @@ class TestTrain:
         code = run_cli("train", "--pipeline", "warp", "--corpus", str(corpus_dir),
                        "--out", str(tmp_path / "x"))
         assert code == 1
+
+    @pytest.mark.parametrize("override", ["train.epochs=0", 'train.paired_batch="x"'])
+    def test_value_rejected_by_config_dataclass_is_usage_error(self, corpus_dir, tmp_path, override):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "msvae", "train", "--pipeline", "msvae",
+                               "--corpus", str(corpus_dir), "--out", str(tmp_path / "x"),
+                               "--set", override], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert "usage error" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_missing_corpus_data_error(self, tmp_path):
         code = run_cli("train", "--pipeline", "msvae", "--corpus", str(tmp_path / "nope"),

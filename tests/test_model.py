@@ -308,19 +308,21 @@ class TestRollouts:
         assert toks1 == toks2
         assert all(0 <= t < 22 for t in toks1)
 
-    def test_z_enters_only_through_attention(self):
-        # diagnostic mode zeroes the attention context everywhere it flows,
-        # making the rollout independent of the instruction
+    def test_z_enters_only_through_attention(self, monkeypatch):
+        # zeroing the attention context everywhere it flows makes the
+        # rollout independent of the instruction
         m = self.real_model()
-        m.act_dec.blind = True
+        dec = m.act_dec
+        monkeypatch.setattr(dec, "_context", lambda h, *_: dec.init_context(h.value.shape[0]))
         world, _ = self.world()
         ta, _ = m.follow([4, 5, 6], world, max_steps=15)
         tb, _ = m.follow([9, 10, 11, 12], world, max_steps=15)
         assert ta.actions == tb.actions
 
-    def test_speak_independent_of_traj_when_context_zeroed(self):
+    def test_speak_independent_of_traj_when_context_zeroed(self, monkeypatch):
         m = self.real_model()
-        m.word_dec.blind = True
+        dec = m.word_dec
+        monkeypatch.setattr(dec, "_context", lambda h, *_: dec.init_context(h.value.shape[0]))
         world, task = self.world()
         _, tr1 = gw.rollout(world, gw.oracle_solve(world, task), view="ego")
         world2, task2 = gw.sample_task(6, "goto_seq")

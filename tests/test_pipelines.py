@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msvae import corpus, gridworld as gw, metrics, model as md, pipelines as pl
+from msvae import corpus, gridworld as gw, metrics, model as md, nn, pipelines as pl
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,21 @@ class TestMsVae:
         resumed_cfg = small_cfg(seed=3, epochs=4, iters_per_epoch=3)
         pl.train_msvae(resumed_cfg, small_corpus, tmp_path / "part", resume_from=state)
         assert read_metrics(tmp_path / "part") == read_metrics(tmp_path / "full")
+
+    def test_resume_from_checkpoint_with_retired_eval_stream(self, small_corpus, tmp_path):
+        # epoch checkpoints used to carry the state of an unused "eval" rng
+        # stream; those files still resume, and exactly
+        cfg = small_cfg(seed=3, epochs=4, iters_per_epoch=3)
+        pl.train_msvae(cfg, small_corpus, tmp_path / "full")
+        pl.train_msvae(replace(cfg, epochs=2), small_corpus, tmp_path / "part")
+        state = tmp_path / "part" / "checkpoints" / "epoch_0001.bin"
+        arrays, meta = nn.load_checkpoint(state)
+        assert "eval" not in meta["rng_states"]
+        meta["rng_states"]["eval"] = np.random.default_rng([cfg.seed, 2]).bit_generator.state
+        nn.save_checkpoint(state, arrays, meta)
+        pl.train_msvae(cfg, small_corpus, tmp_path / "part", resume_from=state)
+        for name in ("metrics.csv", "checkpoints/best.bin"):
+            assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
 
     def test_resume_after_crash_mid_epoch(self, small_corpus, tmp_path, monkeypatch):
         cfg = small_cfg(seed=3, epochs=4, iters_per_epoch=3)
