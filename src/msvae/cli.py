@@ -112,8 +112,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"unknown pipeline {args.pipeline!r}; have {PIPELINES}")
     if args.resume is not None and args.pipeline not in RESUMABLE:
         raise UsageError(f"--resume works only with the {', '.join(RESUMABLE)} pipelines")
-    corpus = corpus_mod.load(args.corpus)
     tc = cfg_mod.train_config(doc)
+    corpus = corpus_mod.load(args.corpus)
     out = Path(args.out)
 
     if args.pipeline == "supervised-follower":
@@ -142,20 +142,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-class _OracleFollower:
-    """Sentinel follower used for the eval-harness self-test."""
-
-    def __init__(self, corpus):
-        self.corpus = corpus
-        self._tasks = {}
-
-    def register(self, world, task):
-        self._tasks[id(world)] = task
-
-    def follow(self, tokens, world, mode="greedy", rng=None, max_steps=64):
-        actions = gw.oracle_solve(world, self._tasks[id(world)])
-        states, traj = gw.rollout(world, actions)
-        return traj, states
+def _require_kind(kind: str, verb: str) -> None:
+    if kind not in ("msvae", "speaker" if verb == "speak" else "follower"):
+        raise UsageError(f"checkpoint kind {kind!r} cannot {verb}")
 
 
 def cmd_eval(args) -> int:
@@ -163,58 +152,42 @@ def cmd_eval(args) -> int:
     ev = doc["eval"]
     if args.candidates is not None:
         ev = dict(ev, candidates=args.candidates)
+    if ev["split"] not in ("val", "test"):
+        raise UsageError(f"eval.split {ev['split']!r} is not one of val, test")
     corpus = corpus_mod.load(args.corpus)
-    records = corpus.test if ev["split"] == "test" else corpus.val
+    records = getattr(corpus, ev["split"])
     limit = ev["limit"]
     recs = records[:limit] if limit else records
     rng = np.random.default_rng(ev["seed"])
+    sr, bleu, rep = 0.0, 0.0, None
 
     if args.checkpoint == "oracle":
         if args.mode != "follow":
             raise UsageError("the oracle sentinel only follows")
-        follower = _OracleFollower(corpus)
-        eps = []
-        for rec in recs:
-            world, task = corpus.rebuild(rec)
-            follower.register(world, task)
-            eps.append(metrics_mod.Episode(rec["tokens"], world, task, gw.step_cap(len(rec["actions"]))))
-        rep = metrics_mod.success_rate(follower, eps)
-        sr, bleu, n = rep.sr, 0.0, rep.n_episodes
-        out_path = Path(args.out) if args.out else Path("eval.json")
-        meta = {"kind": "oracle"}
+        rep = metrics_mod.success_rate(lambda ep: gw.replay(ep.world, gw.oracle_solve(ep.world, ep.task)),
+                                       metrics_mod.episodes_from_records(corpus, recs))
+        out_path = Path(args.out or "eval.json")
     else:
         model, meta = md.load_model(args.checkpoint)
-        kind = meta["kind"]
-        if args.mode == "follow" and kind not in ("follower", "msvae"):
-            raise UsageError(f"checkpoint kind {kind!r} cannot follow")
-        if args.mode == "speak" and kind not in ("speaker", "msvae"):
-            raise UsageError(f"checkpoint kind {kind!r} cannot speak")
-        if args.mode == "pragmatic" and kind not in ("follower", "msvae"):
-            raise UsageError(f"checkpoint kind {kind!r} cannot follow")
-
-        if args.mode == "follow":
-            rep = pl.evaluate_follower(model, corpus, recs, decoding=ev["decoding"], rng=rng)
-            sr, bleu, n = rep.sr, 0.0, rep.n_episodes
-        elif args.mode == "speak":
+        _require_kind(meta["kind"], "speak" if args.mode == "speak" else "follow")
+        if args.mode == "speak":
             bleu, n = pl.evaluate_speaker(model, corpus, recs)
-            sr = 0.0
+        elif args.mode == "follow":
+            rep = pl.evaluate_follower(model, corpus, recs, decoding=ev["decoding"], rng=rng)
         else:
-            n_cand = ev["candidates"]
-            if n_cand == 0:
-                rep = pl.evaluate_follower(model, corpus, recs, decoding="greedy", rng=rng)
+            if ev["candidates"] == 0:
+                speaker = None  # plain greedy decoding scores no candidates
+            elif args.speaker_checkpoint:
+                speaker, smeta = md.load_model(args.speaker_checkpoint)
+                _require_kind(smeta["kind"], "speak")
+            elif meta["kind"] == "msvae":
+                speaker = model
             else:
-                if args.speaker_checkpoint:
-                    speaker, smeta = md.load_model(args.speaker_checkpoint)
-                    if smeta["kind"] not in ("speaker", "msvae"):
-                        raise UsageError(f"checkpoint kind {smeta['kind']!r} cannot speak")
-                elif kind == "msvae":
-                    speaker = model
-                else:
-                    raise UsageError("pragmatic mode needs --speaker-checkpoint for a plain follower")
-                rep = pl.evaluate_pragmatic(model, speaker, corpus, recs, n_cand, rng)
-            sr, bleu, n = rep.sr, 0.0, rep.n_episodes
-        default_out = Path(args.checkpoint).parent.parent / "eval.json"
-        out_path = Path(args.out) if args.out else default_out
+                raise UsageError("pragmatic mode needs --speaker-checkpoint for a plain follower")
+            rep = pl.evaluate_pragmatic(model, speaker, corpus, recs, ev["candidates"], rng)
+        out_path = Path(args.out or Path(args.checkpoint).parent.parent / "eval.json")
+    if rep is not None:
+        sr, n = rep.sr, rep.n_episodes
 
     metrics_mod.write_eval_json(
         out_path, sr=sr, bleu=bleu, n_episodes=n, seed=ev["seed"], checkpoint=args.checkpoint,

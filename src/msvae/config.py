@@ -71,7 +71,9 @@ def _merge(base: dict, override: dict, path: str = "") -> None:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {here}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict) != isinstance(value, dict):
+            raise ConfigError(f"config key {here} cannot be set to {value!r}: sections merge key by key")
+        if isinstance(value, dict):
             _merge(base[key], value, here)
         else:
             base[key] = value
@@ -104,15 +106,9 @@ def resolve(preset: str = "desk_scale", config_path=None, overrides: list[str] |
         _merge(doc, user)
     for text in overrides or []:
         key, value = _parse_override(text)
-        parts = key.split(".")
-        node = doc
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"unknown config key: {key}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key: {key}")
-        node[parts[-1]] = value
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        _merge(doc, value)
     return doc
 
 

@@ -104,19 +104,14 @@ class Corpus:
                                subgoal_weights=self.subgoal_weights)
 
     def trajectory(self, record, view: str = "grid") -> gw.Trajectory:
-        encode, dim = gw.OBS_VIEWS[view][0], gw.OBS_VIEWS[view][1]
         key = (record["seed"], record["tries"], tuple(record["actions"]), view)
         packed = self._obs_cache.get(key)
         if packed is None:
             world, _ = self.rebuild(record)
-            states, traj = gw.rollout(world, record["actions"])
-            if view != "grid":
-                obs = np.stack([encode(s) for s in states[:-1]]) if record["actions"] else \
-                    np.zeros((0, dim))
-                traj = gw.Trajectory(obs, traj.actions)
+            _, traj = gw.rollout(world, record["actions"], view)
             self._obs_cache[key] = np.packbits(traj.observations.astype(np.uint8), axis=1)
             return traj
-        obs = np.unpackbits(packed, axis=1, count=dim).astype(np.float64)
+        obs = np.unpackbits(packed, axis=1, count=gw.OBS_VIEWS[view][1]).astype(np.float64)
         return gw.Trajectory(obs, tuple(record["actions"]))
 
 
@@ -132,10 +127,9 @@ def _end_state(world: gw.World) -> list[int]:
 
 
 def _make_record(seed: int, difficulty: str, vocab: Vocab, subgoal_weights, with_tokens: bool) -> dict:
-    world, task, tries = gw.sample_task_record(seed, difficulty, subgoal_weights=subgoal_weights)
-    actions = [int(a) for a in gw.oracle_solve(world, task)]
-    states, _ = gw.rollout(world, actions)
-    rec = {"seed": seed, "tries": tries, "actions": actions, "end": _end_state(states[-1])}
+    world, task, tries, plan = gw.sample_task_record(seed, difficulty, subgoal_weights=subgoal_weights)
+    actions = [int(a) for a in plan]
+    rec = {"seed": seed, "tries": tries, "actions": actions, "end": _end_state(gw.replay(world, actions)[-1])}
     if with_tokens:
         rec["tokens"] = vocab.tokenize(gw.render_instruction(task))
     return rec
@@ -229,8 +223,7 @@ def load(root) -> Corpus:
 def verify_record(corpus: Corpus, record) -> bool:
     """Replay the stored actions; the final state must match the record."""
     world, _ = corpus.rebuild(record)
-    states, _ = gw.rollout(world, record["actions"])
-    return _end_state(states[-1]) == record["end"]
+    return _end_state(gw.replay(world, record["actions"])[-1]) == record["end"]
 
 
 def write_pseudo_paired(path, records, source_header: dict, speaker_tag: str) -> None:

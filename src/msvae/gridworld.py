@@ -347,8 +347,9 @@ def sample_task(seed: int, difficulty: str, **kw) -> tuple[World, Task]:
 
 def sample_task_record(seed: int, difficulty: str, *, width: int = DEFAULT_SIZE,
                        height: int = DEFAULT_SIZE, subgoal_weights=SUBGOAL_WEIGHTS,
-                       max_tries: int = 100) -> tuple[World, Task, int]:
-    """Sample a solvable (world, task) and return the accepted attempt index.
+                       max_tries: int = 100) -> tuple[World, Task, int, list[Action]]:
+    """Sample a solvable (world, task); returns it with the accepted attempt
+    index and the oracle plan that proved it solvable.
 
     Attempt i draws from the substream [seed, i], so a record can be rebuilt
     later without re-running solvability checks (see rebuild_task).
@@ -357,10 +358,10 @@ def sample_task_record(seed: int, difficulty: str, *, width: int = DEFAULT_SIZE,
         rng = np.random.default_rng([seed, attempt])
         world, task = _place_candidate(rng, difficulty, width, height, subgoal_weights)
         try:
-            oracle_solve(world, task)
+            plan = oracle_solve(world, task)
         except UnsolvableTask:
             continue
-        return world, task, attempt
+        return world, task, attempt, plan
     raise UnsolvableTask(f"no solvable placement in {max_tries} tries (seed={seed})")
 
 
@@ -441,12 +442,6 @@ def _goal_states_facing(world: World, target: tuple[int, int]) -> set[tuple[tupl
     return goals
 
 
-def _apply(world: World, actions: list[Action]) -> World:
-    for a in actions:
-        world, _ = step(world, a)
-    return world
-
-
 def oracle_solve(world: World, task: Task) -> list[Action]:
     """Solve the task with per-subgoal BFS-shortest paths; ends with done."""
     actions: list[Action] = []
@@ -466,7 +461,7 @@ def oracle_solve(world: World, task: Task) -> list[Action]:
             if path is None:
                 raise UnsolvableTask("nowhere to drop the carried object")
             path.append(Action.drop)
-            w = _apply(w, path)
+            w = replay(w, path)[-1]
             actions += path
         target = w.find_object(sg.spec)
         if target is None:
@@ -476,26 +471,30 @@ def oracle_solve(world: World, task: Task) -> list[Action]:
             raise UnsolvableTask(f"object {sg.spec} unreachable")
         if sg.verb == "pickup":
             path.append(Action.pickup)
-        w = _apply(w, path)
+        w = replay(w, path)[-1]
         actions += path
     actions.append(Action.done)
     return actions
 
 
 # ---------------------------------------------------------------------------
-# rollout helpers
+# replay
+
+
+def replay(world: World, actions) -> list[World]:
+    """Apply actions in order; returns every visited state, the start first.
+    No observations are encoded."""
+    states = [world]
+    for a in actions:
+        world, _ = step(world, a)
+        states.append(world)
+    return states
 
 
 def rollout(world: World, actions, view: str = "grid") -> tuple[list[World], Trajectory]:
     """Replay actions; returns all visited states and the trajectory with
     observations encoded in the named view."""
     encode, dim = OBS_VIEWS[view][0], OBS_VIEWS[view][1]
-    states = [world]
-    obs = []
-    w = world
-    for a in actions:
-        obs.append(encode(w))
-        w, _ = step(w, a)
-        states.append(w)
-    observations = np.stack(obs) if obs else np.zeros((0, dim))
+    states = replay(world, actions)
+    observations = np.stack([encode(w) for w in states[:-1]]) if len(states) > 1 else np.zeros((0, dim))
     return states, Trajectory(observations, tuple(int(a) for a in actions))

@@ -45,12 +45,10 @@ def episodes_from_records(corpus, records) -> list[Episode]:
     return eps
 
 
-def success_rate(follower, episodes: list[Episode], decoding: str = "greedy", rng=None) -> EvalReport:
-    """Roll each task once with the follower and check subgoal completion."""
-    outcomes = []
-    for ep in episodes:
-        _, states = follower.follow(ep.tokens, ep.world, mode=decoding, rng=rng, max_steps=ep.max_steps)
-        outcomes.append(bool(gw.check_success(states, ep.task)))
+def success_rate(play, episodes: list[Episode]) -> EvalReport:
+    """Play each episode once and check subgoal completion; play(episode)
+    returns the visited states. The one loop that scores rollouts."""
+    outcomes = [bool(gw.check_success(play(ep), ep.task)) for ep in episodes]
     n = len(outcomes)
     return EvalReport(sr=sum(outcomes) / n if n else 0.0, bleu4=0.0, n_episodes=n, outcomes=outcomes)
 

@@ -54,6 +54,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.epochs, self.iters_per_epoch, self.paired_batch) <= 0:
             raise ValueError("epochs, iterations and batch sizes must be positive")
+        if self.arch_variant not in ("attention", "no_attention", "bottleneck"):
+            raise ValueError(f"unknown arch_variant {self.arch_variant!r}")
 
     def model_config(self, vocab_size: int) -> md.ModelConfig:
         return replace(self.model, vocab_size=vocab_size)
@@ -103,7 +105,8 @@ def traj_batch(records, corpus, idx, view: str = "ego") -> md.TrajBatch:
 def evaluate_follower(model, corpus, records, decoding: str = "greedy", rng=None,
                       limit: int | None = None) -> metrics_mod.EvalReport:
     eps = metrics_mod.episodes_from_records(corpus, records[:limit] if limit else records)
-    return metrics_mod.success_rate(model, eps, decoding=decoding, rng=rng)
+    return metrics_mod.success_rate(
+        lambda ep: model.follow(ep.tokens, ep.world, mode=decoding, rng=rng, max_steps=ep.max_steps)[1], eps)
 
 
 def evaluate_speaker(model, corpus, records, limit: int | None = None) -> tuple[float, int]:
@@ -345,10 +348,8 @@ def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
     def build(rng):
         if bottleneck:
             model = md.MsVae(rng, mcfg)
-        elif cfg.arch_variant in ("attention", "no_attention"):
-            model = md.BaselineFollower(rng, mcfg, attention=cfg.arch_variant == "attention")
         else:
-            raise ValueError(f"unknown arch_variant {cfg.arch_variant!r}")
+            model = md.BaselineFollower(rng, mcfg, attention=cfg.arch_variant == "attention")
         if cfg.pretrain_follower:
             warm_start(model, cfg.pretrain_follower)
         return model
@@ -532,15 +533,7 @@ def pragmatic_infer(follower, speaker, tokens, world, n_candidates: int, rng,
     return candidates[best]
 
 
-def evaluate_pragmatic(follower, speaker, corpus, records, n_candidates: int, rng,
-                       limit: int | None = None) -> metrics_mod.EvalReport:
-    recs = records[:limit] if limit else records
-    outcomes = []
-    for rec in recs:
-        world, task = corpus.rebuild(rec)
-        cap = gw.step_cap(len(rec["actions"]))
-        _, states = pragmatic_infer(follower, speaker, rec["tokens"], world, n_candidates, rng, cap)
-        outcomes.append(bool(gw.check_success(states, task)))
-    n = len(outcomes)
-    return metrics_mod.EvalReport(sr=sum(outcomes) / n if n else 0.0, bleu4=0.0,
-                                  n_episodes=n, outcomes=outcomes)
+def evaluate_pragmatic(follower, speaker, corpus, records, n_candidates: int, rng) -> metrics_mod.EvalReport:
+    eps = metrics_mod.episodes_from_records(corpus, records)
+    return metrics_mod.success_rate(lambda ep: pragmatic_infer(
+        follower, speaker, ep.tokens, ep.world, n_candidates, rng, ep.max_steps)[1], eps)

@@ -72,6 +72,15 @@ class TestConfig:
         with pytest.raises(cfg_mod.ConfigError, match="train.nope"):
             cfg_mod.resolve("desk_scale", config_path=p)
 
+    def test_section_override_merges_key_by_key(self):
+        doc = cfg_mod.resolve("desk_scale", overrides=['corpus={"m": 3}'])
+        assert doc["corpus"] == {**cfg_mod.DEFAULTS["corpus"], "m": 3}
+
+    @pytest.mark.parametrize("override", ['corpus.m={"a": 1}', "corpus=5"])
+    def test_section_and_value_do_not_replace_each_other(self, override):
+        with pytest.raises(cfg_mod.ConfigError, match="cannot be set to"):
+            cfg_mod.resolve("desk_scale", overrides=[override])
+
     def test_override_parsing_types(self):
         doc = cfg_mod.resolve("desk_scale", overrides=["train.gamma=0", "corpus.difficulty=goto_seq"])
         assert doc["train"]["gamma"] == 0
@@ -90,6 +99,12 @@ class TestGenData:
         sums_a = [l for l in out_a.splitlines() if "sha256" in l]
         sums_b = [l for l in out_b.splitlines() if "sha256" in l]
         assert sums_a == sums_b and len(sums_a) == 5
+
+    def test_section_override_keeps_the_other_keys(self, tmp_path):
+        out = tmp_path / "c"
+        assert run_cli("gen-data", "--out", str(out),
+                       "--set", 'corpus={"m": 3, "n": 2, "val_tasks": 1, "test_tasks": 1}') == 0
+        assert json.loads((out / "paired.jsonl").read_text().splitlines()[0])["difficulty"] == "boss"
 
     def test_summary_within_directional_targets(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -132,14 +147,16 @@ class TestTrain:
                        "--out", str(tmp_path / "x"))
         assert code == 1
 
-    @pytest.mark.parametrize("override", ["train.epochs=0", 'train.paired_batch="x"'])
+    @pytest.mark.parametrize("override", ["train.epochs=0", 'train.paired_batch="x"',
+                                          "train.arch_variant=foo"])
     def test_value_rejected_by_config_dataclass_is_usage_error(self, corpus_dir, tmp_path, override):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-m", "msvae", "train", "--pipeline", "msvae",
+        proc = subprocess.run([sys.executable, "-m", "msvae", "train", "--pipeline", "supervised-follower",
                                "--corpus", str(corpus_dir), "--out", str(tmp_path / "x"),
                                "--set", override], capture_output=True, text=True, env=env)
         assert proc.returncode == 1, proc.stderr
         assert "usage error" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x").exists()
 
     def test_missing_corpus_data_error(self, tmp_path):
         code = run_cli("train", "--pipeline", "msvae", "--corpus", str(tmp_path / "nope"),
@@ -205,6 +222,13 @@ class TestEval:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["sr"] == 1.0
+
+    def test_unknown_split_is_usage_error(self, corpus_dir, tmp_path):
+        out = tmp_path / "eval.json"
+        code = run_cli("eval", "--checkpoint", "oracle", "--corpus", str(corpus_dir),
+                       "--mode", "follow", "--out", str(out), "--set", "eval.split=tset")
+        assert code == 1
+        assert not out.exists()
 
     def test_eval_bytes_deterministic(self, corpus_dir, trained, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -184,9 +184,10 @@ class TestSampling:
 
     def test_record_rebuild_matches(self):
         for seed in range(30):
-            world, task, tries = gw.sample_task_record(seed, "boss")
+            world, task, tries, plan = gw.sample_task_record(seed, "boss")
             w2, t2 = gw.rebuild_task(seed, tries, "boss")
             assert (world, task) == (w2, t2)
+            assert plan == gw.oracle_solve(world, task)
 
     def test_mean_instruction_length_band(self):
         lengths = []

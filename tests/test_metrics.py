@@ -7,66 +7,55 @@ from msvae import gridworld as gw
 from msvae import metrics
 
 
-class OracleFollower:
-    """Policy wrapper that replays the oracle bot."""
-
-    def __init__(self, task_of):
-        self.task_of = task_of
-
-    def follow(self, tokens, world, mode="greedy", rng=None, max_steps=64):
-        actions = gw.oracle_solve(world, self.task_of[id(world)])
-        states, traj = gw.rollout(world, actions)
-        return traj, states
+def oracle_play(ep):
+    """Replays the oracle bot's plan for the episode's task."""
+    return gw.replay(ep.world, gw.oracle_solve(ep.world, ep.task))
 
 
-class RandomFollower:
-    def __init__(self, seed=0):
-        self.rng = np.random.default_rng(seed)
+def random_play(seed=0):
+    rng = np.random.default_rng(seed)
 
-    def follow(self, tokens, world, mode="greedy", rng=None, max_steps=64):
+    def play(ep):
+        world = ep.world
         states = [world]
-        actions = []
-        for _ in range(max_steps):
-            a = int(self.rng.integers(0, gw.N_ACTIONS))
-            actions.append(a)
-            world, done = gw.step(world, a)
+        for _ in range(ep.max_steps):
+            world, done = gw.step(world, int(rng.integers(0, gw.N_ACTIONS)))
             states.append(world)
             if done:
                 break
-        obs = np.zeros((len(actions), 1))
-        return gw.Trajectory(obs, tuple(actions)), states
+        return states
+
+    return play
 
 
 def make_episodes(n, difficulty="boss", min_subgoals=2):
     eps = []
-    task_of = {}
     seed = 0
     while len(eps) < n:
         world, task = gw.sample_task(seed, difficulty)
         seed += 1
         if len(task.subgoals) < min_subgoals:
             continue
-        task_of[id(world)] = task
         eps.append(metrics.Episode([0], world, task, 64))
-    return eps, task_of
+    return eps
 
 
 class TestSuccessRate:
     def test_oracle_wrapper_is_perfect(self):
-        eps, task_of = make_episodes(30, min_subgoals=1)
-        report = metrics.success_rate(OracleFollower(task_of), eps)
+        eps = make_episodes(30, min_subgoals=1)
+        report = metrics.success_rate(oracle_play, eps)
         assert report.sr == 1.0
         assert report.n_episodes == 30
 
     def test_random_policy_near_zero_on_multi_subgoal(self):
-        eps, _ = make_episodes(40, min_subgoals=2)
-        report = metrics.success_rate(RandomFollower(), eps)
+        eps = make_episodes(40, min_subgoals=2)
+        report = metrics.success_rate(random_play(), eps)
         assert report.sr < 0.10
 
     def test_reproducible_under_fixed_inputs(self):
-        eps, task_of = make_episodes(10, min_subgoals=1)
-        r1 = metrics.success_rate(OracleFollower(task_of), eps)
-        r2 = metrics.success_rate(OracleFollower(task_of), eps)
+        eps = make_episodes(10, min_subgoals=1)
+        r1 = metrics.success_rate(oracle_play, eps)
+        r2 = metrics.success_rate(oracle_play, eps)
         assert r1.outcomes == r2.outcomes
 
     def test_sr_exactness_guard(self):

@@ -321,6 +321,12 @@ class TestPragmatic:
                                      np.random.default_rng(0), max_steps=20)
         assert prag.actions == greedy.actions
 
+    def test_zero_candidates_needs_no_speaker(self, small_corpus, pair):
+        follower, _ = pair
+        prag = pl.evaluate_pragmatic(follower, None, small_corpus, small_corpus.test, 0,
+                                     np.random.default_rng(0))
+        assert prag.outcomes == pl.evaluate_follower(follower, small_corpus, small_corpus.test).outcomes
+
     def test_returns_argmax_candidate(self, small_corpus, pair):
         follower, speaker = pair
         rec = small_corpus.test[1]
