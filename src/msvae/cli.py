@@ -59,7 +59,7 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("train", help="run a training pipeline")
     _add_common(t)
-    t.add_argument("--pipeline", required=True)
+    t.add_argument("--pipeline", required=True, choices=PIPELINES)
     t.add_argument("--corpus", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--resume", default=None, help="training-state checkpoint to resume from")
@@ -71,7 +71,8 @@ def build_parser() -> _Parser:
     e.add_argument("--checkpoint", required=True, help="model checkpoint, or 'oracle' for the harness self-test")
     e.add_argument("--corpus", required=True)
     e.add_argument("--mode", required=True, choices=("follow", "speak", "pragmatic"))
-    e.add_argument("--candidates", type=int, default=None)
+    e.add_argument("--candidates", dest="overrides", action="append", type="eval.candidates={}".format,
+                   metavar="N", help="shorthand for --set eval.candidates=N")
     e.add_argument("--speaker-checkpoint", default=None)
     e.add_argument("--out", default=None, help="eval.json path (default: next to the checkpoint's run)")
 
@@ -90,11 +91,7 @@ def build_parser() -> _Parser:
 def cmd_gen_data(args) -> int:
     doc = cfg_mod.resolve(args.preset, args.config, args.overrides)
     c = doc["corpus"]
-    summary = corpus_mod.generate(
-        args.out, seed=c["seed"], difficulty=c["difficulty"], m=c["m"], n=c["n"],
-        val_tasks=c["val_tasks"], test_tasks=c["test_tasks"],
-        subgoal_weights=tuple(c["subgoal_weights"]),
-    )
+    summary = corpus_mod.generate(args.out, **c)
     Path(args.out, "config.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
     print(f"corpus at {args.out}: M={c['m']} N={c['n']} vocab={summary['vocab_size']}")
     for split in ("paired", "unpaired", "val", "test"):
@@ -108,8 +105,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     doc = cfg_mod.resolve(args.preset, args.config, args.overrides)
-    if args.pipeline not in PIPELINES:
-        raise UsageError(f"unknown pipeline {args.pipeline!r}; have {PIPELINES}")
     if args.resume is not None and args.pipeline not in RESUMABLE:
         raise UsageError(f"--resume works only with the {', '.join(RESUMABLE)} pipelines")
     tc = cfg_mod.train_config(doc)
@@ -150,14 +145,8 @@ def _require_kind(kind: str, verb: str) -> None:
 def cmd_eval(args) -> int:
     doc = cfg_mod.resolve(args.preset, args.config, args.overrides)
     ev = doc["eval"]
-    if args.candidates is not None:
-        ev = dict(ev, candidates=args.candidates)
-    if ev["split"] not in ("val", "test"):
-        raise UsageError(f"eval.split {ev['split']!r} is not one of val, test")
     corpus = corpus_mod.load(args.corpus)
-    records = getattr(corpus, ev["split"])
-    limit = ev["limit"]
-    recs = records[:limit] if limit else records
+    recs = getattr(corpus, ev["split"])[:ev["limit"]]
     rng = np.random.default_rng(ev["seed"])
     sr, bleu, rep = 0.0, 0.0, None
 

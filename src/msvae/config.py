@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -66,6 +67,37 @@ PRESETS: dict[str, dict] = {
 }
 
 
+# A value has its default's type (an int may stand for a float, a bool never
+# for an int) or, for these nullable keys, null; string keys take one of their
+# choices; numbers are finite and >= 0, sizes (these and every model.* int) >= 1,
+# and corpus split sizes <= 1e6, the span of a split's seed range.
+_NULLABLE = {"eval.limit": int, "train.pretrain_follower": str, "train.pretrain_speaker": str}
+_CHOICES = {"corpus.difficulty": ("goto_seq", "boss"), "model.obs_view": tuple(gw.OBS_VIEWS),
+            "train.arch_variant": ("attention", "no_attention", "bottleneck"),
+            "eval.split": ("val", "test"), "eval.decoding": ("greedy", "sample")}
+_SIZES = {"eval.limit", *(f"train.{k}" for k in ("epochs", "iters_per_epoch", "paired_batch", "eval_every",
+                                                   "eval_tasks", "n_projections", "k_slots", "latent_dim"))}
+_SPLIT_SIZES = {"corpus.m", "corpus.n", "corpus.val_tasks", "corpus.test_tasks"}
+
+
+def _check_value(name: str, value, default) -> None:
+    kind = _NULLABLE.get(name, type(default))
+    if name == "corpus.subgoal_weights":  # as Generator.choice takes them
+        want = "four numbers >= 0 that sum to 1"
+        ok = (type(value) is list and len(value) == 4 and all(type(w) in (int, float) and w >= 0 for w in value)
+              and abs(sum(value) - 1) <= 1e-8)
+    elif kind in (int, float):
+        low = 1 if name in _SIZES or name.startswith("model.") else 0
+        high = 1_000_000 if name in _SPLIT_SIZES else sys.float_info.max
+        want = f"{kind.__name__} in [{low}, {high}]" if name in _SPLIT_SIZES else f"finite {kind.__name__} >= {low}"
+        ok = type(value) in ((int, float) if kind is float else (int,)) and low <= value <= high  # NaN fails
+    else:
+        want = " | ".join(_CHOICES.get(name, [kind.__name__]))
+        ok = type(value) is kind and value in _CHOICES.get(name, [value])
+    if not (ok or value is None and name in _NULLABLE):
+        raise ConfigError(f"{name}={json.dumps(value)}: expected {'null or ' * (name in _NULLABLE)}{want}")
+
+
 def _merge(base: dict, override: dict, path: str = "") -> None:
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
@@ -91,7 +123,7 @@ def _parse_override(text: str):
 
 
 def resolve(preset: str = "desk_scale", config_path=None, overrides: list[str] | None = None) -> dict:
-    """Preset -> optional config file -> --set overrides, strictly checked."""
+    """Preset -> optional config file -> --set overrides; every key and value checked."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
     doc = copy.deepcopy(DEFAULTS)
@@ -99,28 +131,23 @@ def resolve(preset: str = "desk_scale", config_path=None, overrides: list[str] |
     if config_path is not None:
         try:
             user = json.loads(Path(config_path).read_text())
-        except OSError as e:
+        except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
             raise ConfigError(f"cannot read config {config_path}: {e}") from e
         if not isinstance(user, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ConfigError(f"config file {config_path} must hold a JSON object")
         _merge(doc, user)
     for text in overrides or []:
         key, value = _parse_override(text)
         for part in reversed(key.split(".")):
             value = {part: value}
         _merge(doc, value)
+    for section, values in doc.items():
+        for key, value in values.items():
+            _check_value(f"{section}.{key}", value, DEFAULTS[section][key])
     return doc
 
 
 def train_config(doc: dict) -> pl.TrainConfig:
-    t, m = doc["train"], doc["model"]
-    if m["obs_view"] not in gw.OBS_VIEWS:
-        raise ConfigError(f"model.obs_view {m['obs_view']!r} is not one of {sorted(gw.OBS_VIEWS)}")
-    try:
-        return pl.TrainConfig(
-            **_pick(t, _TRAIN_KEYS),
-            hp=md.HyperParams(**_pick(t, _HP_KEYS)),
-            model=md.ModelConfig(**m, **_pick(t, _LATENT_KEYS)),
-        )
-    except (ValueError, TypeError) as e:  # a value the dataclasses reject
-        raise ConfigError(f"bad config value: {e}") from e
+    t = doc["train"]
+    return pl.TrainConfig(**_pick(t, _TRAIN_KEYS), hp=md.HyperParams(**_pick(t, _HP_KEYS)),
+                          model=md.ModelConfig(**doc["model"], **_pick(t, _LATENT_KEYS)))

@@ -146,11 +146,6 @@ def generate(out_dir, seed: int, difficulty: str, m: int, n: int, val_tasks: int
     Splits use disjoint seed ranges derived from `seed`; regeneration with
     the same arguments is byte-identical. Returns a summary dict.
     """
-    if m < 0 or n < 0:
-        raise ValueError("split sizes must be nonnegative")
-    for count, name in ((m, "paired"), (n, "unpaired"), (val_tasks, "val"), (test_tasks, "test")):
-        if count > 1_000_000:
-            raise ValueError(f"{name} size {count} exceeds the 1e6 seed-range span")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab = default_vocab()
@@ -190,19 +185,52 @@ def generate(out_dir, seed: int, difficulty: str, m: int, n: int, val_tasks: int
     return summary
 
 
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_ints(v) -> bool:
+    return type(v) is list and {int}.issuperset(map(type, v))
+
+
+# the keys each line must hold, with a check of their values' JSON types
+_HEADER_KEYS = {"schema": lambda v: v == "msvae-corpus", "split": lambda v: type(v) is str,
+                "difficulty": lambda v: type(v) is str,
+                "subgoal_weights": lambda v: type(v) is list and {int, float}.issuperset(map(type, v))}
+_RECORD_KEYS = {"seed": _is_int, "tries": _is_int, "actions": _is_ints, "end": _is_ints}
+_PAIRED_KEYS = {**_RECORD_KEYS, "tokens": _is_ints}  # paired, val, test and pseudo-paired
+
+
+def _parse_line(path: Path, lineno: int, text: str, keys: dict) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise _line_error(path, lineno, f"not JSON ({e})") from e
+    if type(obj) is not dict:
+        raise _line_error(path, lineno, "not a JSON object")
+    for key, ok in keys.items():
+        if key not in obj or not ok(obj[key]):
+            raise _line_error(path, lineno, f"key {key!r} {'is missing' if key not in obj else 'has a bad value'}")
+    return obj
+
+
+def _line_error(path: Path, lineno: int, problem: str) -> CorpusError:
+    return CorpusError(f"{path}, line {lineno}{' (schema header)' if lineno == 1 else ''}: {problem}")
+
+
 def read_split(path) -> tuple[dict, list[dict]]:
+    """Read a split file; every line is checked against its schema."""
     path = Path(path)
     try:
         with open(path) as f:
             lines = f.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CorpusError(f"reading {path}: {e}") from e
     if not lines:
         raise CorpusError(f"{path}: empty file, expected a schema header")
-    header = json.loads(lines[0])
-    if header.get("schema") != "msvae-corpus":
-        raise CorpusError(f"{path}: missing corpus schema header")
-    return header, [json.loads(ln) for ln in lines[1:]]
+    header = _parse_line(path, 1, lines[0], _HEADER_KEYS)
+    keys = _RECORD_KEYS if header["split"] == "unpaired" else _PAIRED_KEYS
+    return header, [_parse_line(path, i, ln, keys) for i, ln in enumerate(lines[1:], start=2)]
 
 
 def load(root) -> Corpus:
@@ -213,6 +241,8 @@ def load(root) -> Corpus:
     weights = None
     for name in ("paired", "unpaired", "val", "test"):
         header, records = read_split(root / f"{name}.jsonl")
+        if header["split"] != name:
+            raise CorpusError(f"{root / name}.jsonl: header names split {header['split']!r}")
         splits[name] = records
         difficulty = header["difficulty"]
         weights = tuple(header["subgoal_weights"])

@@ -31,10 +31,6 @@ class HyperParams:
     learning_rate: float = 1e-3
     n_projections: int = 50
 
-    def __post_init__(self):
-        if self.alpha < 0 or self.gamma < 0 or self.beta < 0:
-            raise ValueError("alpha, gamma, beta must be nonnegative")
-
 
 @dataclass
 class ModelConfig:

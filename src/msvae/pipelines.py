@@ -51,12 +51,6 @@ class TrainConfig:
     arch_variant: str = "attention"  # supervised follower: attention | no_attention | bottleneck
     include_real_pairs: bool = True  # speaker-follower: mix real pairs into pseudo data
 
-    def __post_init__(self):
-        if min(self.epochs, self.iters_per_epoch, self.paired_batch) <= 0:
-            raise ValueError("epochs, iterations and batch sizes must be positive")
-        if self.arch_variant not in ("attention", "no_attention", "bottleneck"):
-            raise ValueError(f"unknown arch_variant {self.arch_variant!r}")
-
     def model_config(self, vocab_size: int) -> md.ModelConfig:
         return replace(self.model, vocab_size=vocab_size)
 
@@ -102,22 +96,20 @@ def traj_batch(records, corpus, idx, view: str = "ego") -> md.TrajBatch:
 # evaluation helpers
 
 
-def evaluate_follower(model, corpus, records, decoding: str = "greedy", rng=None,
-                      limit: int | None = None) -> metrics_mod.EvalReport:
-    eps = metrics_mod.episodes_from_records(corpus, records[:limit] if limit else records)
+def evaluate_follower(model, corpus, records, decoding: str = "greedy", rng=None) -> metrics_mod.EvalReport:
+    eps = metrics_mod.episodes_from_records(corpus, records)
     return metrics_mod.success_rate(
         lambda ep: model.follow(ep.tokens, ep.world, mode=decoding, rng=rng, max_steps=ep.max_steps)[1], eps)
 
 
-def evaluate_speaker(model, corpus, records, limit: int | None = None) -> tuple[float, int]:
-    recs = records[:limit] if limit else records
+def evaluate_speaker(model, corpus, records) -> tuple[float, int]:
     view = model.cfg.obs_view
     hyps, refs = [], []
-    for rec in recs:
+    for rec in records:
         tokens, _ = model.speak(corpus.trajectory(rec, view))
         hyps.append(tokens)
         refs.append(rec["tokens"])
-    return metrics_mod.bleu4(hyps, refs), len(recs)
+    return metrics_mod.bleu4(hyps, refs), len(records)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +353,7 @@ def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
         return ad.neg(mean_ll), _zero_report(float(mean_ll.value), "c2")
 
     def evaluate(model):
-        return evaluate_follower(model, corpus, corpus.val, limit=cfg.eval_tasks).sr, 0.0
+        return evaluate_follower(model, corpus, corpus.val[:cfg.eval_tasks]).sr, 0.0
 
     run = _Run(cfg, corpus, out_dir, pipeline_name, build, resume_from)
     return run.fit(step_loss, evaluate, "sr")
@@ -386,7 +378,7 @@ def train_supervised_speaker(cfg: TrainConfig, corpus, out_dir, resume_from=None
         return ad.neg(mean_ll), _zero_report(float(mean_ll.value), "c1")
 
     def evaluate(model):
-        return 0.0, evaluate_speaker(model, corpus, corpus.val, limit=cfg.eval_tasks)[0]
+        return 0.0, evaluate_speaker(model, corpus, corpus.val[:cfg.eval_tasks])[0]
 
     run = _Run(cfg, corpus, out_dir, "supervised-speaker", build, resume_from)
     return run.fit(step_loss, evaluate, "bleu")
@@ -421,8 +413,8 @@ def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
         return md.total_loss(model, lang, traj, unpaired, cfg.hp, loss_rng)
 
     def evaluate(model):
-        sr = evaluate_follower(model, corpus, corpus.val, limit=cfg.eval_tasks).sr
-        bleu, _ = evaluate_speaker(model, corpus, corpus.val, limit=min(cfg.eval_tasks, 50))
+        sr = evaluate_follower(model, corpus, corpus.val[:cfg.eval_tasks]).sr
+        bleu, _ = evaluate_speaker(model, corpus, corpus.val[:min(cfg.eval_tasks, 50)])
         return sr, bleu
 
     run = _Run(cfg, corpus, out_dir, "msvae", build, resume_from)

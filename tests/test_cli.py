@@ -1,11 +1,14 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msvae import cli, config as cfg_mod, nn, pipelines as pl
 
@@ -86,6 +89,41 @@ class TestConfig:
         assert doc["train"]["gamma"] == 0
         assert doc["corpus"]["difficulty"] == "goto_seq"
 
+    @pytest.mark.parametrize("override", ["eval.limit=null", "eval.limit=1", "train.pretrain_speaker=null",
+                                          "corpus.subgoal_weights=[0, 0, 0, 1]", "corpus.n=1000000",
+                                          "train.unpaired_batch=0", "eval.candidates=0", "train.alpha=0"])
+    def test_boundary_values_accepted(self, override):
+        cfg_mod.train_config(cfg_mod.resolve("desk_scale", overrides=[override]))
+
+    @pytest.mark.parametrize("override", ["eval.limit=0", "corpus.n=1000001", "train.seed=true",
+                                          "model.hidden=64.0", "train.gamma=-Infinity", "eval.split=null",
+                                          "corpus.subgoal_weights=[0.5, 0.5, 0.5, -0.5]"])
+    def test_out_of_bounds_values_rejected(self, override):
+        with pytest.raises(cfg_mod.ConfigError, match=override.split("=")[0]):
+            cfg_mod.resolve("desk_scale", overrides=[override])
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from([f"{s}.{k}" for s, keys in cfg_mod.DEFAULTS.items() for k in keys]),
+           value=st.recursive(
+               st.none() | st.booleans() | st.integers(-3, 2_000_000) | st.floats() | st.text(max_size=6)
+               | st.sampled_from(["boss", "grid", "bottleneck", "val", "sample", "ckpt.bin"]),
+               lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+               max_leaves=6))
+    def test_resolve_rejects_or_returns_default_types(self, key, value):
+        try:
+            doc = cfg_mod.resolve("desk_scale", overrides=[f"{key}={json.dumps(value)}"])
+        except cfg_mod.ConfigError:
+            return
+        section, name = key.split(".")
+        default, got = cfg_mod.DEFAULTS[section][name], doc[section][name]
+        if default is None:
+            assert got is None or type(got) in (int, str)
+        elif type(default) is float:
+            assert type(got) in (int, float)
+        else:
+            assert type(got) is type(default)
+        cfg_mod.train_config(doc)
+
 
 class TestGenData:
     def test_seed_repeat_identical_checksums(self, tmp_path, capsys):
@@ -148,12 +186,15 @@ class TestTrain:
         assert code == 1
 
     @pytest.mark.parametrize("override", ["train.epochs=0", 'train.paired_batch="x"',
-                                          "train.arch_variant=foo"])
+                                          "train.arch_variant=foo", 'train.learning_rate="x"',
+                                          "train.seed=1.5", "model.hidden=0", "train.eval_every=0",
+                                          "model.hidden=-3", "train.eval_tasks=-1", "train.unpaired_batch=-1",
+                                          'model.input_feed="no"', "train.alpha=NaN"])
     def test_value_rejected_by_config_dataclass_is_usage_error(self, corpus_dir, tmp_path, override):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "msvae", "train", "--pipeline", "supervised-follower",
                                "--corpus", str(corpus_dir), "--out", str(tmp_path / "x"),
-                               "--set", override], capture_output=True, text=True, env=env)
+                               *SMOKE_SETS, "--set", override], capture_output=True, text=True, env=env)
         assert proc.returncode == 1, proc.stderr
         assert "usage error" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "x").exists()
@@ -162,6 +203,20 @@ class TestTrain:
         code = run_cli("train", "--pipeline", "msvae", "--corpus", str(tmp_path / "nope"),
                        "--out", str(tmp_path / "x"))
         assert code == 2
+
+    def test_paired_record_without_tokens_is_data_error(self, corpus_dir, tmp_path, capsys):
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, bad)
+        header, first, *rest = (bad / "paired.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        del record["tokens"]
+        (bad / "paired.jsonl").write_text(header + json.dumps(record) + "\n" + "".join(rest))
+        code = run_cli("train", "--pipeline", "supervised-follower", "--corpus", str(bad),
+                       "--out", str(tmp_path / "x"), *SMOKE_SETS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "paired.jsonl, line 2" in err and "'tokens'" in err
+        assert not (tmp_path / "x").exists()
 
     def test_ablation_override_matches_paired_only_config(self, corpus_dir, tmp_path):
         out = tmp_path / "ab"
@@ -244,6 +299,7 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", str(trained), "--corpus", str(corpus_dir),
                        "--mode", "pragmatic", "--candidates", "0", "--out", str(p)) == 0
         assert json.loads(f.read_text())["sr"] == json.loads(p.read_text())["sr"]
+        assert json.loads(p.read_text())["config"]["eval"]["candidates"] == 0
 
     def test_mode_checkpoint_mismatch_rejected(self, corpus_dir, tmp_path):
         spk = tmp_path / "spk"
@@ -259,6 +315,43 @@ class TestEval:
                        "--mode", "speak", "--out", str(out)) == 0
         doc = json.loads(out.read_text())
         assert "bleu4" in doc and doc["mode"] == "speak"
+
+
+class TestConfigBoundary:
+    """A bad config value exits 1 as a usage error before any file is read or written."""
+
+    @pytest.mark.parametrize("override", ['corpus.seed="x"', "corpus.m=2.5", "corpus.m=-1",
+                                          "corpus.subgoal_weights=[1]", "corpus.difficulty=foo"])
+    def test_gen_data_rejects_bad_value(self, tmp_path, capsys, override):
+        out = tmp_path / "c"
+        code = run_cli("gen-data", "--out", str(out), "--set", "corpus.m=2", "--set", "corpus.n=2",
+                       "--set", "corpus.val_tasks=1", "--set", "corpus.test_tasks=1", "--set", override)
+        assert code == 1
+        assert f"usage error: {override.split('=')[0]}=" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"corpus": {"m": 3},\n', "[1, 2]"], ids=["cut", "not-an-object"])
+    def test_malformed_config_file_names_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "c"
+        assert run_cli("gen-data", "--out", str(out), "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--set", 'eval.limit="2"'], ["--set", 'eval.seed="x"'],
+                                      ["--set", "eval.decoding=smaple"], ["--set", "eval.limit=-3"],
+                                      ["--mode", "pragmatic", "--candidates", "-2"]],
+                             ids=["limit-str", "seed-str", "decoding-typo", "limit-negative", "candidates-negative"])
+    def test_eval_rejects_bad_value(self, corpus_dir, trained, tmp_path, capsys, argv):
+        out = tmp_path / "eval.json"
+        mode = [] if "--mode" in argv else ["--mode", "follow"]
+        code = run_cli("eval", "--checkpoint", str(trained), "--corpus", str(corpus_dir),
+                       "--out", str(out), *mode, *argv)
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

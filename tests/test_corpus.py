@@ -1,4 +1,7 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +133,63 @@ class TestGenerate:
         bad.write_text(json.dumps({"seed": 1}) + "\n")
         with pytest.raises(corpus.CorpusError, match="header"):
             corpus.read_split(bad)
+
+
+class TestRecordCheck:
+    """corpus.load checks every line against its split's schema."""
+
+    def _damage(self, src, split: str, lineno: int, text: str) -> Path:
+        lines = (src / f"{split}.jsonl").read_text().splitlines()
+        lines[lineno - 1] = text
+        dst = Path(tempfile.mkdtemp(dir=src.parent))
+        shutil.copytree(src, dst, dirs_exist_ok=True)
+        (dst / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
+        return dst
+
+    def _record(self, root, split: str, lineno: int) -> dict:
+        return json.loads((root / f"{split}.jsonl").read_text().splitlines()[lineno - 1])
+
+    def test_paired_record_without_tokens(self, small_corpus_dir):
+        rec = self._record(small_corpus_dir, "paired", 3)
+        del rec["tokens"]
+        root = self._damage(small_corpus_dir, "paired", 3, json.dumps(rec))
+        with pytest.raises(corpus.CorpusError, match=r"paired\.jsonl, line 3: key 'tokens' is missing"):
+            corpus.load(root)
+
+    def test_cut_line_names_the_file(self, small_corpus_dir):
+        text = (small_corpus_dir / "val.jsonl").read_text().splitlines()[1]
+        root = self._damage(small_corpus_dir, "val", 2, text[: len(text) // 2])
+        with pytest.raises(corpus.CorpusError, match=r"val\.jsonl, line 2: not JSON"):
+            corpus.load(root)
+
+    @pytest.mark.parametrize("key, value", [("subgoal_weights", "x"), ("difficulty", None), ("split", "val")])
+    def test_bad_header(self, small_corpus_dir, key, value):
+        header = self._record(small_corpus_dir, "test", 1)
+        header[key] = value
+        root = self._damage(small_corpus_dir, "test", 1, json.dumps(header))
+        with pytest.raises(corpus.CorpusError, match=r"test\.jsonl"):
+            corpus.load(root)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_record_raises_corpus_error(self, small_corpus_dir, data):
+        split = data.draw(st.sampled_from(["paired", "unpaired", "val", "test"]))
+        lines = (small_corpus_dir / f"{split}.jsonl").read_text().splitlines()
+        lineno = data.draw(st.integers(2, len(lines)))
+        rec = json.loads(lines[lineno - 1])
+        keys = ["seed", "tries", "actions", "end"] + ([] if split == "unpaired" else ["tokens"])
+        damage = data.draw(st.sampled_from(["delete", "retype", "cut"]))
+        if damage == "cut":
+            text = lines[lineno - 1][: data.draw(st.integers(0, len(lines[lineno - 1]) - 1))]
+        else:
+            key = data.draw(st.sampled_from(keys))
+            if damage == "delete":
+                del rec[key]
+            else:  # wrong for an int and for a list of ints alike
+                rec[key] = data.draw(st.sampled_from(["x", 1.5, True, None, {}, [True], [1.5], ["1"]]))
+            text = json.dumps(rec)
+        with pytest.raises(corpus.CorpusError):
+            corpus.load(self._damage(small_corpus_dir, split, lineno, text))
 
 
 class TestPseudoPaired:
