@@ -1,4 +1,4 @@
-"""Pinned decode outputs of fixed-seed tiny models.
+"""Pinned decode outputs and teacher-forced losses of fixed-seed tiny models.
 
 Every follow/speak path (the latent model and both baselines, with and
 without attention or input feeding) is run greedily and in sampled mode
@@ -6,11 +6,20 @@ with a fixed generator. The expected actions, tokens, truncated flags and
 the generator's next draw (which pins how many draws a decode consumed)
 were recorded from the implementation; a refactor of the decoders must
 reproduce them exactly.
+
+The same models' training losses on ragged batches of three (so padding and
+masking are exercised) are pinned with every parameter's gradient sum and
+L2 norm, in golden_teacher_forced.json. Running this file as a script
+rewrites that file from the current implementation.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from msvae import autodiff as ad
 from msvae import gridworld as gw
 from msvae import model as md
 
@@ -33,10 +42,15 @@ BUILDERS = {
 INSTRUCTIONS = ([4, 5, 6], [9, 10, 11, 12, 13])
 
 
-def decode_outputs(name):
+def sharpened(name):
     model = BUILDERS[name]()
     for p in model.params():  # sharper logits make the outputs depend on the inputs
         p.value *= 3.0
+    return model
+
+
+def decode_outputs(name):
+    model = sharpened(name)
     out = []
     if hasattr(model, "follow"):
         for i, tokens in enumerate(INSTRUCTIONS):
@@ -110,3 +124,77 @@ EXPECTED = {
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_decode_outputs_match_golden(name):
     assert decode_outputs(name) == EXPECTED[name]
+
+
+# ---------------------------------------------------------------------------
+# teacher-forced losses and their gradients
+
+GOLDEN_LOSSES = Path(__file__).with_name("golden_teacher_forced.json")
+LOSS_RTOL = 1e-9  # perfbench's CURVE_RTOL: a fast path may only reorder float sums
+TOKENS = ([4, 5, 6], [9, 10, 11, 12, 13], [7, 8])
+
+
+def _trajectories(seeds):
+    trajs = []
+    for seed in seeds:
+        world, task = gw.sample_task(seed, "goto_seq")
+        trajs.append(gw.rollout(world, gw.oracle_solve(world, task), view="ego")[1])
+    return trajs
+
+
+def loss_outputs(name):
+    """(loss terms, {param: [gradient sum, gradient L2 norm]}, {param: size})
+    of one model's training loss on fixed ragged batches."""
+    model = sharpened("msvae" if name == "bottleneck" else name)
+    lang = md.make_lang_batch([list(t) for t in TOKENS])
+    traj = md.make_traj_batch(_trajectories((40, 41, 42)))
+    if isinstance(model, md.MsVae) and name != "bottleneck":
+        unpaired = md.make_traj_batch(_trajectories((50, 51, 52)))
+        loss, report = md.total_loss(model, lang, traj, unpaired, md.HyperParams(), np.random.default_rng(7))
+        terms = report.as_row()
+    else:
+        if name == "bottleneck":  # the latent architecture under the follower's IL loss
+            mean_ll = ad.reduce_mean(model.action_log_likelihood(model.encode_language(lang)[0], traj))
+        elif isinstance(model, md.BaselineFollower):
+            mean_ll = ad.reduce_mean(model.action_log_likelihood(lang, traj))
+        else:
+            mean_ll = ad.reduce_mean(model.language_log_likelihood(traj, lang))
+        loss, terms = ad.neg(mean_ll), [float(mean_ll.value)]
+    params = model.named_params()
+    ad.zero_grad(list(params.values()))
+    ad.backward(loss)
+    grads = {k: [float(p.gradient.sum()), float(np.linalg.norm(p.gradient))] for k, p in sorted(params.items())}
+    return terms, grads, {k: p.value.size for k, p in params.items()}
+
+
+LOSS_MODELS = sorted(BUILDERS) + ["bottleneck"]
+
+
+def test_batches_are_ragged():
+    assert len({len(t) for t in TOKENS}) == 3
+    assert len({len(t) for t in _trajectories((40, 41, 42))}) > 1
+    assert len({len(t) for t in _trajectories((50, 51, 52))}) > 1
+
+
+@pytest.mark.parametrize("name", LOSS_MODELS)
+def test_teacher_forced_loss_matches_golden(name):
+    expected = json.loads(GOLDEN_LOSSES.read_text())[name]
+    terms, grads, sizes = loss_outputs(name)
+    np.testing.assert_allclose(terms, expected["terms"], rtol=LOSS_RTOL, atol=0)
+    assert sorted(grads) == sorted(expected["grads"])
+    for k, (total, norm) in grads.items():
+        ref_total, ref_norm = expected["grads"][k]
+        np.testing.assert_allclose(norm, ref_norm, rtol=LOSS_RTOL, atol=0, err_msg=k)
+        # a sum of mixed-sign entries (a softmax head's bias gradient sums to
+        # zero) is held to the scale of the entries it adds, sqrt(size) * norm
+        # or less, which bounds the error of adding them in another order
+        atol = LOSS_RTOL * np.sqrt(sizes[k]) * ref_norm
+        np.testing.assert_allclose(total, ref_total, rtol=LOSS_RTOL, atol=atol, err_msg=k)
+
+
+if __name__ == "__main__":
+    doc = {}
+    for name in LOSS_MODELS:
+        terms, grads, _ = loss_outputs(name)
+        doc[name] = {"terms": terms, "grads": grads}
+    GOLDEN_LOSSES.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
