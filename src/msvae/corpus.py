@@ -72,8 +72,16 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        doc = json.loads(Path(path).read_text())
-        return cls(doc["words"])
+        """Read a saved vocabulary: a JSON object whose `words` is a list of
+        strings; anything else raises CorpusError naming the file."""
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CorpusError(f"{path}: not JSON ({e})") from e
+        words = doc.get("words") if type(doc) is dict else None
+        if type(words) is not list or not {str}.issuperset(map(type, words)):
+            raise CorpusError(f"{path}: expected a JSON object whose 'words' is a list of strings")
+        return cls(words)
 
 
 def default_vocab() -> Vocab:

@@ -19,6 +19,7 @@ from . import autodiff as ad
 from . import gridworld as gw
 from . import nn
 from .autodiff import Node
+from .corpus import RESERVED
 
 
 @dataclass
@@ -94,15 +95,6 @@ class LangBatch:
     enc_mask: np.ndarray
     dec_in: np.ndarray  # bos + tokens
     dec_tgt: np.ndarray  # tokens + eos
-    lengths: np.ndarray
-
-    @property
-    def batch(self):
-        return self.enc_ids.shape[0]
-
-    @property
-    def steps(self):
-        return self.enc_ids.shape[1]
 
 
 @dataclass
@@ -112,24 +104,15 @@ class TrajBatch:
     dec_in: np.ndarray  # start + actions[:-1]
     dec_tgt: np.ndarray  # actions
     mask: np.ndarray
-    lengths: np.ndarray
-
-    @property
-    def batch(self):
-        return self.obs.shape[0]
-
-    @property
-    def steps(self):
-        return self.obs.shape[1]
 
 
-def make_lang_batch(token_lists, bos: int = 1, eos: int = 2, pad: int = 0) -> LangBatch:
+def make_lang_batch(token_lists) -> LangBatch:
     if not token_lists:
         raise ValueError("empty language batch")
     if any(len(t) == 0 for t in token_lists):
         raise ValueError("empty token sequence")
-    lengths = np.array([len(t) + 1 for t in token_lists])  # + eos
-    width = int(lengths.max())
+    pad, bos, eos = RESERVED["<pad>"], RESERVED["<bos>"], RESERVED["<eos>"]
+    width = max(len(t) for t in token_lists) + 1  # + eos
     b = len(token_lists)
     enc = np.full((b, width), pad, dtype=np.intp)
     dec_in = np.full((b, width), pad, dtype=np.intp)
@@ -144,7 +127,7 @@ def make_lang_batch(token_lists, bos: int = 1, eos: int = 2, pad: int = 0) -> La
         dec_tgt[i, :n] = toks
         dec_tgt[i, n] = eos
         mask[i, : n + 1] = 1.0
-    return LangBatch(enc, mask, dec_in, dec_tgt, lengths)
+    return LangBatch(enc, mask, dec_in, dec_tgt)
 
 
 def make_traj_batch(trajectories, n_actions: int = gw.N_ACTIONS) -> TrajBatch:
@@ -153,8 +136,7 @@ def make_traj_batch(trajectories, n_actions: int = gw.N_ACTIONS) -> TrajBatch:
     if any(len(t) == 0 for t in trajectories):
         raise ValueError("empty trajectory")
     start_id, pad_id = n_actions, n_actions + 1
-    lengths = np.array([len(t) for t in trajectories])
-    width = int(lengths.max())
+    width = max(len(t) for t in trajectories)
     b = len(trajectories)
     odim = trajectories[0].observations.shape[1]
     obs = np.zeros((b, width, odim))
@@ -170,11 +152,7 @@ def make_traj_batch(trajectories, n_actions: int = gw.N_ACTIONS) -> TrajBatch:
         dec_in[i, 1:n] = tr.actions[: n - 1]
         dec_tgt[i, :n] = tr.actions
         mask[i, :n] = 1.0
-    return TrajBatch(obs, enc, dec_in, dec_tgt, mask, lengths)
-
-
-def _step_masks(mask: np.ndarray) -> list[np.ndarray]:
-    return [mask[:, t] for t in range(mask.shape[1])]
+    return TrajBatch(obs, enc, dec_in, dec_tgt, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +291,7 @@ class LanguageEncoderCore(nn.Layer):
         self.gru = self._child("gru", nn.GruCell(rng, cfg.word_emb, cfg.hidden))
 
     def hidden_states(self, lang: LangBatch) -> tuple[Node, Node]:
-        inputs = [self.emb(lang.enc_ids[:, t]) for t in range(lang.steps)]
-        states = nn.gru_encode(self.gru, inputs, _step_masks(lang.enc_mask))
+        states = nn.gru_encode(self.gru, lang.enc_mask, lambda t, h: self.emb(lang.enc_ids[:, t]))
         return ad.stack(states, axis=1), states[-1]
 
 
@@ -330,22 +307,19 @@ class TrajEncoderCore(nn.Layer):
         self.gru = self._child("gru", nn.GruCell(rng, cfg.hidden + cfg.action_emb + cfg.cell_dim, cfg.hidden))
 
     def hidden_states(self, traj: TrajBatch, obs_feats: list[Node]) -> tuple[Node, Node]:
-        masks = _step_masks(traj.mask)
-        h = self.gru.init_state(traj.batch)
-        states = []
-        for t in range(traj.steps):
+        def step_input(t, h):
             cell_ctx = self.readout(h, self.readout.step_features(traj.obs, t))
-            x = ad.concat([obs_feats[t], self.emb(traj.enc_act[:, t]), cell_ctx], axis=1)
-            h_new = self.gru.step(x, h)
-            h = ad.add(h, ad.mul_colvec(ad.sub(h_new, h), ad.constant(masks[t])))
-            states.append(h)
+            return ad.concat([obs_feats[t], self.emb(traj.enc_act[:, t]), cell_ctx], axis=1)
+
+        states = nn.gru_encode(self.gru, traj.mask, step_input)
         return ad.stack(states, axis=1), states[-1]
 
 
 class _Decoder(nn.Layer):
-    """What both autoregressive decoders share: the context they read from
-    the memory, by attention or, without it, as the fixed (B, memory_dim)
-    summary itself."""
+    """What both autoregressive decoders share: the recurrent step with its
+    input feed, the context it reads from the memory (by attention or,
+    without it, as the fixed (B, memory_dim) summary itself), and the
+    teacher-forced loop."""
 
     def __init__(self, cfg: ModelConfig, memory_dim: int, use_attention: bool):
         super().__init__()
@@ -365,6 +339,31 @@ class _Decoder(nn.Layer):
     def init_context(self, batch: int) -> Node:
         return ad.constant(np.zeros((batch, self.memory_dim)))
 
+    def _recurrent_step(self, parts: list[Node], h: Node, prev_ctx: Node, memory, prepared, memory_mask):
+        """Step the GRU on the concatenated input parts, with the previous
+        context fed after them when input_feed; returns (state, context)."""
+        if self.input_feed:
+            parts = parts + [prev_ctx]
+        h = self.gru.step(ad.concat(parts, axis=1) if len(parts) > 1 else parts[0], h)
+        return h, self._context(h, memory, prepared, memory_mask)
+
+    def _teacher_forced(self, mask: np.ndarray, dec_in: np.ndarray, dec_tgt: np.ndarray, memory, memory_mask,
+                        h0: Node | None, step_inputs) -> Node:
+        """Per-sample sum of log p(dec_tgt[:, t] | ...) over the valid steps
+        of the (B, T) mask -> (B,). step_inputs(t) gives the step_logits
+        arguments that come before the previous ids. No other decoder code
+        masks its step terms."""
+        prepared = self.prepare(memory)
+        h = h0 if h0 is not None else self.gru.init_state(mask.shape[0])
+        ctx = self.init_context(mask.shape[0])
+        total = None
+        for t in range(mask.shape[1]):
+            logits, h, ctx = self.step_logits(*step_inputs(t), dec_in[:, t], h, ctx, memory, prepared, memory_mask)
+            picked = ad.select_columns(ad.log_softmax(logits), dec_tgt[:, t])
+            masked = ad.mul(picked, ad.constant(mask[:, t]))
+            total = masked if total is None else ad.add(total, masked)
+        return total
+
 
 class ActionDecoder(_Decoder):
     """Autoregressive policy head; the memory enters only through attention
@@ -383,40 +382,24 @@ class ActionDecoder(_Decoder):
         self.readout = self._child("readout", GridReadout(rng, cfg.hidden + memory_dim, cfg.cell_dim, cfg))
         self.head = self._child("head", nn.Linear(rng, memory_dim + cfg.hidden + cfg.cell_dim, cfg.n_actions))
 
-    def step_logits(self, obs_feat: Node, cell_feats: np.ndarray, prev_ids, h: Node, memory, prepared,
-                    memory_mask=None, prev_ctx: Node | None = None):
-        if prev_ctx is None:
-            prev_ctx = self.init_context(obs_feat.value.shape[0])
-        parts = [obs_feat, self.emb(prev_ids)]
-        if self.input_feed:
-            parts.append(prev_ctx)
-        h = self.gru.step(ad.concat(parts, axis=1), h)
-        ctx = self._context(h, memory, prepared, memory_mask)
+    def step_logits(self, obs_feat: Node, cell_feats: np.ndarray, prev_ids, h: Node, prev_ctx: Node,
+                    memory, prepared, memory_mask):
+        h, ctx = self._recurrent_step([obs_feat, self.emb(prev_ids)], h, prev_ctx, memory, prepared, memory_mask)
         cell_ctx = self.readout(ad.concat([h, ctx], axis=1), cell_feats)
         return self.head(ad.concat([ctx, h, cell_ctx], axis=1)), h, ctx
 
     def teacher_forced_logll(self, traj: TrajBatch, obs_feats: list[Node], memory,
                              memory_mask=None, h0: Node | None = None) -> Node:
         """Per-sample sum of log p(a_t | ...) over valid steps -> (B,)."""
-        prepared = self.prepare(memory)
-        h = h0 if h0 is not None else self.gru.init_state(traj.batch)
-        ctx = None
-        total = None
-        for t in range(traj.steps):
-            cf = self.readout.step_features(traj.obs, t)
-            logits, h, ctx = self.step_logits(obs_feats[t], cf, traj.dec_in[:, t], h, memory, prepared,
-                                              memory_mask, prev_ctx=ctx)
-            picked = ad.select_columns(ad.log_softmax(logits), traj.dec_tgt[:, t])
-            masked = ad.mul(picked, ad.constant(traj.mask[:, t]))
-            total = masked if total is None else ad.add(total, masked)
-        return total
+        return self._teacher_forced(traj.mask, traj.dec_in, traj.dec_tgt, memory, memory_mask, h0,
+                                    lambda t: (obs_feats[t], self.readout.step_features(traj.obs, t)))
 
     def rollout(self, world: gw.World, obs_mlp: ObsMlp, encode_obs, memory, memory_mask, h: Node,
                 mode: str, rng, max_steps: int):
         """Act in the environment from one episode's memory and initial
         state until `done` or max_steps; returns (trajectory, visited states)."""
         prepared = self.prepare(memory)
-        ctx = None
+        ctx = self.init_context(1)
         prev = np.array([self.start_id], dtype=np.intp)
         states = [world]
         obs_rows, actions = [], []
@@ -424,7 +407,7 @@ class ActionDecoder(_Decoder):
             o = encode_obs(world)
             of = obs_mlp(ad.constant(o[None, :]))
             cf = self.readout.step_features(o[None, None, :], 0)
-            logits, h, ctx = self.step_logits(of, cf, prev, h, memory, prepared, memory_mask, prev_ctx=ctx)
+            logits, h, ctx = self.step_logits(of, cf, prev, h, ctx, memory, prepared, memory_mask)
             a = _pick(logits.value[0], mode, rng)
             obs_rows.append(o)
             actions.append(a)
@@ -448,40 +431,26 @@ class WordDecoder(_Decoder):
             self.attn = self._child("attn", nn.KeyValueAttention(rng, cfg.hidden, memory_dim, cfg.attn_dim))
         self.head = self._child("head", nn.Linear(rng, memory_dim + cfg.hidden, cfg.vocab_size))
 
-    def step_logits(self, prev_ids, h, memory, prepared, memory_mask=None,
-                    prev_ctx: Node | None = None):
-        parts = [self.emb(prev_ids)]
-        if self.input_feed:
-            parts.append(prev_ctx if prev_ctx is not None else self.init_context(len(prev_ids)))
-        h = self.gru.step(ad.concat(parts, axis=1) if len(parts) > 1 else parts[0], h)
-        ctx = self._context(h, memory, prepared, memory_mask)
+    def step_logits(self, prev_ids, h: Node, prev_ctx: Node, memory, prepared, memory_mask):
+        h, ctx = self._recurrent_step([self.emb(prev_ids)], h, prev_ctx, memory, prepared, memory_mask)
         return self.head(ad.concat([ctx, h], axis=1)), h, ctx
 
     def teacher_forced_logll(self, lang: LangBatch, memory, memory_mask=None,
                              h0: Node | None = None) -> Node:
-        prepared = self.prepare(memory)
-        h = h0 if h0 is not None else self.gru.init_state(lang.batch)
-        ctx = None
-        total = None
-        for t in range(lang.steps):
-            logits, h, ctx = self.step_logits(lang.dec_in[:, t], h, memory, prepared,
-                                              memory_mask, prev_ctx=ctx)
-            picked = ad.select_columns(ad.log_softmax(logits), lang.dec_tgt[:, t])
-            masked = ad.mul(picked, ad.constant(lang.enc_mask[:, t]))
-            total = masked if total is None else ad.add(total, masked)
-        return total
+        return self._teacher_forced(lang.enc_mask, lang.dec_in, lang.dec_tgt, memory, memory_mask, h0,
+                                    lambda t: ())
 
-    def rollout(self, memory, memory_mask, h: Node, mode: str, rng, len_cap: int, eos: int):
+    def rollout(self, memory, memory_mask, h: Node, mode: str, rng, len_cap: int):
         """Speak from one episode's memory and initial state until eos or
         len_cap tokens; returns (token ids, truncated flag)."""
         prepared = self.prepare(memory)
-        ctx = None
-        prev = np.array([1], dtype=np.intp)  # bos
+        ctx = self.init_context(1)
+        prev = np.array([RESERVED["<bos>"]], dtype=np.intp)
         out = []
         for _ in range(len_cap):
-            logits, h, ctx = self.step_logits(prev, h, memory, prepared, memory_mask, prev_ctx=ctx)
+            logits, h, ctx = self.step_logits(prev, h, ctx, memory, prepared, memory_mask)
             w = _pick(logits.value[0], mode, rng)
-            if w == eos:
+            if w == RESERVED["<eos>"]:
                 return out, False
             out.append(w)
             prev = np.array([w], dtype=np.intp)
@@ -556,10 +525,10 @@ class MsVae(nn.Layer):
                                     self.act_dec.gru.init_state(1), mode, rng, max_steps)
 
     def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None,
-              len_cap: int = 30, eos: int = 2) -> tuple[list[int], bool]:
+              len_cap: int = 30) -> tuple[list[int], bool]:
         """Describe a trajectory; returns (token ids, truncated flag)."""
         mean, _ = self.encode_trajectory(make_traj_batch([traj], self.cfg.n_actions))
-        return self.word_dec.rollout(mean, None, self.word_dec.gru.init_state(1), mode, rng, len_cap, eos)
+        return self.word_dec.rollout(mean, None, self.word_dec.gru.init_state(1), mode, rng, len_cap)
 
     def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
         """log p(tokens | mean latent of traj); the pragmatic-inference score."""
@@ -640,10 +609,10 @@ class BaselineSpeaker(nn.Layer):
         memory, mask, h0 = self._encode(traj)
         return self.word_dec.teacher_forced_logll(lang, memory, mask, h0=h0)
 
-    def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None, len_cap: int = 30,
-              eos: int = 2) -> tuple[list[int], bool]:
+    def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None,
+              len_cap: int = 30) -> tuple[list[int], bool]:
         memory, mask, h = self._encode(make_traj_batch([traj], self.cfg.n_actions))
-        return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap, eos)
+        return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap)
 
     def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
         tb = make_traj_batch([traj], self.cfg.n_actions)
@@ -739,7 +708,7 @@ def total_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, unpaired: TrajBat
     p = paired_loss(model, lang, traj, hp, rng)
     total = p["jbar"]
     v_val, d_val = 0.0, 0.0
-    if unpaired is not None and unpaired.batch > 0:
+    if unpaired is not None:
         u = unpaired_loss(model, unpaired, hp, rng)
         v_val = float(u["v"].value)
         if hp.gamma > 0:

@@ -4,7 +4,7 @@ the bottleneck attention module, and the autoregressive latent prior.
 Every layer registers its parameters in a local dict name -> Node so models
 can collect them hierarchically for the optimizer and for checkpoints.
 All batch-shaped activations are (B, feature) matrices; variable-length
-sequences are lists of per-step matrices plus optional (B,) step masks.
+sequences are lists of per-step matrices plus a (B, T) 0/1 step mask.
 """
 
 from __future__ import annotations
@@ -155,24 +155,21 @@ class GruCell(Layer):
         return ad.constant(np.zeros((batch, self.n_hidden)))
 
 
-def gru_encode(cell: GruCell, inputs: list[Node], masks: list[np.ndarray] | None = None) -> list[Node]:
-    """Run a GRU over per-step (B, in) inputs; returns all hidden states.
+def gru_encode(cell: GruCell, mask: np.ndarray, step_input) -> list[Node]:
+    """Run a GRU over the steps of a (B, T) 0/1 step mask; returns all T
+    hidden states. step_input(t, h) gives step t's (B, in) input, given the
+    running state h.
 
-    With masks (each (B,) of 0/1), padded steps carry the previous state
-    forward so the final state is the last valid one.
+    Padded steps carry the previous state forward, so each row's final
+    state is its last valid one. No other recurrence masks its state.
     """
-    if not inputs:
+    if mask.shape[1] == 0:
         raise ValueError("gru_encode: empty sequence")
-    batch = inputs[0].value.shape[0]
-    h = cell.init_state(batch)
+    h = cell.init_state(mask.shape[0])
     states = []
-    for t, x in enumerate(inputs):
-        h_new = cell.step(x, h)
-        if masks is not None:
-            m = ad.constant(masks[t])
-            h = ad.add(h, ad.mul_colvec(ad.sub(h_new, h), m))
-        else:
-            h = h_new
+    for t in range(mask.shape[1]):
+        h_new = cell.step(step_input(t, h), h)
+        h = ad.add(h, ad.mul_colvec(ad.sub(h_new, h), ad.constant(mask[:, t])))
         states.append(h)
     return states
 

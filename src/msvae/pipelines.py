@@ -131,6 +131,8 @@ class _Run:
     def __init__(self, cfg: TrainConfig, corpus, out_dir, pipeline: str, build_model,
                  resume_from=None):
         self.cfg = cfg
+        # the model first: a warm start that fails leaves no run directory
+        self.model = build_model(np.random.default_rng([cfg.seed, 3]))
         self.out = Path(out_dir)
         (self.out / "checkpoints").mkdir(parents=True, exist_ok=True)
         self.config_doc = {"pipeline": pipeline, "train": asdict(cfg)}
@@ -140,7 +142,6 @@ class _Run:
             "batch": np.random.default_rng([cfg.seed, 0]),
             "loss": np.random.default_rng([cfg.seed, 1]),
         }
-        self.model = build_model(np.random.default_rng([cfg.seed, 3]))
         self.meta = {**md.checkpoint_meta(self.model, corpus.vocab.id_to_word[4:]), "pipeline": pipeline}
         self.opt = ad.Adam(self.model.params(), lr=cfg.hp.learning_rate)
         self.start_epoch = 0

@@ -218,6 +218,15 @@ class TestTrain:
         assert "data error" in err and "paired.jsonl, line 2" in err and "'tokens'" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key", ["pretrain_follower", "pretrain_speaker"])
+    def test_missing_warm_start_checkpoint_leaves_no_run_directory(self, corpus_dir, tmp_path, capsys, key):
+        out = tmp_path / "x"
+        code = run_cli("train", "--pipeline", "msvae", "--corpus", str(corpus_dir), "--out", str(out),
+                       *SMOKE_SETS, "--set", f"train.{key}={tmp_path / 'nope.bin'}")
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ablation_override_matches_paired_only_config(self, corpus_dir, tmp_path):
         out = tmp_path / "ab"
         code = run_cli("train", "--pipeline", "msvae", "--corpus", str(corpus_dir),
@@ -283,6 +292,25 @@ class TestEval:
         code = run_cli("eval", "--checkpoint", "oracle", "--corpus", str(corpus_dir),
                        "--mode", "follow", "--out", str(out), "--set", "eval.split=tset")
         assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "words"}),
+        lambda text: text[: len(text) // 2],
+        lambda text: json.dumps([json.loads(text)]),
+        lambda text: json.dumps({**json.loads(text), "words": ["go", 3]}),
+    ], ids=["no_words", "cut", "not_object", "non_str_word"])
+    def test_damaged_vocab_is_data_error(self, corpus_dir, tmp_path, capsys, damage):
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, bad)
+        vocab = bad / "vocab.json"
+        vocab.write_text(damage(vocab.read_text()))
+        out = tmp_path / "eval.json"
+        code = run_cli("eval", "--checkpoint", "oracle", "--corpus", str(bad), "--mode", "follow",
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(vocab) in err and "Traceback" not in err
         assert not out.exists()
 
     def test_eval_bytes_deterministic(self, corpus_dir, trained, tmp_path):

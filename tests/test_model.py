@@ -248,8 +248,10 @@ class TestTotalLoss:
 
 class TestFullLossGradient:
     def test_finite_difference_on_toy_instance(self):
-        # 2-token toy: every parameter gradient vs central differences
-        cfg = tiny_cfg()
+        # 2-token toy: every parameter gradient vs central differences; a
+        # narrow observation MLP keeps the parameter count, and so the cost
+        # of central differences, small
+        cfg = tiny_cfg(obs_hidden=4)
         m = md.MsVae(np.random.default_rng(1), cfg)
         r = np.random.default_rng(19)
         lang = md.make_lang_batch([synth_lang(r, 2)])

@@ -26,29 +26,29 @@ class TestGru:
         r = rng_for(0)
         cell = nn.GruCell(r, 3, 4)
         x = ad.constant(r.normal(size=(2, 3)))
-        states = nn.gru_encode(cell, [x])
+        states = nn.gru_encode(cell, np.ones((2, 1)), lambda t, h: x)
         direct = cell.step(x, cell.init_state(2))
         np.testing.assert_array_equal(states[0].value, direct.value)
 
     def test_empty_sequence_rejected(self):
         cell = nn.GruCell(rng_for(0), 3, 4)
         with pytest.raises(ValueError, match="empty"):
-            nn.gru_encode(cell, [])
+            nn.gru_encode(cell, np.ones((1, 0)), lambda t, h: None)
 
     def test_order_sensitivity(self):
         r = rng_for(1)
         cell = nn.GruCell(r, 3, 4)
         xs = [ad.constant(r.normal(size=(1, 3))) for _ in range(4)]
-        fwd = nn.gru_encode(cell, xs)[-1].value
-        rev = nn.gru_encode(cell, xs[::-1])[-1].value
+        fwd = nn.gru_encode(cell, np.ones((1, 4)), lambda t, h: xs[t])[-1].value
+        rev = nn.gru_encode(cell, np.ones((1, 4)), lambda t, h: xs[3 - t])[-1].value
         assert not np.allclose(fwd, rev)
 
     def test_mask_carries_state(self):
         r = rng_for(2)
         cell = nn.GruCell(r, 3, 4)
         xs = [ad.constant(r.normal(size=(2, 3))) for _ in range(3)]
-        masks = [np.ones(2), np.array([1.0, 0.0]), np.array([0.0, 0.0])]
-        states = nn.gru_encode(cell, xs, masks)
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])  # (B, T)
+        states = nn.gru_encode(cell, mask, lambda t, h: xs[t])
         # row 1 froze after step 0; row 0 after step 1
         np.testing.assert_array_equal(states[1].value[1], states[0].value[1])
         np.testing.assert_array_equal(states[2].value, states[1].value)
@@ -60,7 +60,7 @@ class TestGru:
 
         def build():
             xs = [ad.constant(v) for v in xs_val]
-            h = nn.gru_encode(cell, xs)[-1]
+            h = nn.gru_encode(cell, np.ones((1, 20)), lambda t, h: xs[t])[-1]
             return ad.reduce_sum(ad.mul(h, h))
 
         fd_check(cell.params(), build)
