@@ -281,38 +281,28 @@ def narrow(a, axis: int, start: int, size: int) -> Node:
     return Node(a.value[idx], (a,), vjp)
 
 
-def split_rows(a, n: int, rows=None) -> list[Node]:
-    """Cut (n * B, ...) into n consecutive (B, ...) row blocks, one node each.
+def split_rows(a, sizes) -> list[Node]:
+    """Cut (sum(sizes), ...) into consecutive row blocks of the given sizes,
+    one node each; a packed batch's per-step counts give its steps.
 
     A multi-output primitive: the blocks hang off one join node over `a`, and
     each block's VJP writes its gradient into the join's single full-size
     buffer instead of returning a zero-padded copy of `a` per block.
-
-    With `rows`, a boolean (n * B,) mask over the stacked block, `a` holds
-    only the rows the mask marks, in order; the other rows are zeros and pass
-    no gradient back.
     """
     a = _coerce(a)
     value = a.value
-    if rows is not None:
-        rows = np.asarray(rows, dtype=bool)
-        if rows.ndim != 1 or value.ndim == 0 or int(rows.sum()) != value.shape[0]:
-            raise ShapeMismatch(f"split_rows: row mask {rows.shape} with {int(rows.sum())} set "
-                                f"does not match shape {value.shape}")
-        value = np.zeros((rows.size,) + a.value.shape[1:])
-        value[rows] = a.value
+    sizes = [int(s) for s in sizes]
     total = value.shape[0] if value.ndim else 0
-    if n <= 0 or total % n:
-        raise ShapeMismatch(f"split_rows: {total} rows do not split into {n} equal blocks")
-    size = total // n
+    if not sizes or min(sizes) < 0 or sum(sizes) != total:
+        raise ShapeMismatch(f"split_rows: {total} rows do not split into blocks of {sizes}")
 
     def hand_off(g):
         join.grad = None  # the buffer now belongs to `a`; a later pass starts a fresh one
-        return (g if rows is None else g[rows],)
+        return (g,)
 
     join = Node(value, (a,), hand_off)
 
-    def block(lo):
+    def block(lo, size):
         def vjp(g):
             if join.grad is None:
                 join.grad = np.zeros_like(value)
@@ -321,7 +311,55 @@ def split_rows(a, n: int, rows=None) -> list[Node]:
 
         return Node(value[lo : lo + size], (join,), vjp)
 
-    return [block(i * size) for i in range(n)]
+    return [block(lo, size) for lo, size in zip(np.cumsum([0] + sizes[:-1]), sizes)]
+
+
+def gather_rows(a, index) -> Node:
+    """Rows a[index] for distinct row indices; rows left out get no gradient."""
+    a = _coerce(a)
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim != 1 or a.value.ndim == 0 or np.unique(index).size != index.size:
+        raise ShapeMismatch(f"gather_rows: index {index.shape} is not distinct rows of shape {a.value.shape}")
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        out[index] = g
+        return (out,)
+
+    return Node(a.value[index], (a,), vjp)
+
+
+def ragged_stack(nodes, order) -> Node:
+    """Stack a packed batch's per-step blocks into (B, T, ...) in the
+    caller's row order.
+
+    nodes[t] holds step t's running rows, the first n_t rows of `order`
+    (n_t never grows), so out[order[j], t] = nodes[t][j] for j < n_t; the
+    other steps are zeros and pass no gradient back.
+    """
+    nodes = [_coerce(n) for n in nodes]
+    order = np.asarray(order, dtype=np.intp)
+    if not nodes:
+        raise ValueError("ragged_stack: empty input")
+    shapes = [n.value.shape for n in nodes]
+    counts = [s[0] if s else -1 for s in shapes]
+    if (min(counts) < 0 or counts[0] > order.size or counts != sorted(counts, reverse=True)
+            or any(s[1:] != shapes[0][1:] for s in shapes)):
+        raise ShapeMismatch(f"ragged_stack: blocks {shapes} are not shrinking prefixes of {order.size} rows")
+    packed = np.zeros((order.size, len(nodes)) + shapes[0][1:])
+    for t, n in enumerate(nodes):
+        packed[: counts[t], t] = n.value
+    identity = bool((order == np.arange(order.size)).all())
+    out = packed
+    if not identity:
+        out = np.empty_like(packed)
+        out[order] = packed
+
+    def vjp(g):
+        gp = g if identity else g[order]
+        return tuple(gp[:c, t] for t, c in enumerate(counts))
+
+    return Node(out, tuple(nodes), vjp)
 
 
 def reshape(a, shape) -> Node:

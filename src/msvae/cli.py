@@ -42,6 +42,14 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _compare_pair(text: str) -> tuple[str, str]:
+    """`A:B` -> (A, B): exactly two non-empty condition names."""
+    parts = text.split(":")
+    if len(parts) != 2 or not all(parts):
+        raise argparse.ArgumentTypeError(f"{text!r} is not A:B with two condition names")
+    return parts[0], parts[1]
+
+
 def _add_common(p):
     p.add_argument("--preset", default="desk_scale", choices=sorted(cfg_mod.PRESETS))
     p.add_argument("--config", default=None, help="JSON config file merged over the preset")
@@ -78,7 +86,7 @@ def build_parser() -> _Parser:
 
     r = sub.add_parser("report", help="aggregate run directories into a markdown table")
     r.add_argument("--runs", nargs="+", required=True)
-    r.add_argument("--compare", action="append", default=[], metavar="A:B",
+    r.add_argument("--compare", action="append", default=[], metavar="A:B", type=_compare_pair,
                    help="one-sided t-test of condition A > condition B")
     r.add_argument("--out", default=None)
     return parser
@@ -234,12 +242,12 @@ def cmd_report(args) -> int:
             f"| {name} | {len(srs)} | {np.mean(srs):.3f} ± {np.std(srs, ddof=min(1, len(srs) - 1)):.3f} "
             f"| {np.mean(bleus):.4f} ± {np.std(bleus, ddof=min(1, len(bleus) - 1)):.4f} |"
         )
+    for a, b in args.compare:
+        if a not in scores or b not in scores:
+            raise UsageError(f"--compare {a}:{b}: unknown condition")
     if args.compare and any(len(g) >= 2 for g in groups.values()):
         lines.append("")
-        for pair in args.compare:
-            a, b = pair.split(":")
-            if a not in scores or b not in scores:
-                raise UsageError(f"--compare {pair}: unknown condition")
+        for a, b in args.compare:
             if len(scores[a]["sr"]) < 2 or len(scores[b]["sr"]) < 2:
                 lines.append(f"p(SR {a} > {b}): needs >= 2 seeds per side")
                 continue

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from . import gridworld as gw
 
@@ -102,6 +101,8 @@ def t_test_one_sided(scores_a, scores_b) -> float:
     Degenerate variances are floored so all-constant samples still yield a
     decision (identical samples give exactly 0.5).
     """
+    from scipy.stats import t as student_t  # only `msvae report --compare` needs scipy
+
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.size < 2 or b.size < 2:

@@ -96,6 +96,9 @@ class LangBatch:
     dec_in: np.ndarray  # bos + tokens
     dec_tgt: np.ndarray  # tokens + eos
 
+    def __post_init__(self):
+        self.packing = nn.Packing(self.enc_mask)  # shared by the encoder and the decoder
+
 
 @dataclass
 class TrajBatch:
@@ -104,6 +107,12 @@ class TrajBatch:
     dec_in: np.ndarray  # start + actions[:-1]
     dec_tgt: np.ndarray  # actions
     mask: np.ndarray
+
+    def __post_init__(self):
+        self.packing = nn.Packing(self.mask)
+        # the running steps' observations, gathered once for both observation
+        # MLPs and every readout
+        self.packed_obs = self.packing.pack(self.obs)
 
 
 def make_lang_batch(token_lists) -> LangBatch:
@@ -171,19 +180,14 @@ class ObsMlp(nn.Layer):
     def __call__(self, x: Node) -> Node:
         return ad.tanh(self.l2(ad.tanh(self.l1(x))))
 
-    def features_steps(self, obs: np.ndarray, mask: np.ndarray) -> list[Node]:
-        """(B, T, obs_dim) observations with their (B, T) step mask -> T
-        per-step (B, H) nodes.
+    def features_steps(self, traj: TrajBatch) -> list[Node]:
+        """A packed batch's observations -> per-step (counts[t], H) nodes of
+        the rows still running, longest first.
 
-        The MLP runs once over the valid (step, row) pairs only, step-major;
-        split_rows places them in their steps, gives padded rows zero
-        features and gathers the steps' gradients in one buffer. Padded steps
-        never reach a loss: encoders carry their state through them and
-        decoders mask their terms out."""
-        t = obs.shape[1]
-        valid = mask.T.reshape(-1) > 0
-        rows = obs.transpose(1, 0, 2).reshape(valid.size, -1)[valid]
-        return ad.split_rows(self(ad.constant(rows)), t, rows=valid)
+        The MLP runs once over all running (step, row) pairs; split_rows cuts
+        the result into steps and gathers their gradients in one buffer.
+        Padded steps are never computed."""
+        return ad.split_rows(self(ad.constant(traj.packed_obs)), traj.packing.counts)
 
 
 def _grid_shape(obs_view: str, obs_dim: int) -> tuple[int, int]:
@@ -252,14 +256,14 @@ class GridReadout(nn.Layer):
         self.pos = self._param("pos", rng.normal(0.0, 0.02, size=(self.n_cells, proj_dim)))
         self.wq = self._child("wq", nn.Linear(rng, query_dim, proj_dim))
 
-    def step_features(self, obs: np.ndarray, t: int) -> np.ndarray:
-        """Step t's cell grid as a constant (B, n_cells, channels) array.
+    def cells(self, obs: np.ndarray) -> np.ndarray:
+        """(n, obs_dim) observations -> their cell grids, a constant
+        (n, n_cells, channels) view.
 
         The cells are never projected: the readout applies the channel
         projection to the query and to the attended mix instead.
         """
-        b = obs.shape[0]
-        return obs[:, t, : self.cell_block].reshape(b, self.n_cells, self.channels)
+        return obs[:, : self.cell_block].reshape(obs.shape[0], self.n_cells, self.channels)
 
     def __call__(self, query: Node, cells: np.ndarray) -> Node:
         """query (B, q) x cells (B, n_cells, channels) -> attended cell features
@@ -291,8 +295,8 @@ class LanguageEncoderCore(nn.Layer):
         self.gru = self._child("gru", nn.GruCell(rng, cfg.word_emb, cfg.hidden))
 
     def hidden_states(self, lang: LangBatch) -> tuple[Node, Node]:
-        states = nn.gru_encode(self.gru, lang.enc_mask, lambda t, h: self.emb(lang.enc_ids[:, t]))
-        return ad.stack(states, axis=1), states[-1]
+        ids = lang.packing.steps(lang.enc_ids)
+        return nn.gru_encode(self.gru, lang.packing, lambda t, h: self.emb(ids[t]))
 
 
 class TrajEncoderCore(nn.Layer):
@@ -307,12 +311,20 @@ class TrajEncoderCore(nn.Layer):
         self.gru = self._child("gru", nn.GruCell(rng, cfg.hidden + cfg.action_emb + cfg.cell_dim, cfg.hidden))
 
     def hidden_states(self, traj: TrajBatch, obs_feats: list[Node]) -> tuple[Node, Node]:
-        def step_input(t, h):
-            cell_ctx = self.readout(h, self.readout.step_features(traj.obs, t))
-            return ad.concat([obs_feats[t], self.emb(traj.enc_act[:, t]), cell_ctx], axis=1)
+        obs, actions = traj.packing.split(traj.packed_obs), traj.packing.steps(traj.enc_act)
 
-        states = nn.gru_encode(self.gru, traj.mask, step_input)
-        return ad.stack(states, axis=1), states[-1]
+        def step_input(t, h):
+            cell_ctx = self.readout(h, self.readout.cells(obs[t]))
+            return ad.concat([obs_feats[t], self.emb(actions[t]), cell_ctx], axis=1)
+
+        return nn.gru_encode(self.gru, traj.packing, step_input)
+
+
+def _first_rows(x, n: int):
+    """The first n rows of a node or an array; None stays None."""
+    if x is None:
+        return None
+    return x[:n] if isinstance(x, np.ndarray) else ad.narrow(x, 0, 0, n)
 
 
 class _Decoder(nn.Layer):
@@ -347,22 +359,31 @@ class _Decoder(nn.Layer):
         h = self.gru.step(ad.concat(parts, axis=1) if len(parts) > 1 else parts[0], h)
         return h, self._context(h, memory, prepared, memory_mask)
 
-    def _teacher_forced(self, mask: np.ndarray, dec_in: np.ndarray, dec_tgt: np.ndarray, memory, memory_mask,
-                        h0: Node | None, step_inputs) -> Node:
-        """Per-sample sum of log p(dec_tgt[:, t] | ...) over the valid steps
-        of the (B, T) mask -> (B,). step_inputs(t) gives the step_logits
-        arguments that come before the previous ids. No other decoder code
-        masks its step terms."""
+    def _teacher_forced(self, batch, memory, memory_mask, h0: Node | None, step_inputs) -> Node:
+        """Per-sample sum of log p(batch.dec_tgt[:, t] | ...) over each row's
+        steps -> (B,), in the caller's row order.
+
+        The loop runs packed: the memory, its mask and h0 enter in the
+        packing's row order, and step t computes only the counts[t] rows
+        still running. step_inputs(t) gives their step_logits arguments that
+        come before the previous ids."""
+        packing = batch.packing
+        if not packing.identity:
+            memory = ad.gather_rows(memory, packing.order)
+            memory_mask = None if memory_mask is None else memory_mask[packing.order]
+            h0 = None if h0 is None else ad.gather_rows(h0, packing.order)
         prepared = self.prepare(memory)
-        h = h0 if h0 is not None else self.gru.init_state(mask.shape[0])
-        ctx = self.init_context(mask.shape[0])
-        total = None
-        for t in range(mask.shape[1]):
-            logits, h, ctx = self.step_logits(*step_inputs(t), dec_in[:, t], h, ctx, memory, prepared, memory_mask)
-            picked = ad.select_columns(ad.log_softmax(logits), dec_tgt[:, t])
-            masked = ad.mul(picked, ad.constant(mask[:, t]))
-            total = masked if total is None else ad.add(total, masked)
-        return total
+        h = h0 if h0 is not None else self.gru.init_state(packing.counts[0])
+        ctx = self.init_context(packing.counts[0])
+        prev_ids, targets = packing.steps(batch.dec_in), packing.steps(batch.dec_tgt)
+        picked = []
+        for t, n in enumerate(packing.counts):
+            if n < h.value.shape[0]:
+                h, ctx, memory, prepared, memory_mask = (
+                    _first_rows(x, n) for x in (h, ctx, memory, prepared, memory_mask))
+            logits, h, ctx = self.step_logits(*step_inputs(t), prev_ids[t], h, ctx, memory, prepared, memory_mask)
+            picked.append(ad.select_columns(ad.log_softmax(logits), targets[t]))
+        return ad.reduce_sum(ad.ragged_stack(picked, packing.order), axis=1)
 
 
 class ActionDecoder(_Decoder):
@@ -390,9 +411,11 @@ class ActionDecoder(_Decoder):
 
     def teacher_forced_logll(self, traj: TrajBatch, obs_feats: list[Node], memory,
                              memory_mask=None, h0: Node | None = None) -> Node:
-        """Per-sample sum of log p(a_t | ...) over valid steps -> (B,)."""
-        return self._teacher_forced(traj.mask, traj.dec_in, traj.dec_tgt, memory, memory_mask, h0,
-                                    lambda t: (obs_feats[t], self.readout.step_features(traj.obs, t)))
+        """Per-sample sum of log p(a_t | ...) over valid steps -> (B,);
+        obs_feats are the per-step blocks of ObsMlp.features_steps."""
+        obs = traj.packing.split(traj.packed_obs)
+        return self._teacher_forced(traj, memory, memory_mask, h0,
+                                    lambda t: (obs_feats[t], self.readout.cells(obs[t])))
 
     def rollout(self, world: gw.World, obs_mlp: ObsMlp, encode_obs, memory, memory_mask, h: Node,
                 mode: str, rng, max_steps: int):
@@ -406,7 +429,7 @@ class ActionDecoder(_Decoder):
         for _ in range(max_steps):
             o = encode_obs(world)
             of = obs_mlp(ad.constant(o[None, :]))
-            cf = self.readout.step_features(o[None, None, :], 0)
+            cf = self.readout.cells(o[None, :])
             logits, h, ctx = self.step_logits(of, cf, prev, h, ctx, memory, prepared, memory_mask)
             a = _pick(logits.value[0], mode, rng)
             obs_rows.append(o)
@@ -437,8 +460,7 @@ class WordDecoder(_Decoder):
 
     def teacher_forced_logll(self, lang: LangBatch, memory, memory_mask=None,
                              h0: Node | None = None) -> Node:
-        return self._teacher_forced(lang.enc_mask, lang.dec_in, lang.dec_tgt, memory, memory_mask, h0,
-                                    lambda t: ())
+        return self._teacher_forced(lang, memory, memory_mask, h0, lambda t: ())
 
     def rollout(self, memory, memory_mask, h: Node, mode: str, rng, len_cap: int):
         """Speak from one episode's memory and initial state until eos or
@@ -490,7 +512,7 @@ class MsVae(nn.Layer):
 
     def obs_features(self, traj: TrajBatch) -> list[Node]:
         """Decoder-side observation features (the policy path), per step."""
-        return self.obs_mlp.features_steps(traj.obs, traj.mask)
+        return self.obs_mlp.features_steps(traj)
 
     def encode_language(self, lang: LangBatch) -> tuple[Node, Node]:
         hidden, _ = self.lang_enc.hidden_states(lang)
@@ -498,7 +520,7 @@ class MsVae(nn.Layer):
 
     def encode_trajectory(self, traj: TrajBatch, obs_feats: list[Node] | None = None) -> tuple[Node, Node]:
         if obs_feats is None:
-            obs_feats = self.enc_obs_mlp.features_steps(traj.obs, traj.mask)
+            obs_feats = self.enc_obs_mlp.features_steps(traj)
         hidden, _ = self.traj_enc.hidden_states(traj, obs_feats)
         return self.traj_bottleneck(hidden, traj.mask)
 
@@ -576,7 +598,7 @@ class BaselineFollower(nn.Layer):
 
     def action_log_likelihood(self, lang: LangBatch, traj: TrajBatch) -> Node:
         memory, mask, h0 = self._encode(lang)
-        obs_feats = self.obs_mlp.features_steps(traj.obs, traj.mask)
+        obs_feats = self.obs_mlp.features_steps(traj)
         return self.act_dec.teacher_forced_logll(traj, obs_feats, memory, mask, h0=h0)
 
     def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
@@ -600,7 +622,7 @@ class BaselineSpeaker(nn.Layer):
         self.init_map = self._child("init_map", nn.Linear(rng, cfg.hidden, cfg.hidden))
 
     def _encode(self, traj: TrajBatch):
-        hidden, final = self.traj_enc.hidden_states(traj, self.obs_mlp.features_steps(traj.obs, traj.mask))
+        hidden, final = self.traj_enc.hidden_states(traj, self.obs_mlp.features_steps(traj))
         memory = hidden if self.attention else final
         mask = traj.mask if self.attention else None
         return memory, mask, ad.tanh(self.init_map(final))

@@ -3,8 +3,9 @@ the bottleneck attention module, and the autoregressive latent prior.
 
 Every layer registers its parameters in a local dict name -> Node so models
 can collect them hierarchically for the optimizer and for checkpoints.
-All batch-shaped activations are (B, feature) matrices; variable-length
-sequences are lists of per-step matrices plus a (B, T) 0/1 step mask.
+All batch-shaped activations are (B, feature) matrices; a variable-length
+batch runs packed (see Packing): step t computes only the rows still
+running, and the results return to the caller's row order.
 """
 
 from __future__ import annotations
@@ -155,23 +156,60 @@ class GruCell(Layer):
         return ad.constant(np.zeros((batch, self.n_hidden)))
 
 
-def gru_encode(cell: GruCell, mask: np.ndarray, step_input) -> list[Node]:
-    """Run a GRU over the steps of a (B, T) 0/1 step mask; returns all T
-    hidden states. step_input(t, h) gives step t's (B, in) input, given the
-    running state h.
+class Packing:
+    """The rows of a ragged (B, T) batch sorted longest first (stably), so
+    the rows still running at step t are the prefix [:counts[t]] of `order`.
 
-    Padded steps carry the previous state forward, so each row's final
-    state is its last valid one. No other recurrence masks its state.
+    Packed arrays hold the running (row, step) pairs step-major in that
+    order; `pack` gathers them from a (B, T, ...) array in one copy and
+    `split` cuts a packed array into its per-step blocks without copying.
     """
-    if mask.shape[1] == 0:
-        raise ValueError("gru_encode: empty sequence")
-    h = cell.init_state(mask.shape[0])
+
+    def __init__(self, mask: np.ndarray):
+        b, width = mask.shape
+        lengths = (mask > 0).sum(axis=1)
+        if b == 0 or lengths.min() < 1 or not np.array_equal(mask > 0, np.arange(width) < lengths[:, None]):
+            raise ValueError("packing: a row is empty or its mask is not ones followed by zeros")
+        self.order = np.argsort(-lengths, kind="stable")
+        self.identity = bool((self.order == np.arange(b)).all())
+        self.counts = (lengths[:, None] > np.arange(width)).sum(axis=0)
+        self._offsets = np.cumsum(self.counts)[:-1]
+        self._rows = np.concatenate([self.order[:n] for n in self.counts])
+        self._steps = np.repeat(np.arange(width), self.counts)
+        self.last = np.arange(b) * width + lengths - 1  # each row's last step in a flattened (B * T) array
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        """(B, T, ...) -> (sum(counts), ...) running rows, step-major."""
+        return a[self._rows, self._steps]
+
+    def split(self, packed: np.ndarray) -> list[np.ndarray]:
+        """Packed rows -> per-step views, step t's of shape (counts[t], ...)."""
+        return np.split(packed, self._offsets)
+
+    def steps(self, a: np.ndarray) -> list[np.ndarray]:
+        """(B, T, ...) -> step t's running rows, longest first, for each t."""
+        return self.split(self.pack(a))
+
+
+def gru_encode(cell: GruCell, packing: Packing, step_input) -> tuple[Node, Node]:
+    """Run a GRU over a packed batch; returns every state as (B, T, H),
+    zeros past each row's end, and each row's last state (B, H), both in
+    the caller's row order.
+
+    step_input(t, h) gives step t's (counts[t], in) input for the states h
+    of the rows still running, longest first. A finished row leaves the
+    prefix, so no state is carried through padding.
+    """
+    h = cell.init_state(packing.counts[0])
     states = []
-    for t in range(mask.shape[1]):
-        h_new = cell.step(step_input(t, h), h)
-        h = ad.add(h, ad.mul_colvec(ad.sub(h_new, h), ad.constant(mask[:, t])))
+    for t, n in enumerate(packing.counts):
+        if n < h.value.shape[0]:
+            h = ad.narrow(h, 0, 0, n)
+        h = cell.step(step_input(t, h), h)
         states.append(h)
-    return states
+    hidden = ad.ragged_stack(states, packing.order)
+    b, width, nh = hidden.value.shape
+    return hidden, ad.gather_rows(ad.reshape(hidden, (b * width, nh)), packing.last)
 
 
 class KeyValueAttention(Layer):

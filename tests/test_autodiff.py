@@ -200,74 +200,119 @@ class TestConstantOperands:
         np.testing.assert_array_equal(x.gradient, np.ones(3))
 
 
+# (per-step running-row counts, row order) of small packed batches: all rows
+# of equal length, a length-1 row, a single row, identity and reversed order
+PACKINGS = {
+    "equal": ([3, 3, 3], [0, 1, 2]),
+    "length_one": ([3, 2, 2, 1], [1, 2, 0]),
+    "single_row": ([1, 1, 1], [0]),
+    "identity": ([3, 2, 1], [0, 1, 2]),
+    "reversed": ([3, 3, 1], [2, 1, 0]),
+}
+
+
+def _weighted_sum(parts, weights):
+    total = ad.reduce_sum(ad.mul(parts[0], parts[0]))
+    for part, w in zip(parts[1:], weights[1:]):
+        total = ad.add(total, ad.reduce_sum(ad.mul(part, ad.constant(w))))
+    return total
+
+
 class TestSplitRows:
     def test_gradient(self):
         for seed in range(3):
             r = rng_for(60 + seed)
             a = r.normal(size=(6, 4))
             weights = [r.normal(size=(2, 4)) for _ in range(3)]
+            check_op(lambda l: _weighted_sum(ad.split_rows(ad.tanh(l[0]), [2, 2, 2]), weights), [a])
 
-            def build(l):
-                parts = ad.split_rows(ad.tanh(l[0]), 3)
-                total = ad.reduce_sum(ad.mul(parts[0], parts[0]))
-                for part, w in zip(parts[1:], weights[1:]):
-                    total = ad.add(total, ad.reduce_sum(ad.mul(part, ad.constant(w))))
-                return total
-
-            check_op(build, [a])
+    @pytest.mark.parametrize("case", sorted(PACKINGS))
+    def test_gradient_ragged(self, case):
+        counts, _ = PACKINGS[case]
+        r = rng_for(80)
+        a = r.normal(size=(sum(counts), 4))
+        weights = [r.normal(size=(n, 4)) for n in counts]
+        check_op(lambda l: _weighted_sum(ad.split_rows(ad.tanh(l[0]), counts), weights), [a])
 
     def test_values_and_unused_blocks(self):
         a = ad.leaf(np.arange(12.0).reshape(6, 2))
-        parts = ad.split_rows(a, 3)
+        parts = ad.split_rows(a, [2, 2, 2])
         assert [p.value.tolist() for p in parts] == [[[0, 1], [2, 3]], [[4, 5], [6, 7]], [[8, 9], [10, 11]]]
         ad.backward(ad.reduce_sum(parts[1]))
         expected = np.zeros((6, 2))
         expected[2:4] = 1.0
         np.testing.assert_array_equal(a.gradient, expected)
 
+    def test_ragged_block_values(self):
+        a = ad.leaf(np.arange(6.0).reshape(3, 2))
+        parts = ad.split_rows(a, [2, 0, 1])
+        assert [p.value.tolist() for p in parts] == [[[0, 1], [2, 3]], [], [[4, 5]]]
+        ad.backward(ad.add(ad.reduce_sum(parts[0]), ad.reduce_sum(ad.scale(parts[2], 2.0))))
+        np.testing.assert_array_equal(a.gradient, [[1, 1], [1, 1], [2, 2]])
+
     def test_shared_input(self):
         # `a` also feeds another consumer, so its gradient is a sum
         r = rng_for(70)
         a = ad.leaf(r.normal(size=(4, 3)))
-        parts = ad.split_rows(a, 2)
+        parts = ad.split_rows(a, [2, 2])
         loss = ad.add(ad.reduce_sum(ad.mul(a, a)),
                       ad.add(ad.reduce_sum(parts[0]), ad.reduce_sum(ad.scale(parts[1], 3.0))))
         ad.backward(loss)
         expected = 2 * a.value + np.repeat([[1.0], [3.0]], 2, axis=0)
         np.testing.assert_allclose(a.gradient, expected, rtol=1e-15)
 
-    def test_gradient_with_rows(self):
-        for seed in range(3):
-            r = rng_for(80 + seed)
-            rows = np.zeros(9, dtype=bool)
-            rows[r.choice(9, size=5, replace=False)] = True
-            a = r.normal(size=(5, 4))
-            weights = [r.normal(size=(3, 4)) for _ in range(3)]
-
-            def build(l):
-                parts = ad.split_rows(ad.tanh(l[0]), 3, rows=rows)
-                total = ad.reduce_sum(ad.mul(parts[0], parts[0]))
-                for part, w in zip(parts[1:], weights[1:]):
-                    total = ad.add(total, ad.reduce_sum(ad.mul(part, ad.constant(w))))
-                return total
-
-            check_op(build, [a])
-
-    def test_rows_place_values_and_zero_the_rest(self):
-        a = ad.leaf(np.arange(6.0).reshape(3, 2))
-        rows = np.array([True, False, False, True, True, False])
-        parts = ad.split_rows(a, 2, rows=rows)
-        assert [p.value.tolist() for p in parts] == [[[0, 1], [0, 0], [0, 0]], [[2, 3], [4, 5], [0, 0]]]
-        ad.backward(ad.add(ad.reduce_sum(parts[0]), ad.reduce_sum(ad.scale(parts[1], 2.0))))
-        np.testing.assert_array_equal(a.gradient, [[1, 1], [2, 2], [2, 2]])
-
-    def test_rows_count_mismatch_rejected(self):
-        with pytest.raises(ad.ShapeMismatch, match="row mask"):
-            ad.split_rows(ad.leaf(np.zeros((3, 2))), 2, rows=np.ones(4, dtype=bool))
+    def test_negative_size_rejected(self):
+        with pytest.raises(ad.ShapeMismatch, match="3 rows"):
+            ad.split_rows(ad.leaf(np.zeros((3, 2))), [4, -1])
 
     def test_uneven_split_rejected(self):
         with pytest.raises(ad.ShapeMismatch, match="5 rows"):
-            ad.split_rows(ad.leaf(np.zeros((5, 2))), 2)
+            ad.split_rows(ad.leaf(np.zeros((5, 2))), [2, 2])
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("case", sorted(PACKINGS))
+    def test_gradient(self, case):
+        _, order = PACKINGS[case]
+        r = rng_for(90)
+        a = r.normal(size=(len(order), 2, 3))
+        w = r.normal(size=(len(order), 2, 3))
+        check_op(lambda l: ad.reduce_sum(ad.mul(ad.tanh(ad.gather_rows(l[0], order)), ad.constant(w))), [a])
+
+    def test_rows_left_out_get_no_gradient(self):
+        a = ad.leaf(np.arange(8.0).reshape(4, 2))
+        out = ad.gather_rows(a, [3, 1])
+        assert out.value.tolist() == [[6, 7], [2, 3]]
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant([[1.0, 1.0], [2.0, 2.0]]))))
+        np.testing.assert_array_equal(a.gradient, [[0, 0], [2, 2], [0, 0], [1, 1]])
+
+    def test_repeated_row_rejected(self):
+        with pytest.raises(ad.ShapeMismatch, match="distinct"):
+            ad.gather_rows(ad.leaf(np.zeros((3, 2))), [0, 0])
+
+
+class TestRaggedStack:
+    @pytest.mark.parametrize("case", sorted(PACKINGS))
+    def test_gradient(self, case):
+        counts, order = PACKINGS[case]
+        r = rng_for(100)
+        blocks = [r.normal(size=(n, 3)) for n in counts]
+        w = r.normal(size=(len(order), len(counts), 3))
+        check_op(lambda l: ad.reduce_sum(ad.mul(ad.tanh(ad.ragged_stack(l, order)), ad.constant(w))), blocks)
+
+    @pytest.mark.parametrize("case", sorted(PACKINGS))
+    def test_places_rows_and_zeros_the_rest(self, case):
+        counts, order = PACKINGS[case]
+        blocks = [ad.constant(np.full(n, t + 1.0) + np.arange(n) / 10) for t, n in enumerate(counts)]
+        out = ad.ragged_stack(blocks, order).value
+        assert out.shape == (len(order), len(counts))
+        for t, n in enumerate(counts):
+            for j, row in enumerate(order):
+                assert out[row, t] == (t + 1.0 + j / 10 if j < n else 0.0)
+
+    def test_growing_blocks_rejected(self):
+        with pytest.raises(ad.ShapeMismatch, match="shrinking"):
+            ad.ragged_stack([ad.constant(np.zeros((1, 2))), ad.constant(np.zeros((2, 2)))], [0, 1])
 
 
 class TestForwardValues:

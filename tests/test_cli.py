@@ -417,3 +417,23 @@ class TestReport:
         out = tmp_path / "report.md"
         assert run_cli("report", "--runs", str(d), "--out", str(out)) == 0
         assert out.read_text().startswith("| condition |")
+
+    @pytest.mark.parametrize("pair", ["msvae", "msvae:", ":msvae", "a:b:c"])
+    def test_malformed_compare_is_usage_error(self, tmp_path, capsys, pair):
+        d = self._mk_run(tmp_path, "r1", "msvae", 0.5, 0)
+        assert run_cli("report", "--runs", str(d), "--compare", pair) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_unknown_compare_condition_is_usage_error_with_one_seed(self, tmp_path, capsys):
+        # no condition has two seeds, so no p-value is computed, yet the
+        # names are still checked
+        d = self._mk_run(tmp_path, "r1", "msvae", 0.5, 0)
+        assert run_cli("report", "--runs", str(d), "--compare", "msvae:bogus") == 1
+        assert "unknown condition" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, msvae.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

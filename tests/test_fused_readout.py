@@ -24,7 +24,7 @@ def test_fused_matches_composed_forward_and_backward(view, trainable_query):
         readout, obs, r = make_readout(view, 40 + trial)
         qv = r.normal(size=(3, 4))
         w = r.normal(size=(3, 6))  # fixed downstream weights
-        cells = readout.step_features(obs, 1)
+        cells = readout.cells(obs[:, 1])
 
         def run(call):
             query = ad.leaf(qv.copy(), name="query") if trainable_query else ad.constant(qv)
@@ -49,7 +49,7 @@ def test_fused_matches_composed_forward_and_backward(view, trainable_query):
 
 def test_fused_is_one_node():
     readout, obs, r = make_readout("ego", 50)
-    out = readout(ad.leaf(r.normal(size=(3, 4))), readout.step_features(obs, 0))
+    out = readout(ad.leaf(r.normal(size=(3, 4))), readout.cells(obs[:, 0]))
     assert len(out.parents) == 6
     assert all(p.vjp is None for p in out.parents)  # operands are leaves, cells are captured
 
@@ -59,7 +59,7 @@ def test_fused_gradient_finite_difference():
         readout, obs, r = make_readout("grid", 60 + trial, proj_dim=3, query_dim=2)
         obs = np.abs(obs[:2])  # grid-like nonnegative cells
         query = ad.leaf(r.normal(size=(2, 2)), name="query")
-        cells = readout.step_features(obs, 0)
+        cells = readout.cells(obs[:, 0])
 
         def build():
             out = readout(query, cells)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -411,7 +413,7 @@ class TestHoistedFeatures:
             return out.value, {n: p.gradient.copy() for n, p in readout.named_params().items()}, \
                 query.gradient.copy()
 
-        fast = run(lambda: readout(query, readout.step_features(obs, 1)))
+        fast = run(lambda: readout(query, readout.cells(obs[:, 1])))
         oracle = run(lambda: _materialised_readout(readout, query, obs, 1))
         assert ad.max_rel_error(fast[0], oracle[0]) <= 1e-12
         assert set(fast[1]) == {"wc.w", "wc.b", "pos", "wq.w", "wq.b"}
@@ -423,6 +425,7 @@ class TestHoistedFeatures:
         r = np.random.default_rng(32)
         mlp = md.ObsMlp(r, obs_dim=5, hidden=4, width=6)
         obs = r.normal(size=(3, 4, 5))
+        traj = md.make_traj_batch([gw.Trajectory(o, (0,) * 4) for o in obs], n_actions=6)
         weights = [ad.constant(r.normal(size=(3, 4))) for _ in range(4)]
 
         def run(feats):
@@ -430,7 +433,7 @@ class TestHoistedFeatures:
             ad.backward(ad.reduce_sum(ad.stack([ad.mul(f, w) for f, w in zip(feats, weights)])))
             return [f.value for f in feats], [p.gradient.copy() for p in mlp.params()]
 
-        fast = run(mlp.features_steps(obs, np.ones((3, 4))))
+        fast = run(mlp.features_steps(traj))
         oracle = run([mlp(ad.constant(obs[:, t, :])) for t in range(4)])
         for a, b in zip(fast[0] + fast[1], oracle[0] + oracle[1]):
             assert ad.max_rel_error(a, b) <= 1e-12
@@ -456,29 +459,33 @@ class TestHoistedFeatures:
         for batch in (traj, unpaired):
             pad = batch.mask == 0
             batch.obs[pad] = r.normal(size=batch.obs[pad].shape)
+        # a batch gathers its running observations when it is made
+        traj, unpaired = dataclasses.replace(traj), dataclasses.replace(unpaired)
         noisy = run()
         assert noisy[0] == clean[0]
         for name, g in clean[1].items():
             np.testing.assert_array_equal(noisy[1][name], g, err_msg=name)
 
     def test_obs_features_skip_padded_steps(self):
-        # rows of unequal length: padded (row, step) pairs get zero features
-        # and contribute nothing to the MLP's gradients
+        # rows of unequal length: step t's block holds only the rows still
+        # running, longest first, and padded (row, step) pairs are never
+        # computed, so they contribute nothing to the MLP's gradients
         r = np.random.default_rng(33)
         mlp = md.ObsMlp(r, obs_dim=5, hidden=4, width=6)
         obs = r.normal(size=(3, 4, 5))
-        mask = (np.arange(4)[None, :] < np.array([[4], [1], [3]])).astype(float)
-        weights = [ad.constant(r.normal(size=(3, 4))) for _ in range(4)]
+        lengths = (4, 1, 3)
+        traj = md.make_traj_batch([gw.Trajectory(o[:n], (0,) * n) for o, n in zip(obs, lengths)], n_actions=6)
+        order, counts = traj.packing.order, traj.packing.counts
+        assert order.tolist() == [0, 2, 1] and counts.tolist() == [3, 2, 2, 1]
+        weights = [ad.constant(r.normal(size=(n, 4))) for n in counts]
 
         def run(feats):
             ad.zero_grad(mlp.params())
-            ad.backward(ad.reduce_sum(ad.stack([ad.mul(f, w) for f, w in zip(feats, weights)])))
+            ad.backward(ad.reduce_sum(ad.concat([ad.mul(f, w) for f, w in zip(feats, weights)], axis=0)))
             return [f.value for f in feats], [p.gradient.copy() for p in mlp.params()]
 
-        fast = run(mlp.features_steps(obs, mask))
-        oracle = run([ad.mul_colvec(mlp(ad.constant(obs[:, t, :])), ad.constant(mask[:, t]))
-                      for t in range(4)])
-        for t, f in enumerate(fast[0]):
-            assert not f[mask[:, t] == 0].any()
+        fast = run(mlp.features_steps(traj))
+        oracle = run([mlp(ad.constant(obs[order[:n], t, :])) for t, n in enumerate(counts)])
         for a, b in zip(fast[0] + fast[1], oracle[0] + oracle[1]):
+            assert a.shape == b.shape
             assert ad.max_rel_error(a, b) <= 1e-12

@@ -26,32 +26,63 @@ class TestGru:
         r = rng_for(0)
         cell = nn.GruCell(r, 3, 4)
         x = ad.constant(r.normal(size=(2, 3)))
-        states = nn.gru_encode(cell, np.ones((2, 1)), lambda t, h: x)
+        hidden, final = nn.gru_encode(cell, nn.Packing(np.ones((2, 1))), lambda t, h: x)
         direct = cell.step(x, cell.init_state(2))
-        np.testing.assert_array_equal(states[0].value, direct.value)
+        np.testing.assert_array_equal(hidden.value[:, 0], direct.value)
+        np.testing.assert_array_equal(final.value, direct.value)
 
     def test_empty_sequence_rejected(self):
-        cell = nn.GruCell(rng_for(0), 3, 4)
         with pytest.raises(ValueError, match="empty"):
-            nn.gru_encode(cell, np.ones((1, 0)), lambda t, h: None)
+            nn.Packing(np.ones((1, 0)))
 
     def test_order_sensitivity(self):
         r = rng_for(1)
         cell = nn.GruCell(r, 3, 4)
         xs = [ad.constant(r.normal(size=(1, 3))) for _ in range(4)]
-        fwd = nn.gru_encode(cell, np.ones((1, 4)), lambda t, h: xs[t])[-1].value
-        rev = nn.gru_encode(cell, np.ones((1, 4)), lambda t, h: xs[3 - t])[-1].value
+        packing = nn.Packing(np.ones((1, 4)))
+        fwd = nn.gru_encode(cell, packing, lambda t, h: xs[t])[1].value
+        rev = nn.gru_encode(cell, packing, lambda t, h: xs[3 - t])[1].value
         assert not np.allclose(fwd, rev)
 
-    def test_mask_carries_state(self):
+    def test_final_state_is_last_valid_state(self):
+        # row 1 outlives row 0, so the packing runs it first; each row's
+        # states match a run over that row alone, and past its end it has
+        # zero states and no step
         r = rng_for(2)
         cell = nn.GruCell(r, 3, 4)
-        xs = [ad.constant(r.normal(size=(2, 3))) for _ in range(3)]
-        mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])  # (B, T)
-        states = nn.gru_encode(cell, mask, lambda t, h: xs[t])
-        # row 1 froze after step 0; row 0 after step 1
-        np.testing.assert_array_equal(states[1].value[1], states[0].value[1])
-        np.testing.assert_array_equal(states[2].value, states[1].value)
+        xs = r.normal(size=(2, 3, 3))  # (B, T, in)
+        mask = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        packing = nn.Packing(mask)
+        steps = packing.steps(xs)
+        hidden, final = nn.gru_encode(cell, packing, lambda t, h: ad.constant(steps[t]))
+        for row, length in enumerate((1, 2)):
+            alone, alone_final = nn.gru_encode(cell, nn.Packing(np.ones((1, length))),
+                                               lambda t, h: ad.constant(xs[row, t][None]))
+            np.testing.assert_allclose(hidden.value[row, :length], alone.value[0], rtol=1e-12)
+            assert not hidden.value[row, length:].any()
+            np.testing.assert_allclose(final.value[row], alone_final.value[0], rtol=1e-12)
+
+    def test_padded_steps_carry_nothing_into_a_loss(self):
+        # weights on the padded (row, step) slots of the states change
+        # neither the loss nor any gradient
+        r = rng_for(4)
+        cell = nn.GruCell(r, 3, 4)
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        packing = nn.Packing(mask)
+        xs = packing.steps(r.normal(size=(2, 3, 3)))
+        w = r.normal(size=(2, 3, 4))
+
+        def run(weights):
+            ad.zero_grad(cell.params())
+            hidden, _ = nn.gru_encode(cell, packing, lambda t, h: ad.constant(xs[t]))
+            loss = ad.reduce_sum(ad.mul(hidden, ad.constant(weights)))
+            ad.backward(loss)
+            return loss.value, [p.gradient.copy() for p in cell.params()]
+
+        full, valid = run(w), run(w * mask[:, :, None])
+        assert full[0] == valid[0]
+        for a, b in zip(full[1], valid[1]):
+            np.testing.assert_array_equal(a, b)
 
     def test_gradients_through_20_step_unroll(self):
         r = rng_for(3)
@@ -60,8 +91,21 @@ class TestGru:
 
         def build():
             xs = [ad.constant(v) for v in xs_val]
-            h = nn.gru_encode(cell, np.ones((1, 20)), lambda t, h: xs[t])[-1]
+            h = nn.gru_encode(cell, nn.Packing(np.ones((1, 20))), lambda t, h: xs[t])[1]
             return ad.reduce_sum(ad.mul(h, h))
+
+        fd_check(cell.params(), build)
+
+    def test_gradients_through_a_ragged_unroll(self):
+        r = rng_for(5)
+        cell = nn.GruCell(r, 2, 3)
+        packing = nn.Packing((np.arange(6) < np.array([[3], [6], [1]])).astype(float))
+        xs_val = packing.steps(r.normal(size=(3, 6, 2)))
+        w = r.normal(size=(3, 6, 3))
+
+        def build():
+            hidden, final = nn.gru_encode(cell, packing, lambda t, h: ad.constant(xs_val[t]))
+            return ad.add(ad.reduce_sum(ad.mul(hidden, ad.constant(w))), ad.reduce_sum(ad.mul(final, final)))
 
         fd_check(cell.params(), build)
 
