@@ -46,11 +46,12 @@ def main():
     print(draw(states[-1]))
     print("\nsuccess:", gw.check_success(states, task))
 
-    obs = gw.observe(world)
-    print("\nobservation shape:", obs.shape, "— decodes back exactly:",
-          gw.decode_observation(obs) == world)
-    ego = gw.observe_ego(world)
-    print("egocentric view dims:", ego.shape[0], "(models consume this frame)")
+    # encoders take a sequence of worlds and return one row per world
+    obs = gw.observe(states)
+    print("\nobservations of every visited state:", obs.shape, "— each decodes back exactly:",
+          all(gw.decode_observation(row) == state for row, state in zip(obs, states)))
+    ego = gw.observe_ego(states)
+    print("egocentric view:", ego.shape, "(models consume this frame)")
 
     lengths = []
     for s in range(300):

@@ -15,6 +15,7 @@ gradient nothing reads.
 
 from __future__ import annotations
 
+import itertools
 import logging
 
 import numpy as np
@@ -255,13 +256,14 @@ def concat(nodes, axis: int = 0) -> Node:
     nodes = [_coerce(n) for n in nodes]
     if not nodes:
         raise ValueError("concat: empty input")
-    sizes = [n.value.shape[axis] for n in nodes]
-    splits = np.cumsum(sizes)[:-1]
+    value = np.concatenate([n.value for n in nodes], axis=axis)
+    bounds = [0, *itertools.accumulate(n.value.shape[axis] for n in nodes)]
+    lead = (slice(None),) * (axis % value.ndim)
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(g[(*lead, slice(lo, hi))] for lo, hi in zip(bounds, bounds[1:]))
 
-    return Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), vjp)
+    return Node(value, tuple(nodes), vjp)
 
 
 def narrow(a, axis: int, start: int, size: int) -> Node:

@@ -11,8 +11,15 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
+
+# one BLAS/OpenMP thread unless the caller chose otherwise: the small matrices
+# here gain no wall time from more threads and spend twice the CPU. This must
+# run before numpy is first imported, which loads BLAS and reads these.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

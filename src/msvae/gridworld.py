@@ -8,6 +8,7 @@ flat one-hot grids that decode back to the exact world state.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -164,21 +165,62 @@ def obs_dim(width: int = DEFAULT_SIZE, height: int = DEFAULT_SIZE) -> int:
     return width * height * OBS_CHANNELS
 
 
-def observe(world: World) -> np.ndarray:
-    """Full-grid symbolic observation, flattened float64 one-hots."""
+_KIND_CHANNEL = {kind: i for i, kind in enumerate(KINDS)}
+_COLOR_CHANNEL = {color: len(KINDS) + i for i, color in enumerate(COLORS)}
+
+
+def _one_hot_runs(worlds) -> tuple[int, int, np.ndarray, list]:
+    """What both encoders read from a sequence of same-size worlds: the grid
+    size, each world's agent state (y * width + x) * 4 + dir as an intp
+    array, and the worlds cut into runs that share one objects tuple and
+    carried object, as every step but pickup and drop does. Each run is
+    (start, stop, cells, channels): the cell and channel of each of its
+    object one-hots, the carried object's at pseudo-cell width * height.
+    Channels count kinds, then colors."""
+    width, height = (worlds[0].width, worlds[0].height) if len(worlds) else (DEFAULT_SIZE, DEFAULT_SIZE)
+    held = width * height
+    states, starts, codes = [], [], []
+    for i, w in enumerate(worlds):
+        if (w.width, w.height) != (width, height):
+            raise ValueError(f"world {i} is {w.width}x{w.height}, expected {width}x{height} like world 0")
+        states.append((w.agent_pos[1] * width + w.agent_pos[0]) * 4 + w.agent_dir)
+        if not starts or w.objects != objects or w.carried != carried:
+            objects, carried = w.objects, w.carried
+            cells = [(y * width + x, spec) for (x, y), spec in objects]
+            if carried is not None:
+                cells.append((held, carried))
+            starts.append(i)
+            codes.append([code for cell, spec in cells
+                          for code in (cell, _KIND_CHANNEL[spec.kind], cell, _COLOR_CHANNEL[spec.color])])
+    runs = [(start, stop, *np.array(run, dtype=np.intp).reshape(-1, 2).T)
+            for start, stop, run in zip(starts, starts[1:] + [len(states)], codes)]
+    return width, height, np.array(states, dtype=np.intp), runs
+
+
+def _set_runs(out: np.ndarray, offsets: np.ndarray, runs) -> None:
+    """Set the runs' one-hots in out, given each row's flat offset of every
+    cell's first channel, the carried pseudo-cell's last."""
+    rows = np.arange(len(out))[:, None]
+    for start, stop, cells, channels in runs:
+        out[rows[start:stop], offsets[start:stop, cells] + channels] = 1.0
+
+
+def observe(worlds) -> np.ndarray:
+    """Full-grid symbolic observations of a sequence of same-size worlds:
+    flattened float64 one-hots, one (len(worlds), obs_dim) row per world."""
     nk, nc = len(KINDS), len(COLORS)
-    grid = np.zeros((world.height, world.width, OBS_CHANNELS))
-    for (x, y), spec in world.objects:
-        grid[y, x, KINDS.index(spec.kind)] = 1.0
-        grid[y, x, nk + COLORS.index(spec.color)] = 1.0
-    ax, ay = world.agent_pos
-    grid[ay, ax, nk + nc] = 1.0
-    grid[ay, ax, nk + nc + 1 + world.agent_dir] = 1.0
-    if world.carried is not None:
-        base = nk + nc + 5
-        grid[ay, ax, base + KINDS.index(world.carried.kind)] = 1.0
-        grid[ay, ax, base + nk + COLORS.index(world.carried.color)] = 1.0
-    return grid.reshape(-1)
+    width, height, states, runs = _one_hot_runs(worlds)
+    rows = np.arange(len(states))
+    agent = states // 4 * OBS_CHANNELS  # flat offset of each agent cell's first channel
+    out = np.zeros((len(states), obs_dim(width, height)))
+    out[rows, agent + nk + nc] = 1.0
+    out[rows, agent + nk + nc + 1 + states % 4] = 1.0
+    # the carried object's one-hots follow the agent's channels on its cell
+    offsets = np.empty((len(states), width * height + 1), dtype=np.intp)
+    offsets[:, :-1] = np.arange(width * height) * OBS_CHANNELS
+    offsets[:, -1] = agent + nk + nc + 5
+    _set_runs(out, offsets, runs)
+    return out
 
 
 def decode_observation(obs: np.ndarray, width: int = DEFAULT_SIZE, height: int = DEFAULT_SIZE) -> World:
@@ -220,39 +262,37 @@ def ego_dim(width: int = DEFAULT_SIZE, height: int = DEFAULT_SIZE) -> int:
     return ego_side(width) * ego_side(height) * EGO_CHANNELS + len(KINDS) + len(COLORS)
 
 
-def observe_ego(world: World) -> np.ndarray:
-    """Egocentric re-indexing of the full grid; same information content as
+@functools.cache
+def _ego_offsets(width: int, height: int) -> np.ndarray:
+    """Read-only intp table, row (y * width + x) * 4 + dir: for an agent at
+    (x, y) facing dir, the flat ego-observation offset of each world cell's
+    first channel (cells row-major), then of the carried one-hots."""
+    ys, xs = np.divmod(np.arange(width * height), width)
+    dx = xs[None, :] - xs[:, None]  # [agent cell, world cell]
+    dy = ys[None, :] - ys[:, None]
+    # rotate world offsets into the agent frame (facing -> up), per facing
+    fwd = np.stack([-dy, dx, dy, -dx], axis=1)
+    right = np.stack([dx, dy, -dx, -dy], axis=1)
+    sw, sh = ego_side(width), ego_side(height)
+    cells = ((sh // 2 - fwd) * sw + sw // 2 + right).reshape(-1, width * height) * EGO_CHANNELS
+    table = np.concatenate([cells, np.full((len(cells), 1), sw * sh * EGO_CHANNELS)], axis=1).astype(np.intp)
+    table.flags.writeable = False
+    return table
+
+
+def observe_ego(worlds) -> np.ndarray:
+    """Egocentric re-indexing of the full grid for a sequence of same-size
+    worlds, one (len(worlds), ego_dim) row each; same information content as
     observe() minus absolute coordinates (carried object appended globally)."""
     nk, nc = len(KINDS), len(COLORS)
-    sw, sh = ego_side(world.width), ego_side(world.height)
-    grid = np.zeros((sh, sw, EGO_CHANNELS))
-    grid[:, :, nk + nc] = 1.0  # everything out of bounds until filled
-    ax, ay = world.agent_pos
-    d = world.agent_dir
-    cy, cx = sh // 2, sw // 2
-    for y in range(world.height):
-        for x in range(world.width):
-            dx, dy = x - ax, y - ay
-            # rotate world offsets into the agent frame (facing -> up)
-            if d == 0:
-                fwd, right = -dy, dx
-            elif d == 1:
-                fwd, right = dx, dy
-            elif d == 2:
-                fwd, right = dy, -dx
-            else:
-                fwd, right = -dx, -dy
-            r, c = cy - fwd, cx + right
-            grid[r, c, nk + nc] = 0.0
-            spec = world.object_at((x, y))
-            if spec is not None:
-                grid[r, c, KINDS.index(spec.kind)] = 1.0
-                grid[r, c, nk + COLORS.index(spec.color)] = 1.0
-    carried = np.zeros(nk + nc)
-    if world.carried is not None:
-        carried[KINDS.index(world.carried.kind)] = 1.0
-        carried[nk + COLORS.index(world.carried.color)] = 1.0
-    return np.concatenate([grid.reshape(-1), carried])
+    width, height, states, runs = _one_hot_runs(worlds)
+    grid_len = ego_side(width) * ego_side(height) * EGO_CHANNELS
+    out = np.zeros((len(states), grid_len + nk + nc))
+    out[:, nk + nc : grid_len : EGO_CHANNELS] = 1.0  # everything out of bounds until covered
+    offsets = _ego_offsets(width, height)[states]
+    out[np.arange(len(states))[:, None], offsets[:, :-1] + nk + nc] = 0.0
+    _set_runs(out, offsets, runs)
+    return out
 
 
 # observation views available to models: name -> (encode, dim, cells, channels)
@@ -494,7 +534,5 @@ def replay(world: World, actions) -> list[World]:
 def rollout(world: World, actions, view: str = "grid") -> tuple[list[World], Trajectory]:
     """Replay actions; returns all visited states and the trajectory with
     observations encoded in the named view."""
-    encode, dim = OBS_VIEWS[view][0], OBS_VIEWS[view][1]
     states = replay(world, actions)
-    observations = np.stack([encode(w) for w in states[:-1]]) if len(states) > 1 else np.zeros((0, dim))
-    return states, Trajectory(observations, tuple(int(a) for a in actions))
+    return states, Trajectory(OBS_VIEWS[view][0](states[:-1]), tuple(int(a) for a in actions))

@@ -204,7 +204,8 @@ def _grid_shape(obs_view: str, obs_dim: int) -> tuple[int, int]:
 
 
 def observation_encoder(cfg: ModelConfig):
-    """The world -> flat observation function for the model's view."""
+    """The observation encoder of the model's view: a sequence of worlds in,
+    one (len(worlds), dim) array out."""
     if cfg.obs_view in gw.OBS_VIEWS:
         return gw.OBS_VIEWS[cfg.obs_view][0]
     return gw.observe
@@ -427,12 +428,12 @@ class ActionDecoder(_Decoder):
         states = [world]
         obs_rows, actions = [], []
         for _ in range(max_steps):
-            o = encode_obs(world)
-            of = obs_mlp(ad.constant(o[None, :]))
-            cf = self.readout.cells(o[None, :])
+            o = encode_obs([world])
+            of = obs_mlp(ad.constant(o))
+            cf = self.readout.cells(o)
             logits, h, ctx = self.step_logits(of, cf, prev, h, ctx, memory, prepared, memory_mask)
             a = _pick(logits.value[0], mode, rng)
-            obs_rows.append(o)
+            obs_rows.append(o[0])
             actions.append(a)
             world, done = gw.step(world, a)
             states.append(world)

@@ -510,7 +510,7 @@ def pragmatic_candidates(follower, speaker, tokens, world, n_candidates: int, rn
         if not traj.actions:
             scores.append(-np.inf)
             continue
-        seen = traj if same_view else gw.Trajectory(np.stack([encode(s) for s in states[:-1]]), traj.actions)
+        seen = traj if same_view else gw.Trajectory(encode(states[:-1]), traj.actions)
         scores.append(speaker.trajectory_language_score(seen, tokens))
     return candidates, scores
 

@@ -270,6 +270,24 @@ class TestSplitRows:
             ad.split_rows(ad.leaf(np.zeros((5, 2))), [2, 2])
 
 
+@pytest.mark.parametrize("shapes, axis", [
+    ([(2, 3), (4, 3), (1, 3)], 0),
+    ([(3, 2), (3, 5)], 1),
+    ([(2, 3, 4), (2, 1, 4), (2, 2, 4)], 1),
+    ([(2, 3, 4), (2, 3, 1)], -1),
+])
+def test_concat_vjp_pieces_equal_split(shapes, axis):
+    rng = rng_for(0)
+    nodes = [ad.leaf(rng.standard_normal(s)) for s in shapes]
+    out = ad.concat(nodes, axis=axis)
+    g = rng.standard_normal(out.shape)
+    expected = np.split(g, np.cumsum([s[axis] for s in shapes])[:-1], axis=axis)
+    pieces = out.vjp(g)
+    assert len(pieces) == len(expected)
+    for piece, ref in zip(pieces, expected):
+        assert piece.shape == ref.shape and piece.tobytes() == ref.tobytes()
+
+
 class TestGatherRows:
     @pytest.mark.parametrize("case", sorted(PACKINGS))
     def test_gradient(self, case):

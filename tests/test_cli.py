@@ -437,3 +437,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_import_pins_blas_threads_unless_set(preset):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if preset is not None:
+        env.update(dict.fromkeys(names, preset))
+    code = f"import os, msvae.cli; print(*(os.environ.get(n) for n in {names!r}))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == [preset or "1"] * len(names)

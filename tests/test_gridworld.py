@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msvae import gridworld as gw
 from msvae.gridworld import Action, ObjectSpec, Subgoal, Task, World
@@ -69,26 +71,126 @@ class TestObservation:
         for seed in range(30):
             world, task = gw.sample_task(seed, "boss")
             # also exercise a carried state by replaying a pickup task when present
-            assert gw.decode_observation(gw.observe(world)) == world
+            assert gw.decode_observation(gw.observe([world])[0]) == world
             actions = gw.oracle_solve(world, task)
             states, _ = gw.rollout(world, actions)
-            for st in states[:: max(1, len(states) // 4)]:
-                assert gw.decode_observation(gw.observe(st)) == st
+            for state in states[:: max(1, len(states) // 4)]:
+                assert gw.decode_observation(gw.observe([state])[0]) == state
 
     def test_one_agent_channel(self):
         world, _ = gw.sample_task(3, "goto_seq")
-        obs = gw.observe(world).reshape(7, 7, gw.OBS_CHANNELS)
+        obs = gw.observe([world])[0].reshape(7, 7, gw.OBS_CHANNELS)
         assert obs[:, :, len(gw.KINDS) + len(gw.COLORS)].sum() == 1.0
 
     def test_corrupt_observation_rejected(self):
         world, _ = gw.sample_task(4, "goto_seq")
-        obs = gw.observe(world)
+        obs = gw.observe([world])[0]
         obs = obs.copy()
         obs[np.argmax(obs)] = 0.0  # clears some channel; may remove the agent
         agent_plane = obs.reshape(7, 7, gw.OBS_CHANNELS)[:, :, len(gw.KINDS) + len(gw.COLORS)]
         if agent_plane.sum() != 1.0:
             with pytest.raises(ValueError, match="agent"):
                 gw.decode_observation(obs)
+
+
+def loop_observe_ego(world):
+    """The per-cell loop that observe_ego replaced. It lives on only here, as
+    the oracle the batched encoder must match byte for byte."""
+    nk, nc = len(gw.KINDS), len(gw.COLORS)
+    sw, sh = gw.ego_side(world.width), gw.ego_side(world.height)
+    grid = np.zeros((sh, sw, gw.EGO_CHANNELS))
+    grid[:, :, nk + nc] = 1.0  # everything out of bounds until filled
+    ax, ay = world.agent_pos
+    d = world.agent_dir
+    cy, cx = sh // 2, sw // 2
+    for y in range(world.height):
+        for x in range(world.width):
+            dx, dy = x - ax, y - ay
+            # rotate world offsets into the agent frame (facing -> up)
+            if d == 0:
+                fwd, right = -dy, dx
+            elif d == 1:
+                fwd, right = dx, dy
+            elif d == 2:
+                fwd, right = dy, -dx
+            else:
+                fwd, right = -dx, -dy
+            r, c = cy - fwd, cx + right
+            grid[r, c, nk + nc] = 0.0
+            spec = world.object_at((x, y))
+            if spec is not None:
+                grid[r, c, gw.KINDS.index(spec.kind)] = 1.0
+                grid[r, c, nk + gw.COLORS.index(spec.color)] = 1.0
+    carried = np.zeros(nk + nc)
+    if world.carried is not None:
+        carried[gw.KINDS.index(world.carried.kind)] = 1.0
+        carried[nk + gw.COLORS.index(world.carried.color)] = 1.0
+    return np.concatenate([grid.reshape(-1), carried])
+
+
+SPECS = st.builds(ObjectSpec, st.sampled_from(gw.KINDS), st.sampled_from(gw.COLORS))
+
+
+@st.composite
+def random_world(draw, size):
+    """Any agent cell and facing, 0-8 objects on any other cells (borders
+    included), a carried object or none."""
+    cells = [(x, y) for y in range(size) for x in range(size)]
+    agent = draw(st.sampled_from(cells))
+    spots = draw(st.lists(st.sampled_from([c for c in cells if c != agent]), max_size=8, unique=True))
+    objects = tuple((spot, draw(SPECS)) for spot in spots)
+    return World(size, size, objects, agent, draw(st.integers(0, 3)), draw(st.none() | SPECS))
+
+
+@st.composite
+def state_sequence(draw):
+    """Independent same-size worlds, or the states visited by random actions
+    from one world, whose pickups and drops change the objects mid-sequence."""
+    size = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        return draw(st.lists(random_world(size), max_size=10))
+    actions = draw(st.lists(st.sampled_from(list(Action)), max_size=20))
+    return gw.replay(draw(random_world(size)), actions)[draw(st.integers(0, 1)):]
+
+
+class TestBatchedEncoders:
+    @settings(max_examples=150, deadline=None)
+    @given(state_sequence())
+    def test_rows_match_oracle_and_decode(self, worlds):
+        ego, grid = gw.observe_ego(worlds), gw.observe(worlds)
+        size = worlds[0].width if worlds else gw.DEFAULT_SIZE
+        assert ego.shape == (len(worlds), gw.ego_dim(size, size)) and ego.dtype == np.float64
+        assert grid.shape == (len(worlds), gw.obs_dim(size, size)) and grid.dtype == np.float64
+        for world, ego_row, grid_row in zip(worlds, ego, grid):
+            assert ego_row.tobytes() == loop_observe_ego(world).tobytes()
+            assert gw.decode_observation(grid_row, size, size) == world
+            # agent, objects and carried object set two channels each, nothing else
+            assert grid_row.sum() == 2 * (1 + len(world.objects) + (world.carried is not None))
+
+    def test_every_agent_state_matches_oracle(self):
+        # one sequence covering every agent cell and facing, objects on corners and borders
+        objects = (((0, 0), ObjectSpec("ball", "red")), ((6, 0), ObjectSpec("key", "grey")),
+                   ((0, 6), ObjectSpec("box", "blue")), ((6, 6), ObjectSpec("ball", "green")),
+                   ((3, 0), ObjectSpec("key", "purple")), ((6, 4), ObjectSpec("box", "yellow")))
+        taken = {pos for pos, _ in objects}
+        worlds = [World(7, 7, objects, (x, y), d, ObjectSpec("key", "red") if (x + d) % 2 else None)
+                  for y in range(7) for x in range(7) for d in range(4) if (x, y) not in taken]
+        assert len(worlds) == (49 - len(objects)) * 4
+        expected = np.stack([loop_observe_ego(w) for w in worlds])
+        assert gw.observe_ego(worlds).tobytes() == expected.tobytes()
+
+    def test_empty_sequence_and_rollout(self):
+        assert gw.observe_ego([]).shape == (0, gw.ego_dim())
+        assert gw.observe([]).shape == (0, gw.obs_dim())
+        for view, (_, dim, _, _) in gw.OBS_VIEWS.items():
+            states, traj = gw.rollout(simple_world(), [], view)
+            assert states == [simple_world()] and traj.observations.shape == (0, dim)
+
+    def test_mixed_sizes_rejected(self):
+        small = World(5, 5, (), (1, 1), 0)
+        for encode in (gw.observe, gw.observe_ego):
+            with pytest.raises(ValueError, match="expected 7x7"):
+                encode([simple_world(), small])
 
 
 class TestGrammar:

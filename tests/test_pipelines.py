@@ -349,16 +349,16 @@ class TestPragmatic:
                             lambda traj, tokens: seen.append(traj) or real_score(traj, tokens))
         observe, dim, *rest = gw.OBS_VIEWS["ego"]
         observed = []
-        monkeypatch.setitem(gw.OBS_VIEWS, "ego", (lambda w: observed.append(1) or observe(w), dim, *rest))
+        monkeypatch.setitem(gw.OBS_VIEWS, "ego", (lambda ws: observed.append(len(ws)) or observe(ws), dim, *rest))
         cands, scores = pl.pragmatic_candidates(follower, speaker, rec["tokens"], world, 4,
                                                 np.random.default_rng(4), 20)
         # the speaker scores the follower's own trajectories; the only encoder
-        # calls are the follower's, one per step it took
+        # calls are the follower's, one world per step it took
         assert [id(t) for t, _ in cands if t.actions] == [id(t) for t in seen]
-        assert len(observed) == sum(len(t.actions) for t, _ in cands)
+        assert observed == [1] * sum(len(t.actions) for t, _ in cands)
         for (traj, states), score in zip(cands, scores):
             if traj.actions:
-                again = gw.Trajectory(np.stack([observe(s) for s in states[:-1]]), traj.actions)
+                again = gw.Trajectory(np.stack([observe([s])[0] for s in states[:-1]]), traj.actions)
                 assert score == real_score(again, rec["tokens"])
 
     def test_other_view_is_re_encoded(self, small_corpus, pair, monkeypatch):
@@ -377,7 +377,7 @@ class TestPragmatic:
         moved = [(t, s) for t, s in cands if t.actions]
         assert len(seen) == len(moved)
         for traj, (cand, states) in zip(seen, moved):
-            np.testing.assert_array_equal(traj.observations, np.stack([gw.observe(s) for s in states[:-1]]))
+            np.testing.assert_array_equal(traj.observations, np.stack([gw.observe([s])[0] for s in states[:-1]]))
             assert traj.actions == cand.actions
 
 
