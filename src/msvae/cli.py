@@ -1,8 +1,8 @@
 """Command-line surface: gen-data, train, eval, report.
 
 Batch operation only; every command is deterministic under fixed flags and
-seeds, and every output artifact embeds the resolved configuration.
-Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
+seeds, and every output artifact embeds the configuration it ran with.
+Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -11,18 +11,12 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
-# one BLAS/OpenMP thread unless the caller chose otherwise: the small matrices
-# here gain no wall time from more threads and spend twice the CPU. This must
-# run before numpy is first imported, which loads BLAS and reads these.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import numpy as np
 
+from . import autodiff as ad
 from . import config as cfg_mod
 from . import corpus as corpus_mod
 from . import gridworld as gw
@@ -142,11 +136,6 @@ def cmd_train(args) -> int:
                 speaker_ck, _ = pl.train_supervised_speaker(tc, corpus, stage)
         ck, rec = pl.train_speaker_follower(tc, corpus, out, speaker_ck,
                                             pipeline_name=args.pipeline)
-    # re-embed the pipeline name and full resolved doc in the run config
-    run_cfg = json.loads((out / "config.json").read_text())
-    run_cfg["pipeline"] = args.pipeline
-    run_cfg["resolved"] = doc
-    (out / "config.json").write_text(json.dumps(run_cfg, sort_keys=True) + "\n")
     print(f"pipeline={args.pipeline} selected_epoch={rec.selected_epoch} "
           f"{rec.metric_name}={rec.selected_metric:.4f} checkpoint={ck}")
     return 0
@@ -284,12 +273,18 @@ def main(argv=None) -> int:
     except (UsageError, cfg_mod.ConfigError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except ad.ShapeMismatch as e:  # a ValueError, but no input can cause one
+        fault = e
     except (corpus_mod.CorpusError, FileNotFoundError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except pl.NumericFailure as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
+    except Exception as e:  # a fault in the program: one line, no traceback
+        fault = e
+    print(f"internal error: {type(fault).__name__}: {fault}", file=sys.stderr)
+    return 4
 
 
 if __name__ == "__main__":

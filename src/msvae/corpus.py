@@ -33,7 +33,7 @@ class Vocab:
     in sorted order so ids are stable across regenerations."""
 
     def __init__(self, words):
-        self.id_to_word = ["<pad>", "<bos>", "<eos>", "<unk>"] + sorted(set(words))
+        self.id_to_word = sorted(RESERVED, key=RESERVED.get) + sorted(set(words))
         self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
         if len(self.word_to_id) != len(self.id_to_word):
             raise CorpusError("vocabulary words collide with reserved tokens")
@@ -41,33 +41,17 @@ class Vocab:
     def __len__(self):
         return len(self.id_to_word)
 
-    @property
-    def pad(self):
-        return RESERVED["<pad>"]
-
-    @property
-    def bos(self):
-        return RESERVED["<bos>"]
-
-    @property
-    def eos(self):
-        return RESERVED["<eos>"]
-
-    @property
-    def unk(self):
-        return RESERVED["<unk>"]
-
     def tokenize(self, text) -> list[int]:
         """Map a string (whitespace split) or word list to ids; unknown
-        words map to unk."""
+        words map to <unk>."""
         words = text.split() if isinstance(text, str) else list(text)
-        return [self.word_to_id.get(w, self.unk) for w in words]
+        return [self.word_to_id.get(w, RESERVED["<unk>"]) for w in words]
 
     def detokenize(self, ids) -> str:
         return " ".join(self.id_to_word[i] for i in ids)
 
     def save(self, path):
-        doc = {"version": SCHEMA_VERSION, "reserved": RESERVED, "words": self.id_to_word[4:]}
+        doc = {"version": SCHEMA_VERSION, "reserved": RESERVED, "words": self.id_to_word[len(RESERVED):]}
         Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
     @classmethod
@@ -92,10 +76,8 @@ def default_vocab() -> Vocab:
 class Corpus:
     """A generated corpus directory, loaded into memory."""
 
-    root: Path
     vocab: Vocab
-    difficulty: str
-    subgoal_weights: tuple[float, ...]
+    header: dict  # what every split's header says, bar its split and count
     paired: list[dict]
     unpaired: list[dict]
     val: list[dict]
@@ -108,8 +90,8 @@ class Corpus:
         self._obs_cache: dict[tuple, np.ndarray] = {}
 
     def rebuild(self, record) -> tuple[gw.World, gw.Task]:
-        return gw.rebuild_task(record["seed"], record["tries"], self.difficulty,
-                               subgoal_weights=self.subgoal_weights)
+        return gw.rebuild_task(record["seed"], record["tries"], self.header["difficulty"],
+                               subgoal_weights=self.header["subgoal_weights"])
 
     def trajectory(self, record, view: str = "grid") -> gw.Trajectory:
         key = (record["seed"], record["tries"], tuple(record["actions"]), view)
@@ -244,18 +226,16 @@ def read_split(path) -> tuple[dict, list[dict]]:
 def load(root) -> Corpus:
     root = Path(root)
     vocab = Vocab.load(root / "vocab.json")
-    splits = {}
-    difficulty = None
-    weights = None
+    splits, shared = {}, None
     for name in ("paired", "unpaired", "val", "test"):
-        header, records = read_split(root / f"{name}.jsonl")
+        header, splits[name] = read_split(root / f"{name}.jsonl")
         if header["split"] != name:
             raise CorpusError(f"{root / name}.jsonl: header names split {header['split']!r}")
-        splits[name] = records
-        difficulty = header["difficulty"]
-        weights = tuple(header["subgoal_weights"])
-    return Corpus(root, vocab, difficulty, weights, splits["paired"], splits["unpaired"],
-                  splits["val"], splits["test"])
+        header = {k: v for k, v in header.items() if k not in ("split", "count")}
+        shared = shared or header
+        if header != shared:
+            raise CorpusError(f"{root / name}.jsonl: header {header} differs from paired.jsonl's {shared}")
+    return Corpus(vocab, shared, **splits)
 
 
 def verify_record(corpus: Corpus, record) -> bool:

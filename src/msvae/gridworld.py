@@ -250,7 +250,9 @@ def decode_observation(obs: np.ndarray, width: int = DEFAULT_SIZE, height: int =
 
 # model-side egocentric view: the full grid re-indexed to the agent's frame
 # (agent at center, facing up), so relative geometry transfers across worlds.
-# Channels per ego cell: kind one-hot, color one-hot, out-of-bounds flag.
+# The frame is a square of side ego_side(max(width, height)), which holds
+# every cell in every facing. Channels per ego cell: kind one-hot, color
+# one-hot, out-of-bounds flag.
 EGO_CHANNELS = len(KINDS) + len(COLORS) + 1
 
 
@@ -259,7 +261,7 @@ def ego_side(size: int = DEFAULT_SIZE) -> int:
 
 
 def ego_dim(width: int = DEFAULT_SIZE, height: int = DEFAULT_SIZE) -> int:
-    return ego_side(width) * ego_side(height) * EGO_CHANNELS + len(KINDS) + len(COLORS)
+    return ego_side(max(width, height)) ** 2 * EGO_CHANNELS + len(KINDS) + len(COLORS)
 
 
 @functools.cache
@@ -273,9 +275,9 @@ def _ego_offsets(width: int, height: int) -> np.ndarray:
     # rotate world offsets into the agent frame (facing -> up), per facing
     fwd = np.stack([-dy, dx, dy, -dx], axis=1)
     right = np.stack([dx, dy, -dx, -dy], axis=1)
-    sw, sh = ego_side(width), ego_side(height)
-    cells = ((sh // 2 - fwd) * sw + sw // 2 + right).reshape(-1, width * height) * EGO_CHANNELS
-    table = np.concatenate([cells, np.full((len(cells), 1), sw * sh * EGO_CHANNELS)], axis=1).astype(np.intp)
+    side = ego_side(max(width, height))
+    cells = ((side // 2 - fwd) * side + side // 2 + right).reshape(-1, width * height) * EGO_CHANNELS
+    table = np.hstack([cells, np.full((len(cells), 1), side * side * EGO_CHANNELS)]).astype(np.intp)
     table.flags.writeable = False
     return table
 
@@ -286,8 +288,8 @@ def observe_ego(worlds) -> np.ndarray:
     observe() minus absolute coordinates (carried object appended globally)."""
     nk, nc = len(KINDS), len(COLORS)
     width, height, states, runs = _one_hot_runs(worlds)
-    grid_len = ego_side(width) * ego_side(height) * EGO_CHANNELS
-    out = np.zeros((len(states), grid_len + nk + nc))
+    out = np.zeros((len(states), ego_dim(width, height)))
+    grid_len = out.shape[1] - nk - nc
     out[:, nk + nc : grid_len : EGO_CHANNELS] = 1.0  # everything out of bounds until covered
     offsets = _ego_offsets(width, height)[states]
     out[np.arange(len(states))[:, None], offsets[:, :-1] + nk + nc] = 0.0
@@ -489,15 +491,9 @@ def oracle_solve(world: World, task: Task) -> list[Action]:
     for sg in task.subgoals:
         if sg.verb == "pickup" and w.carried is not None:
             # free the hands on the nearest empty facing cell
-            goals = set()
-            for x in range(w.width):
-                for y in range(w.height):
-                    if w.object_at((x, y)) is None and (x, y) != w.agent_pos:
-                        goals |= {((x - dx, y - dy), d) for d, (dx, dy) in enumerate(DIR_VECTORS)
-                                  if w.in_bounds((x - dx, y - dy))}
-            # a goal cell must be standable (agent may occupy its own cell)
-            goals = {(c, d) for (c, d) in goals if w.object_at(c) is None}
-            path = _bfs(w, goals)
+            empty = [(x, y) for x in range(w.width) for y in range(w.height)
+                     if w.object_at((x, y)) is None and (x, y) != w.agent_pos]
+            path = _bfs(w, set().union(*(_goal_states_facing(w, cell) for cell in empty)))
             if path is None:
                 raise UnsolvableTask("nowhere to drop the carried object")
             path.append(Action.drop)

@@ -206,9 +206,7 @@ def _grid_shape(obs_view: str, obs_dim: int) -> tuple[int, int]:
 def observation_encoder(cfg: ModelConfig):
     """The observation encoder of the model's view: a sequence of worlds in,
     one (len(worlds), dim) array out."""
-    if cfg.obs_view in gw.OBS_VIEWS:
-        return gw.OBS_VIEWS[cfg.obs_view][0]
-    return gw.observe
+    return gw.OBS_VIEWS[cfg.obs_view][0]
 
 
 def fused_grid_readout(query: Node, cells: np.ndarray, wq_w: Node, wq_b: Node, wc_w: Node,

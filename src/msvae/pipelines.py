@@ -62,19 +62,9 @@ class RunRecord:
     selected_metric: float
     metric_name: str
     checkpoint: str
-    config: dict
 
     def save(self, path):
         Path(path).write_text(json.dumps(asdict(self), sort_keys=True) + "\n")
-
-
-def smoothed_curve(values, window: int = SMOOTH_WINDOW) -> list[float]:
-    """Trailing moving average; entry i averages the last <= window values."""
-    out = []
-    for i in range(len(values)):
-        lo = max(0, i - window + 1)
-        out.append(float(np.mean(values[lo : i + 1])))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +125,15 @@ class _Run:
         self.model = build_model(np.random.default_rng([cfg.seed, 3]))
         self.out = Path(out_dir)
         (self.out / "checkpoints").mkdir(parents=True, exist_ok=True)
-        self.config_doc = {"pipeline": pipeline, "train": asdict(cfg)}
-        (self.out / "config.json").write_text(json.dumps(self.config_doc, sort_keys=True) + "\n")
+        config = {"pipeline": pipeline, "train": asdict(cfg)}  # the run's one record of its settings
+        (self.out / "config.json").write_text(json.dumps(config, sort_keys=True) + "\n")
 
         self.rngs = {
             "batch": np.random.default_rng([cfg.seed, 0]),
             "loss": np.random.default_rng([cfg.seed, 1]),
         }
-        self.meta = {**md.checkpoint_meta(self.model, corpus.vocab.id_to_word[4:]), "pipeline": pipeline}
+        words = corpus.vocab.id_to_word[len(corpus_mod.RESERVED):]
+        self.meta = {**md.checkpoint_meta(self.model, words), "pipeline": pipeline}
         self.opt = ad.Adam(self.model.params(), lr=cfg.hp.learning_rate)
         self.start_epoch = 0
         self.entries: list[dict] = []
@@ -206,7 +197,7 @@ class _Run:
 
     def _note_eval(self, epoch: int, sr: float, bleu: float, mean_total: float, metric_name: str):
         values = [e[metric_name] for e in self.entries] + [sr if metric_name == "sr" else bleu]
-        smooth = smoothed_curve(values)[-1]
+        smooth = float(np.mean(values[-SMOOTH_WINDOW:]))
         self.entries.append({"epoch": epoch, "sr": sr, "bleu": bleu,
                              "mean_total": mean_total, "smoothed": smooth})
         if smooth > self.best_metric:
@@ -229,7 +220,6 @@ class _Run:
             selected_metric=float(self.best_metric),
             metric_name=metric_name,
             checkpoint=str(best_path),
-            config=self.config_doc,
         )
         record.save(self.out / "runrecord.json")
         return best_path, record
@@ -434,7 +424,6 @@ def augment(speak_fn, corpus, out_path, speaker_tag: str) -> tuple[Path, int]:
     yields an empty (but valid) file with a warning.
     """
     out_path = Path(out_path)
-    header, _ = corpus_mod.read_split(corpus.root / "unpaired.jsonl")
     if not corpus.unpaired:
         logger.warning("augment: unpaired set is empty; writing empty pseudo corpus")
     records = []
@@ -445,7 +434,7 @@ def augment(speak_fn, corpus, out_path, speaker_tag: str) -> tuple[Path, int]:
         out["pseudo"] = True
         out["truncated"] = bool(truncated)
         records.append(out)
-    corpus_mod.write_pseudo_paired(out_path, records, header, speaker_tag)
+    corpus_mod.write_pseudo_paired(out_path, records, corpus.header, speaker_tag)
     return out_path, len(records)
 
 
@@ -503,14 +492,13 @@ def pragmatic_candidates(follower, speaker, tokens, world, n_candidates: int, rn
         candidates.append(follower.follow(tokens, world, mode="sample", rng=rng, max_steps=max_steps))
     # the follower already observed the visited states; re-encode them only
     # when the speaker sees the world through a different view
-    same_view = follower.cfg.obs_view == speaker.cfg.obs_view
-    encode = md.observation_encoder(speaker.cfg)
+    encode = None if follower.cfg.obs_view == speaker.cfg.obs_view else md.observation_encoder(speaker.cfg)
     scores = []
     for traj, states in candidates:
         if not traj.actions:
             scores.append(-np.inf)
             continue
-        seen = traj if same_view else gw.Trajectory(encode(states[:-1]), traj.actions)
+        seen = traj if encode is None else gw.Trajectory(encode(states[:-1]), traj.actions)
         scores.append(speaker.trajectory_language_score(seen, tokens))
     return candidates, scores
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msvae import cli, config as cfg_mod, nn, pipelines as pl
+from msvae import autodiff as ad, cli, config as cfg_mod, nn, pipelines as pl
 
 
 def run_cli(*argv):
@@ -167,7 +167,7 @@ class TestTrain:
         assert len(rows) > 1
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["pipeline"] == "msvae"
-        assert cfg["resolved"]["train"]["epochs"] == 2
+        assert cfg["train"]["epochs"] == 2
 
     def test_obs_view_override(self, corpus_dir, tmp_path):
         out = tmp_path / "grid"
@@ -235,7 +235,7 @@ class TestTrain:
                        "--set", "train.unpaired_batch=0")
         assert code == 0
         cfg = json.loads((out / "config.json").read_text())
-        assert cfg["resolved"]["train"]["gamma"] == 0
+        assert cfg["train"]["hp"]["gamma"] == 0
 
     def test_resume_reproduces_uninterrupted(self, corpus_dir, tmp_path):
         full = tmp_path / "full"
@@ -439,13 +439,25 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", ["msvae.cli", "msvae.pipelines"])
 @pytest.mark.parametrize("preset", [None, "2"])
-def test_cli_import_pins_blas_threads_unless_set(preset):
+def test_cli_import_pins_blas_threads_unless_set(preset, module):
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in names}
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
     if preset is not None:
         env.update(dict.fromkeys(names, preset))
-    code = f"import os, msvae.cli; print(*(os.environ.get(n) for n in {names!r}))"
+    code = f"import os, {module}; print(*(os.environ.get(n) for n in {names!r}))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == [preset or "1"] * len(names)
+
+
+@pytest.mark.parametrize("fault", [KeyError("slot"), ad.ShapeMismatch("matmul: (2, 3) @ (4, 5)")])
+def test_program_fault_exits_4_in_one_line(monkeypatch, capsys, tmp_path, fault):
+    def broken(args):
+        raise fault
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    assert run_cli("report", "--runs", str(tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import tempfile
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msvae import corpus, gridworld as gw
+from msvae import cli, corpus, gridworld as gw
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +23,15 @@ def small_corpus_dir(tmp_path_factory):
 class TestVocab:
     def test_reserved_ids(self):
         v = corpus.default_vocab()
-        assert v.pad == 0 and v.bos == 1 and v.eos == 2 and v.unk == 3
+        assert corpus.RESERVED == {"<pad>": 0, "<bos>": 1, "<eos>": 2, "<unk>": 3}
+        assert all(v.word_to_id[w] == i for w, i in corpus.RESERVED.items())
 
     def test_empty_string(self):
         assert corpus.default_vocab().tokenize("") == []
 
     def test_unknown_word_maps_to_unk(self):
         v = corpus.default_vocab()
-        assert v.tokenize("go to the warp zone") [3] == v.unk
+        assert v.tokenize("go to the warp zone") [3] == corpus.RESERVED["<unk>"]
 
     def test_ids_stable_across_builds(self):
         a = corpus.default_vocab()
@@ -55,7 +58,7 @@ class TestGenerate:
     def test_files_and_counts(self, small_corpus_dir):
         c = corpus.load(small_corpus_dir)
         assert (len(c.paired), len(c.unpaired), len(c.val), len(c.test)) == (20, 30, 5, 5)
-        assert c.difficulty == "boss"
+        assert c.header["difficulty"] == "boss"
 
     def test_unpaired_has_no_tokens(self, small_corpus_dir):
         c = corpus.load(small_corpus_dir)
@@ -123,7 +126,7 @@ class TestGenerate:
         corpus.generate(tmp_path, seed=2, difficulty="boss", m=4, n=0, val_tasks=1, test_tasks=1,
                         subgoal_weights=w)
         c = corpus.load(tmp_path)
-        assert c.subgoal_weights == w
+        assert tuple(c.header["subgoal_weights"]) == w
         for rec in c.paired:
             _, task = c.rebuild(rec)
             assert len(task.subgoals) == 4
@@ -188,8 +191,31 @@ class TestRecordCheck:
             else:  # wrong for an int and for a list of ints alike
                 rec[key] = data.draw(st.sampled_from(["x", 1.5, True, None, {}, [True], [1.5], ["1"]]))
             text = json.dumps(rec)
+        root = self._damage(small_corpus_dir, split, lineno, text)
         with pytest.raises(corpus.CorpusError):
-            corpus.load(self._damage(small_corpus_dir, split, lineno, text))
+            corpus.load(root)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["eval", "--checkpoint", "oracle", "--corpus", str(root), "--mode", "follow",
+                             "--out", str(root / "eval.json")])
+        assert code == 2
+        assert err.getvalue().startswith("data error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("key, value", [("difficulty", "goto_seq"), ("master_seed", 8)])
+    def test_split_header_disagreeing_with_the_others(self, small_corpus_dir, tmp_path, capsys, key, value):
+        header = self._record(small_corpus_dir, "val", 1)
+        assert header[key] != value
+        header[key] = value
+        root = self._damage(small_corpus_dir, "val", 1, json.dumps(header))
+        with pytest.raises(corpus.CorpusError, match=r"val\.jsonl"):
+            corpus.load(root)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--pipeline", "supervised-follower", "--corpus", str(root),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "val.jsonl" in err
+        assert not out.exists()
 
 
 class TestPseudoPaired:

@@ -192,6 +192,28 @@ class TestBatchedEncoders:
             with pytest.raises(ValueError, match="expected 7x7"):
                 encode([simple_world(), small])
 
+    @pytest.mark.parametrize("facing", range(4))
+    @pytest.mark.parametrize("width, height", [(7, 4), (4, 7)])
+    def test_non_square_ego_frame_holds_every_object(self, width, height, facing):
+        """The ego frame is a square of side 2 * max(width, height) - 1
+        centred on the agent; each object sits at its offset from the agent,
+        rotated so the agent faces up."""
+        world, _ = gw.sample_task(3, "boss", width=width, height=height)
+        world = World(width, height, world.objects, world.agent_pos, facing)
+        nk, nc, side = len(gw.KINDS), len(gw.COLORS), 2 * max(width, height) - 1
+        obs = gw.observe_ego([world])[0]
+        assert obs.shape == (gw.ego_dim(width, height),) == (side * side * gw.EGO_CHANNELS + nk + nc,)
+        grid = obs[:-nk - nc].reshape(side, side, gw.EGO_CHANNELS)
+        assert (grid[:, :, nk + nc] == 0).sum() == width * height  # in-bounds cells
+        assert grid[:, :, :nk + nc].sum() == 2 * len(world.objects)
+        ax, ay = world.agent_pos
+        for (x, y), spec in world.objects:
+            dx, dy = x - ax, y - ay
+            fwd, right = [(-dy, dx), (dx, dy), (dy, -dx), (-dx, -dy)][facing]
+            cell = grid[side // 2 - fwd, side // 2 + right]
+            assert cell[gw.KINDS.index(spec.kind)] == 1 and cell[nk + gw.COLORS.index(spec.color)] == 1
+            assert cell[nk + nc] == 0
+
 
 class TestGrammar:
     def test_single_goto_surface(self):
