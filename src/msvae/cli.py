@@ -26,9 +26,6 @@ from . import pipelines as pl
 
 logger = logging.getLogger(__name__)
 
-RESUMABLE = ("supervised-follower", "supervised-speaker", "msvae")
-PIPELINES = (*RESUMABLE, "speaker-follower", "msvae-speaker-follower")
-
 
 class UsageError(ValueError):
     pass
@@ -68,7 +65,7 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("train", help="run a training pipeline")
     _add_common(t)
-    t.add_argument("--pipeline", required=True, choices=PIPELINES)
+    t.add_argument("--pipeline", required=True, choices=(*pl.TRAINERS, *pl.SPEAKER_STAGES))
     t.add_argument("--corpus", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--resume", default=None, help="training-state checkpoint to resume from")
@@ -114,27 +111,16 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     doc = cfg_mod.resolve(args.preset, args.config, args.overrides)
-    if args.resume is not None and args.pipeline not in RESUMABLE:
-        raise UsageError(f"--resume works only with the {', '.join(RESUMABLE)} pipelines")
+    if args.resume is not None and args.pipeline not in pl.TRAINERS:
+        raise UsageError(f"--resume works only with the {', '.join(pl.TRAINERS)} pipelines")
+    if args.speaker_checkpoint is not None and args.pipeline not in pl.SPEAKER_STAGES:
+        raise UsageError(f"--speaker-checkpoint works only with the {', '.join(pl.SPEAKER_STAGES)} pipelines")
     tc = cfg_mod.train_config(doc)
     corpus = corpus_mod.load(args.corpus)
-    out = Path(args.out)
-
-    if args.pipeline == "supervised-follower":
-        ck, rec = pl.train_supervised_follower(tc, corpus, out, resume_from=args.resume)
-    elif args.pipeline == "supervised-speaker":
-        ck, rec = pl.train_supervised_speaker(tc, corpus, out, resume_from=args.resume)
-    elif args.pipeline == "msvae":
-        ck, rec = pl.train_msvae(tc, corpus, out, resume_from=args.resume)
+    if args.pipeline in pl.TRAINERS:
+        ck, rec = pl.TRAINERS[args.pipeline](tc, corpus, args.out, resume_from=args.resume)
     else:
-        speaker_ck = args.speaker_checkpoint
-        if speaker_ck is None:
-            stage = out / ("msvae_stage" if args.pipeline == "msvae-speaker-follower" else "speaker_stage")
-            if args.pipeline == "msvae-speaker-follower":
-                speaker_ck, _ = pl.train_msvae(tc, corpus, stage)
-            else:
-                speaker_ck, _ = pl.train_supervised_speaker(tc, corpus, stage)
-        ck, rec = pl.train_speaker_follower(tc, corpus, out, speaker_ck,
+        ck, rec = pl.train_speaker_follower(tc, corpus, args.out, args.speaker_checkpoint,
                                             pipeline_name=args.pipeline)
     print(f"pipeline={args.pipeline} selected_epoch={rec.selected_epoch} "
           f"{rec.metric_name}={rec.selected_metric:.4f} checkpoint={ck}")

@@ -253,7 +253,3 @@ def write_pseudo_paired(path, records, source_header: dict, speaker_tag: str) ->
         f.write(_dump_line(header))
         for rec in records:
             f.write(_dump_line(rec))
-
-
-def read_pseudo_paired(path) -> tuple[dict, list[dict]]:
-    return read_split(path)

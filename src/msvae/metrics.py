@@ -19,7 +19,6 @@ VAR_FLOOR = 1e-12
 @dataclass
 class EvalReport:
     sr: float
-    bleu4: float
     n_episodes: int
     outcomes: list[bool]
 
@@ -49,7 +48,7 @@ def success_rate(play, episodes: list[Episode]) -> EvalReport:
     returns the visited states. The one loop that scores rollouts."""
     outcomes = [bool(gw.check_success(play(ep), ep.task)) for ep in episodes]
     n = len(outcomes)
-    return EvalReport(sr=sum(outcomes) / n if n else 0.0, bleu4=0.0, n_episodes=n, outcomes=outcomes)
+    return EvalReport(sr=sum(outcomes) / n if n else 0.0, n_episodes=n, outcomes=outcomes)
 
 
 # ---------------------------------------------------------------------------

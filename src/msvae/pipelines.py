@@ -49,7 +49,6 @@ class TrainConfig:
     eval_every: int = 1
     eval_tasks: int = 100
     arch_variant: str = "attention"  # supervised follower: attention | no_attention | bottleneck
-    include_real_pairs: bool = True  # speaker-follower: mix real pairs into pseudo data
 
     def model_config(self, vocab_size: int) -> md.ModelConfig:
         return replace(self.model, vocab_size=vocab_size)
@@ -416,14 +415,14 @@ def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
 # speaker-follower augmentation
 
 
-def augment(speak_fn, corpus, out_path, speaker_tag: str) -> tuple[Path, int]:
+def augment(speak_fn, corpus, out_path, speaker_tag: str) -> list[dict]:
     """Annotate every unpaired trajectory with a generated instruction.
 
-    speak_fn(trajectory, record) -> (token ids, truncated flag). Output uses
-    the paired schema with pseudo/truncated flags; an empty unpaired set
-    yields an empty (but valid) file with a warning.
+    speak_fn(corpus, record) -> (token ids, truncated flag). Writes the
+    records in the paired schema with pseudo/truncated flags and returns
+    them; an empty unpaired set yields an empty (but valid) file with a
+    warning.
     """
-    out_path = Path(out_path)
     if not corpus.unpaired:
         logger.warning("augment: unpaired set is empty; writing empty pseudo corpus")
     records = []
@@ -435,7 +434,7 @@ def augment(speak_fn, corpus, out_path, speaker_tag: str) -> tuple[Path, int]:
         out["truncated"] = bool(truncated)
         records.append(out)
     corpus_mod.write_pseudo_paired(out_path, records, corpus.header, speaker_tag)
-    return out_path, len(records)
+    return records
 
 
 def model_speak_fn(model, len_cap: int = 30):
@@ -446,7 +445,7 @@ def model_speak_fn(model, len_cap: int = 30):
     return fn
 
 
-def oracle_speak_fn(_corpus=None):
+def oracle_speak_fn():
     """Grammar-perfect speaker: re-renders the generating task's instruction."""
 
     def fn(corpus, rec):
@@ -456,26 +455,35 @@ def oracle_speak_fn(_corpus=None):
     return fn
 
 
-def train_speaker_follower(cfg: TrainConfig, corpus, out_dir, speaker_ckpt,
+def train_speaker_follower(cfg: TrainConfig, corpus, out_dir, speaker_ckpt=None,
                            pipeline_name="speaker-follower"):
-    """Augment the unpaired set with a trained speaker, then train an
-    attention follower on pseudo pairs (plus real pairs unless disabled)."""
+    """Augment the unpaired set with a speaker, then train an attention
+    follower on the pseudo pairs plus the real pairs. Without speaker_ckpt
+    the pipeline's speaker stage trains one in a subdirectory of out_dir."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if speaker_ckpt is None:
+        stage_dir, train_stage = SPEAKER_STAGES[pipeline_name]
+        speaker_ckpt, _ = train_stage(cfg, corpus, out / stage_dir)
+    # a speaker checkpoint that is missing or cannot speak fails before the run directory is made
     speaker, meta = md.load_model(speaker_ckpt)
     if meta["kind"] not in ("speaker", "msvae"):
         raise ValueError(f"checkpoint kind {meta['kind']!r} cannot speak")
-    pseudo_path, _ = augment(model_speak_fn(speaker), corpus, out / "pseudo_paired.jsonl",
-                             speaker_tag=meta["kind"])
-    _, pseudo = corpus_mod.read_pseudo_paired(pseudo_path)
+    out.mkdir(parents=True, exist_ok=True)
+    pseudo = augment(model_speak_fn(speaker), corpus, out / "pseudo_paired.jsonl", speaker_tag=meta["kind"])
     usable = [r for r in pseudo if r["tokens"]]
     dropped = len(pseudo) - len(usable)
     if dropped:
         logger.warning("augment: dropped %d empty pseudo instructions", dropped)
-    records = usable + (list(corpus.paired) if cfg.include_real_pairs else [])
-    sub = replace(cfg, arch_variant="attention")
-    return train_supervised_follower(sub, corpus, out, records=records,
-                                     pipeline_name=pipeline_name)
+    return train_supervised_follower(replace(cfg, arch_variant="attention"), corpus, out,
+                                     records=usable + corpus.paired, pipeline_name=pipeline_name)
+
+
+# the five pipelines by name: three resumable trainers, and the two
+# speaker-follower runs with the subdirectory and trainer of their speaker stage
+TRAINERS = {"supervised-follower": train_supervised_follower,
+            "supervised-speaker": train_supervised_speaker, "msvae": train_msvae}
+SPEAKER_STAGES = {"speaker-follower": ("speaker_stage", train_supervised_speaker),
+                  "msvae-speaker-follower": ("msvae_stage", train_msvae)}
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,42 @@ class TestTrain:
         assert code == 0
         assert (sf / "pseudo_paired.jsonl").exists()
 
+    @pytest.mark.parametrize("pipeline,stage,speaker", [("speaker-follower", "speaker_stage", "speaker"),
+                                                        ("msvae-speaker-follower", "msvae_stage", "msvae")])
+    def test_speaker_follower_trains_its_speaker_stage(self, corpus_dir, tmp_path, pipeline, stage, speaker):
+        out = tmp_path / "sf"
+        assert run_cli("train", "--pipeline", pipeline, "--corpus", str(corpus_dir), "--out", str(out),
+                       *SMOKE_SETS, "--set", "train.epochs=1") == 0
+        assert (out / stage / "checkpoints" / "best.bin").exists()
+        header = json.loads((out / "pseudo_paired.jsonl").read_text().splitlines()[0])
+        assert header["speaker"] == speaker
+        assert json.loads((out / "config.json").read_text())["pipeline"] == pipeline
+
+    def test_bad_speaker_checkpoint_leaves_no_run_directory(self, corpus_dir, tmp_path, capsys):
+        fol = tmp_path / "fol"
+        assert run_cli("train", "--pipeline", "supervised-follower", "--corpus", str(corpus_dir),
+                       "--out", str(fol), *SMOKE_SETS, "--set", "train.epochs=1") == 0
+        capsys.readouterr()
+        for speaker, message in [(tmp_path / "nope.bin", "nope.bin"),
+                                 (fol / "checkpoints" / "best.bin", "cannot speak")]:
+            out = tmp_path / "sf"
+            code = run_cli("train", "--pipeline", "speaker-follower", "--corpus", str(corpus_dir),
+                           "--out", str(out), *SMOKE_SETS, "--speaker-checkpoint", str(speaker))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and message in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline", ["supervised-follower", "supervised-speaker", "msvae"])
+    def test_speaker_checkpoint_rejected_by_other_pipelines(self, tmp_path, capsys, pipeline):
+        # a usage error before the corpus is read: the missing corpus is never reached
+        out = tmp_path / "x"
+        code = run_cli("train", "--pipeline", pipeline, "--corpus", str(tmp_path / "nope"), "--out", str(out),
+                       *SMOKE_SETS, "--speaker-checkpoint", str(tmp_path / "nope.bin"))
+        assert code == 1
+        assert "speaker-follower, msvae-speaker-follower" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(corpus_dir, tmp_path_factory):

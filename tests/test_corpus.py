@@ -230,6 +230,6 @@ class TestPseudoPaired:
             recs.append(out)
         path = tmp_path / "pseudo.jsonl"
         corpus.write_pseudo_paired(path, recs, header, speaker_tag="test-speaker")
-        h2, r2 = corpus.read_pseudo_paired(path)
+        h2, r2 = corpus.read_split(path)
         assert h2["pseudo"] is True and h2["speaker"] == "test-speaker"
         assert len(r2) == 5 and all(r["tokens"] == [4, 5, 6] for r in r2)

@@ -60,7 +60,7 @@ class TestSuccessRate:
 
     def test_sr_exactness_guard(self):
         with pytest.raises(ValueError, match="exactly"):
-            metrics.EvalReport(sr=0.9, bleu4=0.0, n_episodes=2, outcomes=[True, True])
+            metrics.EvalReport(sr=0.9, n_episodes=2, outcomes=[True, True])
 
 
 def reference_bleu(hypotheses, references):

@@ -248,10 +248,10 @@ class TestMsVae:
 
 class TestAugment:
     def test_oracle_speaker_reproduces_references(self, small_corpus, tmp_path):
-        path, n = pl.augment(pl.oracle_speak_fn(small_corpus), small_corpus,
-                             tmp_path / "pseudo.jsonl", "oracle")
-        assert n == len(small_corpus.unpaired)
-        _, records = corpus.read_pseudo_paired(path)
+        path = tmp_path / "pseudo.jsonl"
+        records = pl.augment(pl.oracle_speak_fn(), small_corpus, path, "oracle")
+        assert len(records) == len(small_corpus.unpaired)
+        assert corpus.read_split(path)[1] == records
         for rec in records:
             _, task = small_corpus.rebuild(rec)
             assert rec["tokens"] == small_corpus.vocab.tokenize(gw.render_instruction(task))
@@ -262,19 +262,18 @@ class TestAugment:
         corpus.generate(root, seed=3, difficulty="goto_seq", m=3, n=0, val_tasks=2, test_tasks=2)
         c = corpus.load(root)
         with caplog.at_level("WARNING"):
-            path, n = pl.augment(pl.oracle_speak_fn(c), c, tmp_path / "p.jsonl", "oracle")
-        assert n == 0
-        _, records = corpus.read_pseudo_paired(path)
+            records = pl.augment(pl.oracle_speak_fn(), c, tmp_path / "p.jsonl", "oracle")
         assert records == []
+        assert corpus.read_split(tmp_path / "p.jsonl")[1] == []
         assert any("empty" in r.message for r in caplog.records)
 
     def test_len_cap_respected(self, small_corpus, tmp_path):
         cfg = small_cfg(epochs=1, iters_per_epoch=2)
         ck, _ = pl.train_supervised_speaker(cfg, small_corpus, tmp_path / "spk")
         model, _ = md.load_model(ck)
-        path, _ = pl.augment(pl.model_speak_fn(model, len_cap=5), small_corpus,
-                             tmp_path / "pseudo.jsonl", "speaker")
-        _, records = corpus.read_pseudo_paired(path)
+        path = tmp_path / "pseudo.jsonl"
+        records = pl.augment(pl.model_speak_fn(model, len_cap=5), small_corpus, path, "speaker")
+        assert corpus.read_split(path)[1] == records
         for rec in records:
             assert len(rec["tokens"]) <= 5
             if len(rec["tokens"]) == 5:
@@ -282,13 +281,33 @@ class TestAugment:
 
 
 class TestSpeakerFollower:
-    def test_pipeline_runs_and_mixes_real_pairs(self, small_corpus, tmp_path):
-        cfg = small_cfg(epochs=1, iters_per_epoch=3)
-        spk_ck, _ = pl.train_supervised_speaker(cfg, small_corpus, tmp_path / "spk")
-        ck, rec = pl.train_speaker_follower(small_cfg(epochs=1, iters_per_epoch=3), small_corpus,
-                                            tmp_path / "sf", spk_ck)
-        assert Path(ck).exists()
-        assert (tmp_path / "sf" / "pseudo_paired.jsonl").exists()
+    def test_pipeline_runs_and_mixes_real_pairs(self, small_corpus, tmp_path, monkeypatch, caplog):
+        # the speaker stage trains in the run directory; the stub speaker says
+        # nothing for the first unpaired record, which must be dropped
+        silent = small_corpus.unpaired[0]["seed"]
+
+        def speak_fn(model):
+            oracle = pl.oracle_speak_fn()
+            return lambda c, rec: ([], False) if rec["seed"] == silent else oracle(c, rec)
+
+        trained_on, train_follower = [], pl.train_supervised_follower
+
+        def follower(*args, records, **kw):
+            trained_on.extend(records)
+            return train_follower(*args, records=records, **kw)
+
+        monkeypatch.setattr(pl, "model_speak_fn", speak_fn)
+        monkeypatch.setattr(pl, "train_supervised_follower", follower)
+        with caplog.at_level("WARNING"):
+            ck, rec = pl.train_speaker_follower(small_cfg(epochs=1, iters_per_epoch=3), small_corpus,
+                                                tmp_path / "sf")
+        assert (tmp_path / "sf" / "speaker_stage" / "checkpoints" / "best.bin").exists()
+        header, pseudo = corpus.read_split(tmp_path / "sf" / "pseudo_paired.jsonl")
+        assert header["speaker"] == "speaker" and len(pseudo) == len(small_corpus.unpaired)
+        usable = [r for r in pseudo if r["seed"] != silent]
+        assert len(usable) == len(pseudo) - 1 and all(r["tokens"] for r in usable)
+        assert trained_on == usable + small_corpus.paired
+        assert any("dropped 1 empty pseudo instructions" in r.message for r in caplog.records)
         model, meta = md.load_model(ck)
         assert meta["kind"] == "follower"
 
