@@ -6,11 +6,12 @@ is built fresh each step and walked once, iteratively, in reverse topological
 order. There is no broadcasting beyond the explicit per-op rules below; shape
 violations raise ShapeMismatch naming both shapes.
 
-Every node carries a `needs_grad` bit fixed when it is built: leaves set it,
-constants clear it, and an op node sets it when any operand does. An op node
+Every node carries a `needs_grad` bit: leaves set it, constants clear it,
+and an op node sets it when it is built if any operand does. An op node
 keeps as parents only the operands that need a gradient, and its VJP leaves
 the others' slots None, so backward never walks a constant or computes a
-gradient nothing reads.
+gradient nothing reads. Inference clears the bit on a model's parameter
+leaves (nn.Layer.frozen), so its op nodes keep no graph at all.
 """
 
 from __future__ import annotations

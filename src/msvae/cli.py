@@ -135,6 +135,8 @@ def _require_kind(kind: str, verb: str) -> None:
 def cmd_eval(args) -> int:
     doc = cfg_mod.resolve(args.preset, args.config, args.overrides)
     ev = doc["eval"]
+    if args.speaker_checkpoint is not None and not (args.mode == "pragmatic" and ev["candidates"] > 0):
+        raise UsageError("--speaker-checkpoint works only with --mode pragmatic and --candidates > 0")
     corpus = corpus_mod.load(args.corpus)
     recs = getattr(corpus, ev["split"])[:ev["limit"]]
     rng = np.random.default_rng(ev["seed"])

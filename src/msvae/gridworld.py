@@ -122,17 +122,26 @@ class Trajectory:
 # dynamics
 
 
+def _posed(world: World, agent_pos: tuple[int, int], agent_dir: int) -> World:
+    """`world` with the agent at a new pose. Its objects tuple is already in
+    canonical order, so the successor shares it and skips the re-sort (and
+    the field-by-field rebuild) of dataclasses.replace."""
+    new = object.__new__(World)
+    new.__dict__.update(world.__dict__, agent_pos=agent_pos, agent_dir=agent_dir)
+    return new
+
+
 def step(world: World, action: int) -> tuple[World, bool]:
     """Deterministic, total transition; invalid actions are no-ops."""
     action = Action(action)
     if action == Action.left:
-        return replace(world, agent_dir=(world.agent_dir - 1) % 4), False
+        return _posed(world, world.agent_pos, (world.agent_dir - 1) % 4), False
     if action == Action.right:
-        return replace(world, agent_dir=(world.agent_dir + 1) % 4), False
+        return _posed(world, world.agent_pos, (world.agent_dir + 1) % 4), False
     if action == Action.forward:
         target = world.facing_cell()
         if world.in_bounds(target) and world.object_at(target) is None:
-            return replace(world, agent_pos=target), False
+            return _posed(world, target, world.agent_dir), False
         return world, False
     if action == Action.pickup:
         target = world.facing_cell()

@@ -189,6 +189,18 @@ class ObsMlp(nn.Layer):
         Padded steps are never computed."""
         return ad.split_rows(self(ad.constant(traj.packed_obs)), traj.packing.counts)
 
+    def one_hot_row(self, o: np.ndarray) -> Node:
+        """The features of one (1, obs_dim) one-hot observation, as a decode
+        step needs them. The first layer sums the weight rows at the ones
+        (about 130 of 1 699 in the ego view) instead of reading the whole
+        weight through a dense product. Batches keep the dense product of
+        __call__, which is much faster there than a gather."""
+        if o.ndim != 2 or o.shape[0] != 1:
+            raise ad.ShapeMismatch(f"one_hot_row: expected one (1, obs_dim) row, got {o.shape}")
+        rows = ad.embedding(self.l1.w, np.flatnonzero(o[0]))
+        h = ad.add_rowvec(ad.reduce_sum(rows, axis=0, keepdims=True), self.l1.b)
+        return ad.tanh(self.l2(ad.tanh(h)))
+
 
 def _grid_shape(obs_view: str, obs_dim: int) -> tuple[int, int]:
     """(n_cells, channels) factorization of a flat observation.
@@ -427,7 +439,7 @@ class ActionDecoder(_Decoder):
         obs_rows, actions = [], []
         for _ in range(max_steps):
             o = encode_obs([world])
-            of = obs_mlp(ad.constant(o))
+            of = obs_mlp.one_hot_row(o)
             cf = self.readout.cells(o)
             logits, h, ctx = self.step_logits(of, cf, prev, h, ctx, memory, prepared, memory_mask)
             a = _pick(logits.value[0], mode, rng)
@@ -536,27 +548,30 @@ class MsVae(nn.Layer):
     def prior_params(self, z: Node) -> tuple[Node, Node]:
         return nn.prior_log_density_params(self.prior, z)
 
-    # rollouts: perfbench wraps these methods and the decoders' step_logits by name
+    # rollouts: perfbench wraps these methods and the decoders' step_logits by
+    # name. Inference runs frozen, so it builds no graph.
 
     def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
         """Roll the policy in the environment from a language instruction,
         reading the posterior mean slots; returns (trajectory, visited states)."""
-        mean, _ = self.encode_language(make_lang_batch([list(tokens)]))
-        return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), mean, None,
-                                    self.act_dec.gru.init_state(1), mode, rng, max_steps)
+        with self.frozen():
+            mean, _ = self.encode_language(make_lang_batch([list(tokens)]))
+            return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), mean, None,
+                                        self.act_dec.gru.init_state(1), mode, rng, max_steps)
 
     def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None,
               len_cap: int = 30) -> tuple[list[int], bool]:
         """Describe a trajectory; returns (token ids, truncated flag)."""
-        mean, _ = self.encode_trajectory(make_traj_batch([traj], self.cfg.n_actions))
-        return self.word_dec.rollout(mean, None, self.word_dec.gru.init_state(1), mode, rng, len_cap)
+        with self.frozen():
+            mean, _ = self.encode_trajectory(make_traj_batch([traj], self.cfg.n_actions))
+            return self.word_dec.rollout(mean, None, self.word_dec.gru.init_state(1), mode, rng, len_cap)
 
     def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
         """log p(tokens | mean latent of traj); the pragmatic-inference score."""
-        tb = make_traj_batch([traj], self.cfg.n_actions)
-        mean, _ = self.encode_trajectory(tb)
-        lang = make_lang_batch([list(tokens)])
-        return float(self.language_log_likelihood(mean, lang).value[0])
+        with self.frozen():
+            mean, _ = self.encode_trajectory(make_traj_batch([traj], self.cfg.n_actions))
+            lang = make_lang_batch([list(tokens)])
+            return float(self.language_log_likelihood(mean, lang).value[0])
 
 
 def _pick(logits: np.ndarray, mode: str, rng) -> int:
@@ -601,9 +616,10 @@ class BaselineFollower(nn.Layer):
         return self.act_dec.teacher_forced_logll(traj, obs_feats, memory, mask, h0=h0)
 
     def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
-        memory, mask, h = self._encode(make_lang_batch([list(tokens)]))
-        return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), memory, mask, h,
-                                    mode, rng, max_steps)
+        with self.frozen():
+            memory, mask, h = self._encode(make_lang_batch([list(tokens)]))
+            return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), memory, mask, h,
+                                        mode, rng, max_steps)
 
 
 class BaselineSpeaker(nn.Layer):
@@ -632,13 +648,15 @@ class BaselineSpeaker(nn.Layer):
 
     def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None,
               len_cap: int = 30) -> tuple[list[int], bool]:
-        memory, mask, h = self._encode(make_traj_batch([traj], self.cfg.n_actions))
-        return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap)
+        with self.frozen():
+            memory, mask, h = self._encode(make_traj_batch([traj], self.cfg.n_actions))
+            return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap)
 
     def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
-        tb = make_traj_batch([traj], self.cfg.n_actions)
-        lang = make_lang_batch([list(tokens)])
-        return float(self.language_log_likelihood(tb, lang).value[0])
+        with self.frozen():
+            tb = make_traj_batch([traj], self.cfg.n_actions)
+            lang = make_lang_batch([list(tokens)])
+            return float(self.language_log_likelihood(tb, lang).value[0])
 
 
 # ---------------------------------------------------------------------------

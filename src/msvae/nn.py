@@ -10,6 +10,7 @@ running, and the results return to the caller's row order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -50,6 +51,30 @@ class Layer:
 
     def params(self) -> list[Node]:
         return list(self.named_params().values())
+
+    def _leaves(self):
+        """Every parameter node below this layer; unlike named_params, it
+        leaves their names alone."""
+        yield from self._params.values()
+        for c in self._children.values():
+            yield from c._leaves()
+
+    @contextlib.contextmanager
+    def frozen(self):
+        """Run the block graph-free: inside it no parameter needs a gradient,
+        so every op node drops its operands and VJP as it is built (see
+        autodiff.Node) and a decode step's arrays are freed when the step
+        ends. Each parameter's needs_grad is restored on exit, also when the
+        block raises; nesting on one model restores the outer values."""
+        leaves = list(self._leaves())
+        saved = [p.needs_grad for p in leaves]
+        for p in leaves:
+            p.needs_grad = False
+        try:
+            yield
+        finally:
+            for p, needs in zip(leaves, saved):
+                p.needs_grad = needs
 
     def load_values(self, values: dict[str, np.ndarray], prefix: str = "") -> None:
         """Copy matching arrays into parameters; shape mismatches raise."""

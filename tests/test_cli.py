@@ -373,6 +373,18 @@ class TestEval:
                        "--corpus", str(corpus_dir), "--mode", "follow")
         assert code == 1
 
+    @pytest.mark.parametrize("mode", [["--mode", "follow"], ["--mode", "speak"],
+                                      ["--mode", "pragmatic", "--candidates", "0"]],
+                             ids=["follow", "speak", "pragmatic_0"])
+    def test_speaker_checkpoint_unused_is_usage_error(self, tmp_path, capsys, mode):
+        # a usage error before the corpus is read: the missing corpus and checkpoints are never reached
+        out = tmp_path / "eval.json"
+        code = run_cli("eval", "--checkpoint", str(tmp_path / "f.bin"), "--corpus", str(tmp_path / "nope"),
+                       *mode, "--speaker-checkpoint", str(tmp_path / "nope.bin"), "--out", str(out))
+        assert code == 1
+        assert "--speaker-checkpoint works only with --mode pragmatic" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_speak_mode_writes_bleu(self, corpus_dir, trained, tmp_path):
         out = tmp_path / "s.json"
         assert run_cli("eval", "--checkpoint", str(trained), "--corpus", str(corpus_dir),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,30 @@ def state_sequence(draw):
         return draw(st.lists(random_world(size), max_size=10))
     actions = draw(st.lists(st.sampled_from(list(Action)), max_size=20))
     return gw.replay(draw(random_world(size)), actions)[draw(st.integers(0, 1)):]
+
+
+class TestSuccessors:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8).flatmap(random_world), st.sampled_from(list(Action)))
+    def test_successors_equal_what_replace_builds(self, world, action):
+        new, done = gw.step(world, action)
+        target = world.facing_cell()
+        free = world.in_bounds(target) and world.object_at(target) is None
+        if action == Action.left:
+            expected = replace(world, agent_dir=(world.agent_dir - 1) % 4)
+        elif action == Action.right:
+            expected = replace(world, agent_dir=(world.agent_dir + 1) % 4)
+        elif action == Action.forward and free:
+            expected = replace(world, agent_pos=target)
+        else:
+            expected = None
+        if expected is not None:
+            # a turn or a move shares the parent's canonical objects tuple
+            assert new.objects is world.objects
+            assert type(new) is World and vars(new) == vars(expected)
+            assert new == expected and hash(new) == hash(expected) and repr(new) == repr(expected)
+        assert new == replace(new)  # any successor's objects stay in canonical order
+        assert done == (action == Action.done)
 
 
 class TestBatchedEncoders:

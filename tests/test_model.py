@@ -7,6 +7,7 @@ from msvae import autodiff as ad
 from msvae import gridworld as gw
 from msvae import model as md
 from msvae import nn
+from msvae import pipelines as pl
 
 
 def tiny_cfg(**kw):
@@ -351,6 +352,143 @@ class TestRollouts:
         monkeypatch.setattr(dec, "_context", lambda h, *_: dec.init_context(h.value.shape[0]))
         sa, sb = speaks()
         assert sa == sb
+
+
+def ego_cfg(**kw):
+    base = dict(vocab_size=22, obs_dim=gw.ego_dim(), hidden=12, word_emb=8, action_emb=6,
+                attn_dim=8, cell_dim=8, k_slots=2, latent_dim=6, prior_hidden=8)
+    base.update(kw)
+    return md.ModelConfig(**base)
+
+
+FROZEN_KINDS = ("msvae", "follower", "speaker")
+
+
+class TestFrozenInference:
+    """follow, speak and trajectory_language_score run with every parameter
+    frozen, so they build no graph, and hand each parameter's needs_grad
+    back as they found it."""
+
+    def model(self, kind):
+        m = md.build_model(kind, np.random.default_rng(4), ego_cfg())
+        # a parameter frozen by the caller must stay frozen afterwards
+        next(iter(m.named_params().values())).needs_grad = False
+        return m
+
+    def oracle_traj(self, seed=5):
+        world, task = gw.sample_task(seed, "goto_seq")
+        return world, gw.rollout(world, gw.oracle_solve(world, task), view="ego")[1]
+
+    def infer(self, m, mode="greedy"):
+        world, traj = self.oracle_traj()
+        rng = np.random.default_rng(0)
+        if hasattr(m, "follow"):
+            m.follow([4, 5, 6], world, mode=mode, rng=rng, max_steps=6)
+        if hasattr(m, "speak"):
+            m.speak(traj, mode=mode, rng=rng, len_cap=6)
+            m.trajectory_language_score(traj, [4, 5, 6])
+
+    @staticmethod
+    def needs(m):
+        return {name: p.needs_grad for name, p in m.named_params().items()}
+
+    @pytest.mark.parametrize("kind", FROZEN_KINDS)
+    def test_needs_grad_restored(self, kind):
+        m = self.model(kind)
+        before = self.needs(m)
+        assert not all(before.values()) and any(before.values())
+        self.infer(m)
+        assert self.needs(m) == before
+
+    @pytest.mark.parametrize("kind", FROZEN_KINDS)
+    def test_needs_grad_restored_when_decoding_raises(self, kind):
+        m = self.model(kind)
+        before = self.needs(m)
+        with pytest.raises(ValueError, match="unknown decoding mode"):
+            self.infer(m, mode="beam")
+        assert self.needs(m) == before
+
+    def test_nested_on_one_model(self):
+        # the latent model as its own follower and speaker, as in msvae self-scoring
+        m = self.model("msvae")
+        before = self.needs(m)
+        world, _ = self.oracle_traj()
+        with m.frozen():
+            pl.pragmatic_infer(m, m, [4, 5, 6], world, 2, np.random.default_rng(1), max_steps=6)
+            assert not any(self.needs(m).values())
+        assert self.needs(m) == before
+        pl.pragmatic_infer(m, m, [4, 5, 6], world, 2, np.random.default_rng(1), max_steps=6)
+        assert self.needs(m) == before
+
+    def test_frozen_keeps_parameter_names(self):
+        # named_params would rename them relative to the layer it is called on
+        m = self.model("msvae")
+        params = m.params()
+        names = [p.name for p in params]
+        with m.act_dec.frozen():
+            pass
+        assert [p.name for p in params] == names
+        assert [p.name for p in m.act_dec._leaves()] == [n for n in names if n.startswith("act_dec.")]
+
+    @pytest.mark.parametrize("kind", FROZEN_KINDS)
+    def test_decode_steps_build_no_graph(self, kind, monkeypatch):
+        m = self.model(kind)
+        logits = []
+        for dec in (md.ActionDecoder, md.WordDecoder):
+            step = dec.step_logits
+
+            def spy(self, *args, _step=step):
+                out = _step(self, *args)
+                logits.append(out[0])
+                return out
+
+            monkeypatch.setattr(dec, "step_logits", spy)
+        self.infer(m)
+        assert logits
+        assert all(n.parents == () and n.vjp is None and not n.needs_grad for n in logits)
+
+    def test_training_graph_after_inference(self):
+        # inference must not leave the parameters frozen for the next step
+        m = md.build_model("follower", np.random.default_rng(4), ego_cfg())
+        self.infer(m)
+        world, traj = self.oracle_traj()
+        loss = ad.neg(ad.reduce_mean(m.action_log_likelihood(md.make_lang_batch([[4, 5, 6]]),
+                                                             md.make_traj_batch([traj]))))
+        ad.backward(loss)
+        assert all(p.grad is not None for p in m.params())
+
+
+class TestOneHotRow:
+    def mlp_and_obs(self, width=3):
+        mlp = md.ObsMlp(np.random.default_rng(2), gw.ego_dim(), 4, width)
+        world, task = gw.sample_task(8, "boss")
+        _, traj = gw.rollout(world, gw.oracle_solve(world, task), view="ego")
+        return mlp, traj.observations
+
+    def test_matches_dense_product(self):
+        mlp, obs = self.mlp_and_obs(width=16)
+        assert set(np.unique(obs)) == {0.0, 1.0}
+        for i in range(len(obs)):
+            o = obs[i : i + 1]
+            np.testing.assert_allclose(mlp.one_hot_row(o).value, mlp(ad.constant(o)).value, rtol=0, atol=1e-12)
+
+    def test_weight_gradient_numeric(self):
+        mlp, obs = self.mlp_and_obs()
+        o = obs[:1]
+        mix = np.random.default_rng(3).normal(size=(1, 4))
+
+        def f():
+            return float((mlp.one_hot_row(o).value * mix).sum())
+
+        w = mlp.l1.w
+        ad.backward(ad.reduce_sum(ad.mul(mlp.one_hot_row(o), ad.constant(mix))))
+        assert ad.max_rel_error(w.gradient, ad.numeric_gradient(f, w.value)) < 1e-7
+        assert not w.gradient[obs[0] == 0].any()
+
+    def test_rejects_more_than_one_row(self):
+        mlp, obs = self.mlp_and_obs()
+        with pytest.raises(ad.ShapeMismatch):
+            mlp.one_hot_row(obs[:2])
 
 
 class TestPersistence:
