@@ -127,9 +127,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _require_kind(kind: str, verb: str) -> None:
-    if kind not in ("msvae", "speaker" if verb == "speak" else "follower"):
-        raise UsageError(f"checkpoint kind {kind!r} cannot {verb}")
+def _require_kind(model, verb: str) -> None:
+    if not hasattr(model, verb):
+        raise UsageError(f"checkpoint kind {model.kind!r} cannot {verb}")
 
 
 def cmd_eval(args) -> int:
@@ -149,8 +149,8 @@ def cmd_eval(args) -> int:
                                        metrics_mod.episodes_from_records(corpus, recs))
         out_path = Path(args.out or "eval.json")
     else:
-        model, meta = md.load_model(args.checkpoint)
-        _require_kind(meta["kind"], "speak" if args.mode == "speak" else "follow")
+        model, _ = md.load_model(args.checkpoint)
+        _require_kind(model, "speak" if args.mode == "speak" else "follow")
         if args.mode == "speak":
             bleu, n = pl.evaluate_speaker(model, corpus, recs)
         elif args.mode == "follow":
@@ -159,9 +159,9 @@ def cmd_eval(args) -> int:
             if ev["candidates"] == 0:
                 speaker = None  # plain greedy decoding scores no candidates
             elif args.speaker_checkpoint:
-                speaker, smeta = md.load_model(args.speaker_checkpoint)
-                _require_kind(smeta["kind"], "speak")
-            elif meta["kind"] == "msvae":
+                speaker, _ = md.load_model(args.speaker_checkpoint)
+                _require_kind(speaker, "speak")
+            elif hasattr(model, "speak"):
                 speaker = model
             else:
                 raise UsageError("pragmatic mode needs --speaker-checkpoint for a plain follower")

@@ -91,10 +91,9 @@ class LossReport:
 
 @dataclass
 class LangBatch:
-    enc_ids: np.ndarray  # (B, L) tokens + eos, padded
-    enc_mask: np.ndarray
+    enc_mask: np.ndarray  # (B, L)
     dec_in: np.ndarray  # bos + tokens
-    dec_tgt: np.ndarray  # tokens + eos
+    dec_tgt: np.ndarray  # tokens + eos, padded: the encoder's input and the decoder's targets
 
     def __post_init__(self):
         self.packing = nn.Packing(self.enc_mask)  # shared by the encoder and the decoder
@@ -103,9 +102,8 @@ class LangBatch:
 @dataclass
 class TrajBatch:
     obs: np.ndarray  # (B, T, obs_dim)
-    enc_act: np.ndarray  # recorded actions
     dec_in: np.ndarray  # start + actions[:-1]
-    dec_tgt: np.ndarray  # actions
+    dec_tgt: np.ndarray  # the recorded actions: the encoder's input and the decoder's targets
     mask: np.ndarray
 
     def __post_init__(self):
@@ -123,20 +121,17 @@ def make_lang_batch(token_lists) -> LangBatch:
     pad, bos, eos = RESERVED["<pad>"], RESERVED["<bos>"], RESERVED["<eos>"]
     width = max(len(t) for t in token_lists) + 1  # + eos
     b = len(token_lists)
-    enc = np.full((b, width), pad, dtype=np.intp)
     dec_in = np.full((b, width), pad, dtype=np.intp)
     dec_tgt = np.full((b, width), pad, dtype=np.intp)
     mask = np.zeros((b, width))
     for i, toks in enumerate(token_lists):
         n = len(toks)
-        enc[i, :n] = toks
-        enc[i, n] = eos
         dec_in[i, 0] = bos
         dec_in[i, 1 : n + 1] = toks
         dec_tgt[i, :n] = toks
         dec_tgt[i, n] = eos
         mask[i, : n + 1] = 1.0
-    return LangBatch(enc, mask, dec_in, dec_tgt)
+    return LangBatch(mask, dec_in, dec_tgt)
 
 
 def make_traj_batch(trajectories, n_actions: int = gw.N_ACTIONS) -> TrajBatch:
@@ -149,19 +144,17 @@ def make_traj_batch(trajectories, n_actions: int = gw.N_ACTIONS) -> TrajBatch:
     b = len(trajectories)
     odim = trajectories[0].observations.shape[1]
     obs = np.zeros((b, width, odim))
-    enc = np.full((b, width), pad_id, dtype=np.intp)
     dec_in = np.full((b, width), pad_id, dtype=np.intp)
     dec_tgt = np.full((b, width), 0, dtype=np.intp)
     mask = np.zeros((b, width))
     for i, tr in enumerate(trajectories):
         n = len(tr)
         obs[i, :n] = tr.observations
-        enc[i, :n] = tr.actions
         dec_in[i, 0] = start_id
         dec_in[i, 1:n] = tr.actions[: n - 1]
         dec_tgt[i, :n] = tr.actions
         mask[i, :n] = 1.0
-    return TrajBatch(obs, enc, dec_in, dec_tgt, mask)
+    return TrajBatch(obs, dec_in, dec_tgt, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +299,7 @@ class LanguageEncoderCore(nn.Layer):
         self.gru = self._child("gru", nn.GruCell(rng, cfg.word_emb, cfg.hidden))
 
     def hidden_states(self, lang: LangBatch) -> tuple[Node, Node]:
-        ids = lang.packing.steps(lang.enc_ids)
+        ids = lang.packing.steps(lang.dec_tgt)
         return nn.gru_encode(self.gru, lang.packing, lambda t, h: self.emb(ids[t]))
 
 
@@ -322,7 +315,7 @@ class TrajEncoderCore(nn.Layer):
         self.gru = self._child("gru", nn.GruCell(rng, cfg.hidden + cfg.action_emb + cfg.cell_dim, cfg.hidden))
 
     def hidden_states(self, traj: TrajBatch, obs_feats: list[Node]) -> tuple[Node, Node]:
-        obs, actions = traj.packing.split(traj.packed_obs), traj.packing.steps(traj.enc_act)
+        obs, actions = traj.packing.split(traj.packed_obs), traj.packing.steps(traj.dec_tgt)
 
         def step_input(t, h):
             cell_ctx = self.readout(h, self.readout.cells(obs[t]))
@@ -428,10 +421,11 @@ class ActionDecoder(_Decoder):
         return self._teacher_forced(traj, memory, memory_mask, h0,
                                     lambda t: (obs_feats[t], self.readout.cells(obs[t])))
 
-    def rollout(self, world: gw.World, obs_mlp: ObsMlp, encode_obs, memory, memory_mask, h: Node,
+    def rollout(self, world: gw.World, obs_mlp: ObsMlp, encode_obs, memory, memory_mask, h: Node | None,
                 mode: str, rng, max_steps: int):
-        """Act in the environment from one episode's memory and initial
-        state until `done` or max_steps; returns (trajectory, visited states)."""
+        """Act in the environment from one episode's memory and initial state
+        (None: zeros) until `done` or max_steps; returns (trajectory, visited states)."""
+        h = self.gru.init_state(1) if h is None else h
         prepared = self.prepare(memory)
         ctx = self.init_context(1)
         prev = np.array([self.start_id], dtype=np.intp)
@@ -456,13 +450,12 @@ class ActionDecoder(_Decoder):
 class WordDecoder(_Decoder):
     """Autoregressive language head; bos-prefixed, eos-terminated."""
 
-    def __init__(self, rng, cfg: ModelConfig, memory_dim: int, use_attention: bool = True):
-        super().__init__(cfg, memory_dim, use_attention)
+    def __init__(self, rng, cfg: ModelConfig, memory_dim: int):
+        super().__init__(cfg, memory_dim, use_attention=True)
         self.emb = self._child("emb", nn.Embedding(rng, cfg.vocab_size, cfg.word_emb))
         in_dim = cfg.word_emb + (memory_dim if cfg.input_feed else 0)
         self.gru = self._child("gru", nn.GruCell(rng, in_dim, cfg.hidden))
-        if use_attention:
-            self.attn = self._child("attn", nn.KeyValueAttention(rng, cfg.hidden, memory_dim, cfg.attn_dim))
+        self.attn = self._child("attn", nn.KeyValueAttention(rng, cfg.hidden, memory_dim, cfg.attn_dim))
         self.head = self._child("head", nn.Linear(rng, memory_dim + cfg.hidden, cfg.vocab_size))
 
     def step_logits(self, prev_ids, h: Node, prev_ctx: Node, memory, prepared, memory_mask):
@@ -473,9 +466,10 @@ class WordDecoder(_Decoder):
                              h0: Node | None = None) -> Node:
         return self._teacher_forced(lang, memory, memory_mask, h0, lambda t: ())
 
-    def rollout(self, memory, memory_mask, h: Node, mode: str, rng, len_cap: int):
-        """Speak from one episode's memory and initial state until eos or
-        len_cap tokens; returns (token ids, truncated flag)."""
+    def rollout(self, memory, memory_mask, h: Node | None, mode: str, rng, len_cap: int):
+        """Speak from one episode's memory and initial state (None: zeros)
+        until eos or len_cap tokens; returns (token ids, truncated flag)."""
+        h = self.gru.init_state(1) if h is None else h
         prepared = self.prepare(memory)
         ctx = self.init_context(1)
         prev = np.array([RESERVED["<bos>"]], dtype=np.intp)
@@ -521,57 +515,68 @@ class MsVae(nn.Layer):
 
     # encoders ---------------------------------------------------------------
 
-    def obs_features(self, traj: TrajBatch) -> list[Node]:
-        """Decoder-side observation features (the policy path), per step."""
-        return self.obs_mlp.features_steps(traj)
-
     def encode_language(self, lang: LangBatch) -> tuple[Node, Node]:
         hidden, _ = self.lang_enc.hidden_states(lang)
         return self.lang_bottleneck(hidden, lang.enc_mask)
 
-    def encode_trajectory(self, traj: TrajBatch, obs_feats: list[Node] | None = None) -> tuple[Node, Node]:
-        if obs_feats is None:
-            obs_feats = self.enc_obs_mlp.features_steps(traj)
-        hidden, _ = self.traj_enc.hidden_states(traj, obs_feats)
+    def encode_trajectory(self, traj: TrajBatch) -> tuple[Node, Node]:
+        hidden, _ = self.traj_enc.hidden_states(traj, self.enc_obs_mlp.features_steps(traj))
         return self.traj_bottleneck(hidden, traj.mask)
 
-    # likelihoods ------------------------------------------------------------
+    # decoder memories, as (memory, mask, initial state): the posterior mean
+    # slots, all attended, and the zero state
+
+    def instruction_memory(self, lang: LangBatch):
+        return self.encode_language(lang)[0], None, None
+
+    def trajectory_memory(self, traj: TrajBatch):
+        return self.encode_trajectory(traj)[0], None, None
+
+    # the objective's likelihoods, given latent slots z -----------------------
 
     def action_log_likelihood(self, z: Node, traj: TrajBatch, obs_feats: list[Node] | None = None) -> Node:
         if obs_feats is None:
-            obs_feats = self.obs_features(traj)
+            obs_feats = self.obs_mlp.features_steps(traj)
         return self.act_dec.teacher_forced_logll(traj, obs_feats, z)
 
     def language_log_likelihood(self, z: Node, lang: LangBatch) -> Node:
         return self.word_dec.teacher_forced_logll(lang, z)
 
-    def prior_params(self, z: Node) -> tuple[Node, Node]:
-        return nn.prior_log_density_params(self.prior, z)
+    # The follower and speaker interface of every model kind, which the
+    # baselines take by assignment: each reads only the kind's memory.
+    # perfbench wraps these methods, in this class's own body, and the
+    # decoders' step_logits by name. Inference runs frozen: it builds no graph.
 
-    # rollouts: perfbench wraps these methods and the decoders' step_logits by
-    # name. Inference runs frozen, so it builds no graph.
+    def follower_log_likelihood(self, lang: LangBatch, traj: TrajBatch) -> Node:
+        """Per-sample teacher-forced log p(actions | instruction) -> (B,)."""
+        memory, mask, h0 = self.instruction_memory(lang)
+        return self.act_dec.teacher_forced_logll(traj, self.obs_mlp.features_steps(traj), memory, mask, h0)
+
+    def speaker_log_likelihood(self, traj: TrajBatch, lang: LangBatch) -> Node:
+        """Per-sample teacher-forced log p(tokens | trajectory) -> (B,)."""
+        memory, mask, h0 = self.trajectory_memory(traj)
+        return self.word_dec.teacher_forced_logll(lang, memory, mask, h0)
 
     def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
-        """Roll the policy in the environment from a language instruction,
-        reading the posterior mean slots; returns (trajectory, visited states)."""
+        """Roll the policy in the environment from a language instruction;
+        returns (trajectory, visited states)."""
         with self.frozen():
-            mean, _ = self.encode_language(make_lang_batch([list(tokens)]))
-            return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), mean, None,
-                                        self.act_dec.gru.init_state(1), mode, rng, max_steps)
+            memory, mask, h = self.instruction_memory(make_lang_batch([list(tokens)]))
+            return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), memory, mask, h,
+                                        mode, rng, max_steps)
 
     def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None,
               len_cap: int = 30) -> tuple[list[int], bool]:
         """Describe a trajectory; returns (token ids, truncated flag)."""
         with self.frozen():
-            mean, _ = self.encode_trajectory(make_traj_batch([traj], self.cfg.n_actions))
-            return self.word_dec.rollout(mean, None, self.word_dec.gru.init_state(1), mode, rng, len_cap)
+            memory, mask, h = self.trajectory_memory(make_traj_batch([traj], self.cfg.n_actions))
+            return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap)
 
     def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
-        """log p(tokens | mean latent of traj); the pragmatic-inference score."""
+        """log p(tokens | traj); the pragmatic-inference score."""
         with self.frozen():
-            mean, _ = self.encode_trajectory(make_traj_batch([traj], self.cfg.n_actions))
-            lang = make_lang_batch([list(tokens)])
-            return float(self.language_log_likelihood(mean, lang).value[0])
+            tb, lang = make_traj_batch([traj], self.cfg.n_actions), make_lang_batch([list(tokens)])
+            return float(self.speaker_log_likelihood(tb, lang).value[0])
 
 
 def _pick(logits: np.ndarray, mode: str, rng) -> int:
@@ -604,22 +609,14 @@ class BaselineFollower(nn.Layer):
         self.act_dec = self._child("act_dec", ActionDecoder(rng, cfg, memory_dim=cfg.hidden, use_attention=attention))
         self.init_map = self._child("init_map", nn.Linear(rng, cfg.hidden, cfg.hidden))
 
-    def _encode(self, lang: LangBatch):
+    def instruction_memory(self, lang: LangBatch):
         hidden, final = self.lang_enc.hidden_states(lang)
         memory = hidden if self.attention else final
         mask = lang.enc_mask if self.attention else None
         return memory, mask, ad.tanh(self.init_map(final))
 
-    def action_log_likelihood(self, lang: LangBatch, traj: TrajBatch) -> Node:
-        memory, mask, h0 = self._encode(lang)
-        obs_feats = self.obs_mlp.features_steps(traj)
-        return self.act_dec.teacher_forced_logll(traj, obs_feats, memory, mask, h0=h0)
-
-    def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
-        with self.frozen():
-            memory, mask, h = self._encode(make_lang_batch([list(tokens)]))
-            return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), memory, mask, h,
-                                        mode, rng, max_steps)
+    follower_log_likelihood = MsVae.follower_log_likelihood
+    follow = MsVae.follow
 
 
 class BaselineSpeaker(nn.Layer):
@@ -627,36 +624,21 @@ class BaselineSpeaker(nn.Layer):
 
     kind = "speaker"
 
-    def __init__(self, rng, cfg: ModelConfig, attention: bool = True):
+    def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
         self.cfg = cfg
-        self.attention = attention
         self.obs_mlp = self._child("obs_mlp", ObsMlp(rng, cfg.obs_dim, cfg.hidden, cfg.obs_hidden))
         self.traj_enc = self._child("traj_enc", TrajEncoderCore(rng, cfg))
-        self.word_dec = self._child("word_dec", WordDecoder(rng, cfg, memory_dim=cfg.hidden, use_attention=attention))
+        self.word_dec = self._child("word_dec", WordDecoder(rng, cfg, memory_dim=cfg.hidden))
         self.init_map = self._child("init_map", nn.Linear(rng, cfg.hidden, cfg.hidden))
 
-    def _encode(self, traj: TrajBatch):
+    def trajectory_memory(self, traj: TrajBatch):
         hidden, final = self.traj_enc.hidden_states(traj, self.obs_mlp.features_steps(traj))
-        memory = hidden if self.attention else final
-        mask = traj.mask if self.attention else None
-        return memory, mask, ad.tanh(self.init_map(final))
+        return hidden, traj.mask, ad.tanh(self.init_map(final))
 
-    def language_log_likelihood(self, traj: TrajBatch, lang: LangBatch) -> Node:
-        memory, mask, h0 = self._encode(traj)
-        return self.word_dec.teacher_forced_logll(lang, memory, mask, h0=h0)
-
-    def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None,
-              len_cap: int = 30) -> tuple[list[int], bool]:
-        with self.frozen():
-            memory, mask, h = self._encode(make_traj_batch([traj], self.cfg.n_actions))
-            return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap)
-
-    def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
-        with self.frozen():
-            tb = make_traj_batch([traj], self.cfg.n_actions)
-            lang = make_lang_batch([list(tokens)])
-            return float(self.language_log_likelihood(tb, lang).value[0])
+    speaker_log_likelihood = MsVae.speaker_log_likelihood
+    speak = MsVae.speak
+    trajectory_language_score = MsVae.trajectory_language_score
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +648,7 @@ class BaselineSpeaker(nn.Layer):
 def paired_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, hp: HyperParams, rng) -> dict:
     """All paired-bound terms, one reparameterized sample per modality branch
     (shared between the reconstruction and cross-modal terms)."""
-    obs_feats = model.obs_features(traj)
+    obs_feats = model.obs_mlp.features_steps(traj)
     m1, lv1 = model.encode_trajectory(traj)
     m2, lv2 = model.encode_language(lang)
     z1 = nn.reparameterize(m1, lv1, rng.standard_normal(m1.value.shape))
@@ -677,9 +659,9 @@ def paired_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, hp: HyperParams,
     a2 = ad.reduce_mean(model.language_log_likelihood(z2, lang))
     c2 = ad.reduce_mean(model.action_log_likelihood(z2, traj, obs_feats))
 
-    pm1, plv1 = model.prior_params(z1)
+    pm1, plv1 = nn.prior_log_density_params(model.prior, z1)
     b1 = ad.neg(ad.reduce_mean(nn.gaussian_kl_per_sample(m1, lv1, pm1, plv1)))
-    pm2, plv2 = model.prior_params(z2)
+    pm2, plv2 = nn.prior_log_density_params(model.prior, z2)
     b2 = ad.neg(ad.reduce_mean(nn.gaussian_kl_per_sample(m2, lv2, pm2, plv2)))
 
     jbar = ad.scale(
@@ -695,11 +677,11 @@ def paired_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, hp: HyperParams,
 
 def unpaired_loss(model: MsVae, traj: TrajBatch, hp: HyperParams, rng) -> dict:
     """Trajectory-only bound V = A_1 + beta * B_1 (B_1 = -KL)."""
-    obs_feats = model.obs_features(traj)
+    obs_feats = model.obs_mlp.features_steps(traj)
     m1, lv1 = model.encode_trajectory(traj)
     z1 = nn.reparameterize(m1, lv1, rng.standard_normal(m1.value.shape))
     a1 = ad.reduce_mean(model.action_log_likelihood(z1, traj, obs_feats))
-    pm1, plv1 = model.prior_params(z1)
+    pm1, plv1 = nn.prior_log_density_params(model.prior, z1)
     b1 = ad.neg(ad.reduce_mean(nn.gaussian_kl_per_sample(m1, lv1, pm1, plv1)))
     v = ad.add(a1, ad.scale(b1, hp.beta))
     return {"a1": a1, "b1": b1, "v": v, "traj_means": m1}
@@ -790,7 +772,7 @@ def build_model(kind: str, rng, cfg: ModelConfig, attention: bool = True):
     if kind == "follower":
         return BaselineFollower(rng, cfg, attention)
     if kind == "speaker":
-        return BaselineSpeaker(rng, cfg, attention)
+        return BaselineSpeaker(rng, cfg)
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -92,13 +92,8 @@ def evaluate_follower(model, corpus, records, decoding: str = "greedy", rng=None
 
 
 def evaluate_speaker(model, corpus, records) -> tuple[float, int]:
-    view = model.cfg.obs_view
-    hyps, refs = [], []
-    for rec in records:
-        tokens, _ = model.speak(corpus.trajectory(rec, view))
-        hyps.append(tokens)
-        refs.append(rec["tokens"])
-    return metrics_mod.bleu4(hyps, refs), len(records)
+    hyps = [model.speak(corpus.trajectory(rec, model.cfg.obs_view))[0] for rec in records]
+    return metrics_mod.bleu4(hyps, [rec["tokens"] for rec in records]), len(records)
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +115,10 @@ class _Run:
     def __init__(self, cfg: TrainConfig, corpus, out_dir, pipeline: str, build_model,
                  resume_from=None):
         self.cfg = cfg
-        # the model first: a warm start that fails leaves no run directory
+        _require_val(corpus)
+        # the model and its resumed state first: a warm start or a resume
+        # that fails leaves the run directory as it was
         self.model = build_model(np.random.default_rng([cfg.seed, 3]))
-        self.out = Path(out_dir)
-        (self.out / "checkpoints").mkdir(parents=True, exist_ok=True)
-        config = {"pipeline": pipeline, "train": asdict(cfg)}  # the run's one record of its settings
-        (self.out / "config.json").write_text(json.dumps(config, sort_keys=True) + "\n")
-
         self.rngs = {
             "batch": np.random.default_rng([cfg.seed, 0]),
             "loss": np.random.default_rng([cfg.seed, 1]),
@@ -140,10 +132,15 @@ class _Run:
         self.best_epoch = -1
         self.best_params: dict[str, np.ndarray] | None = None
         self.skips = 0
+        if resume_from is not None:
+            self._load_state(resume_from, pipeline)
 
+        self.out = Path(out_dir)
+        (self.out / "checkpoints").mkdir(parents=True, exist_ok=True)
+        config = {"pipeline": pipeline, "train": asdict(cfg)}  # the run's one record of its settings
+        (self.out / "config.json").write_text(json.dumps(config, sort_keys=True) + "\n")
         elapsed = 0.0
         if resume_from is not None:
-            self._load_state(resume_from)
             # rows logged after the checkpoint, before a crash, are replayed
             last_step = self.start_epoch * cfg.iters_per_epoch
             _truncate_steps(self.out / "metrics.csv", last_step)
@@ -244,10 +241,20 @@ class _Run:
             prev.unlink()
         return path
 
-    def _load_state(self, path):
+    def _load_state(self, path, pipeline: str):
+        """Restore a training state, checked to be this pipeline's and to fit this model."""
         arrays, meta = nn.load_checkpoint(path)
         if not meta.get("train_state"):
             raise ValueError(f"{path} is a model-only checkpoint; cannot resume")
+        if meta.get("pipeline") != pipeline:
+            raise ValueError(f"{path} is a {meta.get('pipeline')} checkpoint; cannot resume it as {pipeline}")
+        want = {k: v.value.shape for k, v in self.model.named_params().items()}
+        want.update((k, v.shape) for k, v in self.opt.state_arrays().items())
+        have = {k: v.shape for k, v in arrays.items() if not k.startswith("best.")}
+        for name in sorted(want.keys() | have.keys()):
+            if want.get(name) != have.get(name):
+                raise ValueError(f"{path} does not fit this model: {name} has shape "
+                                 f"{have.get(name, 'none')} there and {want.get(name, 'none')} here")
         self.model.load_values({k: v for k, v in arrays.items()
                                 if not k.startswith(("adam.", "best."))})
         self.opt.load_state_arrays(arrays)
@@ -259,6 +266,12 @@ class _Run:
         self.best_epoch = meta["best"]["epoch"]
         best = {k[len("best."):]: v for k, v in arrays.items() if k.startswith("best.")}
         self.best_params = best or None
+
+
+def _require_val(corpus) -> None:
+    """Every pipeline selects its checkpoint on val records."""
+    if not corpus.val:
+        raise ValueError("the corpus has an empty val split; training selects its checkpoint on val")
 
 
 def _truncate_steps(path: Path, last_step: int) -> list[str]:
@@ -325,10 +338,9 @@ def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
     if not records:
         raise ValueError("no paired records to train on")
     mcfg = cfg.model_config(len(corpus.vocab))
-    bottleneck = cfg.arch_variant == "bottleneck"
 
     def build(rng):
-        if bottleneck:
+        if cfg.arch_variant == "bottleneck":
             model = md.MsVae(rng, mcfg)
         else:
             model = md.BaselineFollower(rng, mcfg, attention=cfg.arch_variant == "attention")
@@ -338,8 +350,7 @@ def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
 
     def step_loss(model, batch_rng, loss_rng):
         lang, traj = _paired_batch(records, corpus, cfg, batch_rng)
-        memory = model.encode_language(lang)[0] if bottleneck else lang
-        mean_ll = ad.reduce_mean(model.action_log_likelihood(memory, traj))
+        mean_ll = ad.reduce_mean(model.follower_log_likelihood(lang, traj))
         return ad.neg(mean_ll), _zero_report(float(mean_ll.value), "c2")
 
     def evaluate(model):
@@ -364,7 +375,7 @@ def train_supervised_speaker(cfg: TrainConfig, corpus, out_dir, resume_from=None
 
     def step_loss(model, batch_rng, loss_rng):
         lang, traj = _paired_batch(records, corpus, cfg, batch_rng)
-        mean_ll = ad.reduce_mean(model.language_log_likelihood(traj, lang))
+        mean_ll = ad.reduce_mean(model.speaker_log_likelihood(traj, lang))
         return ad.neg(mean_ll), _zero_report(float(mean_ll.value), "c1")
 
     def evaluate(model):
@@ -438,11 +449,7 @@ def augment(speak_fn, corpus, out_path, speaker_tag: str) -> list[dict]:
 
 
 def model_speak_fn(model, len_cap: int = 30):
-    def fn(corpus, rec):
-        traj = corpus.trajectory(rec, model.cfg.obs_view)
-        return model.speak(traj, len_cap=len_cap)
-
-    return fn
+    return lambda corpus, rec: model.speak(corpus.trajectory(rec, model.cfg.obs_view), len_cap=len_cap)
 
 
 def oracle_speak_fn():
@@ -460,13 +467,14 @@ def train_speaker_follower(cfg: TrainConfig, corpus, out_dir, speaker_ckpt=None,
     """Augment the unpaired set with a speaker, then train an attention
     follower on the pseudo pairs plus the real pairs. Without speaker_ckpt
     the pipeline's speaker stage trains one in a subdirectory of out_dir."""
+    _require_val(corpus)  # before the speaker stage, or the pseudo pairs, is written
     out = Path(out_dir)
     if speaker_ckpt is None:
         stage_dir, train_stage = SPEAKER_STAGES[pipeline_name]
         speaker_ckpt, _ = train_stage(cfg, corpus, out / stage_dir)
     # a speaker checkpoint that is missing or cannot speak fails before the run directory is made
     speaker, meta = md.load_model(speaker_ckpt)
-    if meta["kind"] not in ("speaker", "msvae"):
+    if not hasattr(speaker, "speak"):
         raise ValueError(f"checkpoint kind {meta['kind']!r} cannot speak")
     out.mkdir(parents=True, exist_ok=True)
     pseudo = augment(model_speak_fn(speaker), corpus, out / "pseudo_paired.jsonl", speaker_tag=meta["kind"])

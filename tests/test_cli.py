@@ -6,11 +6,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msvae import autodiff as ad, cli, config as cfg_mod, nn, pipelines as pl
+from msvae import autodiff as ad, cli, config as cfg_mod, corpus as corpus_mod, model as md, nn, pipelines as pl
 
 
 def run_cli(*argv):
@@ -247,6 +248,46 @@ class TestTrain:
         assert run_cli(*base, "--out", str(part), "--set", "train.epochs=4",
                        "--resume", str(state)) == 0
         assert (full / "metrics.csv").read_bytes() == (part / "metrics.csv").read_bytes()
+
+    def test_resume_that_does_not_fit_leaves_run_directory_unchanged(self, corpus_dir, trained, tmp_path, capsys):
+        # a wrong model setting, or another pipeline's training state, fails
+        # before config.json or the step logs are touched
+        mv, fol = tmp_path / "mv", tmp_path / "fol"
+        shutil.copytree(trained.parents[1], mv)
+        assert run_cli("train", "--pipeline", "supervised-follower", "--corpus", str(corpus_dir),
+                       "--out", str(fol), *SMOKE_SETS, "--set", "train.epochs=1") == 0
+        capsys.readouterr()
+        for run, pipeline, extra, message in [
+                (mv, "msvae", ["--set", "model.hidden=9"], "does not fit this model"),
+                (fol, "msvae", [], "is a supervised-follower checkpoint"),
+                (fol, "supervised-speaker", [], "is a supervised-follower checkpoint")]:
+            files = {name: (run / name).read_bytes() for name in ("config.json", "metrics.csv", "timing.csv")}
+            state = next((run / "checkpoints").glob("epoch_*.bin"))
+            code = run_cli("train", "--pipeline", pipeline, "--corpus", str(corpus_dir), "--out", str(run),
+                           *SMOKE_SETS, "--set", "train.epochs=4", *extra, "--resume", str(state))
+            assert {name: (run / name).read_bytes() for name in files} == files, (pipeline, extra)
+            assert code == 2, (pipeline, extra)
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and message in err, err
+
+    def test_empty_val_split_is_data_error_before_anything_is_written(self, tmp_path, capsys):
+        # every pipeline selects its checkpoint on val records
+        corpus = tmp_path / "corpus"
+        assert run_cli("gen-data", "--out", str(corpus), "--set", "corpus.m=6", "--set", "corpus.n=6",
+                       "--set", "corpus.val_tasks=0", "--set", "corpus.test_tasks=2") == 0
+        speaker = tmp_path / "speaker.bin"
+        cfg = md.ModelConfig(vocab_size=len(corpus_mod.load(corpus).vocab), hidden=4, word_emb=3, action_emb=3,
+                             attn_dim=3, cell_dim=3, obs_hidden=4)
+        md.save_model(speaker, md.BaselineSpeaker(np.random.default_rng(0), cfg), vocab_words=[])
+        capsys.readouterr()
+        for argv in [*([p] for p in (*pl.TRAINERS, *pl.SPEAKER_STAGES)),
+                     ["speaker-follower", "--speaker-checkpoint", str(speaker)]]:
+            out = tmp_path / "run"
+            code = run_cli("train", "--pipeline", *argv, "--corpus", str(corpus), "--out", str(out), *SMOKE_SETS)
+            assert code == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and "empty val split" in err, err
+            assert not out.exists(), argv
 
     def test_resume_rejected_for_speaker_follower_pipelines(self, corpus_dir, tmp_path, capsys):
         for pipeline in ("speaker-follower", "msvae-speaker-follower"):

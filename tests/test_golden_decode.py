@@ -1,11 +1,11 @@
 """Pinned decode outputs and teacher-forced losses of fixed-seed tiny models.
 
-Every follow/speak path (the latent model and both baselines, with and
-without attention or input feeding) is run greedily and in sampled mode
-with a fixed generator. The expected actions, tokens, truncated flags and
-the generator's next draw (which pins how many draws a decode consumed)
-were recorded from the implementation; a refactor of the decoders must
-reproduce them exactly.
+Every follow/speak path (the latent model with and without input feeding,
+the follower with and without attention, and the speaker) is run greedily
+and in sampled mode with a fixed generator. The expected actions, tokens,
+truncated flags and the generator's next draw (which pins how many draws a
+decode consumed) were recorded from the implementation; a refactor of the
+decoders must reproduce them exactly.
 
 The same models' training losses on ragged batches of three (so padding and
 masking are exercised) are pinned with every parameter's gradient sum and
@@ -37,7 +37,6 @@ BUILDERS = {
     "follower_attn": lambda: md.BaselineFollower(np.random.default_rng(13), _cfg()),
     "follower_no_attn": lambda: md.BaselineFollower(np.random.default_rng(14), _cfg(), attention=False),
     "speaker_attn": lambda: md.BaselineSpeaker(np.random.default_rng(15), _cfg()),
-    "speaker_no_attn": lambda: md.BaselineSpeaker(np.random.default_rng(16), _cfg(), attention=False),
 }
 INSTRUCTIONS = ([4, 5, 6], [9, 10, 11, 12, 13])
 
@@ -112,12 +111,6 @@ EXPECTED = {
         ('speak', 'greedy', [18, 6, 6, 6, 6, 6, 6, 6, 6, 6], True),
         ('speak', 'sample', [21, 6, 6, 6, 6, 6, 6, 6, 19, 21], True, 217273011),
     ],
-    'speaker_no_attn': [
-        ('speak', 'greedy', [18, 18, 18, 18, 18, 18, 18, 18, 18, 16], True),
-        ('speak', 'sample', [18, 18], False, 583756036),
-        ('speak', 'greedy', [16, 6, 6, 6, 6, 6, 6, 6, 6, 6], True),
-        ('speak', 'sample', [20, 15, 10, 15, 15, 8, 6, 8, 18, 18], True, 217273011),
-    ],
 }
 
 
@@ -152,13 +145,10 @@ def loss_outputs(name):
         unpaired = md.make_traj_batch(_trajectories((50, 51, 52)))
         loss, report = md.total_loss(model, lang, traj, unpaired, md.HyperParams(), np.random.default_rng(7))
         terms = report.as_row()
-    else:
-        if name == "bottleneck":  # the latent architecture under the follower's IL loss
-            mean_ll = ad.reduce_mean(model.action_log_likelihood(model.encode_language(lang)[0], traj))
-        elif isinstance(model, md.BaselineFollower):
-            mean_ll = ad.reduce_mean(model.action_log_likelihood(lang, traj))
-        else:
-            mean_ll = ad.reduce_mean(model.language_log_likelihood(traj, lang))
+    else:  # a follower's IL loss (bottleneck: the latent architecture's), or a speaker's
+        ll = (model.follower_log_likelihood(lang, traj) if hasattr(model, "follow")
+              else model.speaker_log_likelihood(traj, lang))
+        mean_ll = ad.reduce_mean(ll)
         loss, terms = ad.neg(mean_ll), [float(mean_ll.value)]
     params = model.named_params()
     ad.zero_grad(list(params.values()))

@@ -354,6 +354,40 @@ class TestRollouts:
         assert sa == sb
 
 
+class TestInterface:
+    """Every model kind defines only its decoder memory; the follower and
+    speaker methods are the latent model's, written once."""
+
+    FOLLOWER = ("follow", "follower_log_likelihood", "instruction_memory")
+    SPEAKER = ("speak", "trajectory_language_score", "speaker_log_likelihood", "trajectory_memory")
+
+    @pytest.mark.parametrize("cls,follows,speaks", [(md.MsVae, True, True), (md.BaselineFollower, True, False),
+                                                    (md.BaselineSpeaker, False, True)])
+    def test_each_kind_has_exactly_its_interface(self, cls, follows, speaks):
+        for names, promised in ((self.FOLLOWER, follows), (self.SPEAKER, speaks)):
+            for name in names:
+                assert hasattr(cls, name) == promised, name
+                if promised and not name.endswith("_memory"):
+                    assert getattr(cls, name) is md.MsVae.__dict__[name], name
+
+    def test_rollout_without_state_starts_from_zeros(self):
+        m = TestRollouts().sharp_model()
+        world, task = gw.sample_task(5, "goto_seq")
+        _, traj = gw.rollout(world, gw.oracle_solve(world, task), view="ego")
+        encode = md.observation_encoder(m.cfg)
+        with m.frozen():
+            memory, _ = m.encode_language(md.make_lang_batch([[4, 5, 6]]))
+            slots, _ = m.encode_trajectory(md.make_traj_batch([traj]))
+            for mode in ("greedy", "sample"):
+                follows, speaks = [], []
+                for h in (None, m.act_dec.gru.init_state(1)):
+                    follows.append(m.act_dec.rollout(world, m.obs_mlp, encode, memory, None, h, mode,
+                                                     np.random.default_rng(1), 12)[0].actions)
+                for h in (None, m.word_dec.gru.init_state(1)):
+                    speaks.append(m.word_dec.rollout(slots, None, h, mode, np.random.default_rng(2), 10))
+                assert follows[0] == follows[1] and speaks[0] == speaks[1]
+
+
 def ego_cfg(**kw):
     base = dict(vocab_size=22, obs_dim=gw.ego_dim(), hidden=12, word_emb=8, action_emb=6,
                 attn_dim=8, cell_dim=8, k_slots=2, latent_dim=6, prior_hidden=8)
@@ -452,8 +486,8 @@ class TestFrozenInference:
         m = md.build_model("follower", np.random.default_rng(4), ego_cfg())
         self.infer(m)
         world, traj = self.oracle_traj()
-        loss = ad.neg(ad.reduce_mean(m.action_log_likelihood(md.make_lang_batch([[4, 5, 6]]),
-                                                             md.make_traj_batch([traj]))))
+        loss = ad.neg(ad.reduce_mean(m.follower_log_likelihood(md.make_lang_batch([[4, 5, 6]]),
+                                                               md.make_traj_batch([traj]))))
         ad.backward(loss)
         assert all(p.grad is not None for p in m.params())
 

@@ -50,13 +50,13 @@ def padded_features(mlp, traj):
 
 
 def padded_lang_states(enc, lang):
-    return masked_gru_encode(enc.gru, lang.enc_mask, lambda t, h: enc.emb(lang.enc_ids[:, t]))
+    return masked_gru_encode(enc.gru, lang.enc_mask, lambda t, h: enc.emb(lang.dec_tgt[:, t]))
 
 
 def padded_traj_states(enc, traj, obs_feats):
     def step_input(t, h):
         cell_ctx = enc.readout(h, enc.readout.cells(traj.obs[:, t]))
-        return ad.concat([obs_feats[t], enc.emb(traj.enc_act[:, t]), cell_ctx], axis=1)
+        return ad.concat([obs_feats[t], enc.emb(traj.dec_tgt[:, t]), cell_ctx], axis=1)
 
     return masked_gru_encode(enc.gru, traj.mask, step_input)
 
@@ -107,11 +107,19 @@ def batches(seed, traj_lengths, lang_lengths, view):
     return trajs, langs
 
 
+def interface_lls(model, lang, traj):
+    """The per-sample likelihoods of the follower and speaker interface, as
+    far as the model follows and speaks."""
+    lls = [model.follower_log_likelihood(lang, traj)] if hasattr(model, "follow") else []
+    return lls + ([model.speaker_log_likelihood(traj, lang)] if hasattr(model, "speak") else [])
+
+
 def outputs(model, trajs, langs, unpaired, seed):
     """Every per-sample output and the loss gradients of `model` on a batch."""
     traj, lang = md.make_traj_batch(trajs, 6), md.make_lang_batch(langs)
     ad.zero_grad(model.params())
-    out = {}
+    lls = interface_lls(model, lang, traj)
+    out = {f"ll {i}": ll.value for i, ll in enumerate(lls)}
     if model.kind == "msvae":
         out["traj_mean"], out["traj_logvar"] = (x.value for x in model.encode_trajectory(traj))
         out["lang_mean"], out["lang_logvar"] = (x.value for x in model.encode_language(lang))
@@ -121,17 +129,14 @@ def outputs(model, trajs, langs, unpaired, seed):
         loss, _ = md.total_loss(model, lang, traj, md.make_traj_batch(unpaired, 6),
                                 md.HyperParams(alpha=0.3, gamma=2.0, n_projections=3), np.random.default_rng(seed))
     else:
-        ll = (model.action_log_likelihood(lang, traj) if model.kind == "follower"
-              else model.language_log_likelihood(traj, lang))
-        out["ll"] = ll.value
-        loss = ad.neg(ad.reduce_mean(ll))
+        loss = ad.neg(ad.reduce_mean(lls[0]))
     ad.backward(loss)
     out["loss"] = loss.value
     out.update({f"grad {n}": p.gradient.copy() for n, p in model.named_params().items()})
     return out
 
 
-KINDS = ["msvae", "follower", "follower_no_attn", "speaker", "speaker_no_attn"]
+KINDS = ["msvae", "follower", "follower_no_attn", "speaker"]
 lengths = st.lists(st.integers(1, 6), min_size=1, max_size=4)
 
 
@@ -171,12 +176,11 @@ def test_permuting_rows_permutes_per_sample_outputs(case, random):
 
     def per_sample(trajs, langs, z):
         traj, lang = md.make_traj_batch(trajs, 6), md.make_lang_batch(langs)
-        if model.kind == "follower":
-            return [model.action_log_likelihood(lang, traj)]
-        if model.kind == "speaker":
-            return [model.language_log_likelihood(traj, lang)]
-        return [*model.encode_trajectory(traj), *model.encode_language(lang),
-                model.action_log_likelihood(z, traj), model.language_log_likelihood(z, lang)]
+        out = interface_lls(model, lang, traj)
+        if model.kind == "msvae":
+            out += [*model.encode_trajectory(traj), *model.encode_language(lang),
+                    model.action_log_likelihood(z, traj), model.language_log_likelihood(z, lang)]
+        return out
 
     z = np.random.default_rng(seed).normal(size=(len(trajs), 2, 3))
     base = per_sample(trajs, langs, ad.constant(z))
