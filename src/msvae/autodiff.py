@@ -2,9 +2,10 @@
 
 Graphs are define-by-run: every op returns a Node holding the forward value
 and a closure that maps the upstream gradient onto operand gradients. A graph
-is built fresh each step and walked once, iteratively, in reverse topological
-order. There is no broadcasting beyond the explicit per-op rules below; shape
-violations raise ShapeMismatch naming both shapes.
+is built fresh each step and consumed by one backward pass, iteratively, in
+reverse topological order: only leaves keep `.grad`. There is no
+broadcasting beyond the explicit per-op rules below; shape violations raise
+ShapeMismatch naming both shapes.
 
 Every node carries a `needs_grad` bit: leaves set it, constants clear it,
 and an op node sets it when it is built if any operand does. An op node
@@ -36,7 +37,9 @@ class Node:
     node built from `operands` with `vjp` needs a gradient when any operand
     does; `vjp(g)` returns one gradient per operand, and `parents` holds the
     operands that need one (`slots` their positions, None when that is all
-    of them). An op node that needs no gradient drops its operands and VJP.
+    of them). An op node that needs no gradient drops its operands and VJP
+    when built; one that needs a gradient drops them, and its `grad`, once
+    backward has used them.
     """
 
     __slots__ = ("value", "grad", "parents", "vjp", "name", "const", "needs_grad", "slots")
@@ -72,7 +75,7 @@ class Node:
 
     @property
     def gradient(self) -> np.ndarray:
-        """Accumulated gradient; zeros if nothing reached this node."""
+        """A leaf's accumulated gradient; zeros if nothing reached it."""
         if self.grad is None:
             return np.zeros_like(self.value)
         return self.grad
@@ -299,11 +302,7 @@ def split_rows(a, sizes) -> list[Node]:
     if not sizes or min(sizes) < 0 or sum(sizes) != total:
         raise ShapeMismatch(f"split_rows: {total} rows do not split into blocks of {sizes}")
 
-    def hand_off(g):
-        join.grad = None  # the buffer now belongs to `a`; a later pass starts a fresh one
-        return (g,)
-
-    join = Node(value, (a,), hand_off)
+    join = Node(value, (a,), lambda g: (g,))  # backward then clears join.grad: the buffer is `a`'s
 
     def block(lo, size):
         def vjp(g):
@@ -583,27 +582,27 @@ def _topo(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Populate .grad for every node reachable from `loss` that needs one.
-
-    Only parents that need a gradient are in the graph, so nodes and operands
-    without `needs_grad` are never visited. The graph is single-use: calling
-    backward twice on the same graph accumulates a second pass of gradients.
+    """Accumulate into .grad of every leaf reachable from `loss`, consuming
+    the graph: once an op node has handed its gradients on, it drops its
+    grad, VJP and parents. Nodes without `needs_grad` are never visited.
     """
     if loss.value.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
     order = _topo(loss)
     loss.grad = np.ones(())
     for node in reversed(order):
-        if node.vjp is None or node.grad is None:
+        if node.vjp is None:
             continue
-        grads = node.vjp(node.grad)
-        if node.slots is not None:
-            grads = [grads[i] for i in node.slots]
-        for parent, g in zip(node.parents, grads):
-            if g is None:
-                continue
-            # never accumulate in place: vjp outputs may be shared references
-            parent.grad = g if parent.grad is None else parent.grad + g
+        if node.grad is not None:
+            grads = node.vjp(node.grad)
+            if node.slots is not None:
+                grads = [grads[i] for i in node.slots]
+            for parent, g in zip(node.parents, grads):
+                if g is None:
+                    continue
+                # never accumulate in place: vjp outputs may be shared references
+                parent.grad = g if parent.grad is None else parent.grad + g
+        node.grad, node.vjp, node.parents = None, None, ()
 
 
 def zero_grad(params) -> None:

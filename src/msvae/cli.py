@@ -127,9 +127,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _require_kind(model, verb: str) -> None:
-    if not hasattr(model, verb):
-        raise UsageError(f"checkpoint kind {model.kind!r} cannot {verb}")
+def _require_kind(model, meta: dict, verb: str) -> None:
+    if not (pl.can_speak(model, meta) if verb == "speak" else hasattr(model, verb)):
+        raise UsageError(f"a {meta.get('pipeline', model.kind)} checkpoint cannot {verb}")
 
 
 def cmd_eval(args) -> int:
@@ -149,8 +149,8 @@ def cmd_eval(args) -> int:
                                        metrics_mod.episodes_from_records(corpus, recs))
         out_path = Path(args.out or "eval.json")
     else:
-        model, _ = md.load_model(args.checkpoint)
-        _require_kind(model, "speak" if args.mode == "speak" else "follow")
+        model, meta = md.load_model(args.checkpoint)
+        _require_kind(model, meta, "speak" if args.mode == "speak" else "follow")
         if args.mode == "speak":
             bleu, n = pl.evaluate_speaker(model, corpus, recs)
         elif args.mode == "follow":
@@ -159,12 +159,12 @@ def cmd_eval(args) -> int:
             if ev["candidates"] == 0:
                 speaker = None  # plain greedy decoding scores no candidates
             elif args.speaker_checkpoint:
-                speaker, _ = md.load_model(args.speaker_checkpoint)
-                _require_kind(speaker, "speak")
-            elif hasattr(model, "speak"):
+                speaker, speaker_meta = md.load_model(args.speaker_checkpoint)
+                _require_kind(speaker, speaker_meta, "speak")
+            elif pl.can_speak(model, meta):
                 speaker = model
             else:
-                raise UsageError("pragmatic mode needs --speaker-checkpoint for a plain follower")
+                raise UsageError("pragmatic mode needs --speaker-checkpoint for a checkpoint that cannot speak")
             rep = pl.evaluate_pragmatic(model, speaker, corpus, recs, ev["candidates"], rng)
         out_path = Path(args.out or Path(args.checkpoint).parent.parent / "eval.json")
     if rep is not None:

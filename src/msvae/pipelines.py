@@ -168,8 +168,7 @@ class _Run:
             totals = []
             for _ in range(cfg.iters_per_epoch):
                 step += 1
-                loss_node, report = step_loss(self.model, self.rngs["batch"], self.rngs["loss"])
-                self._apply(loss_node, report, step)
+                report = self._step(step_loss, step)
                 self.metrics_f.write(f"{step}," + ",".join(repr(v) for v in report.as_row()) + "\n")
                 self.timing_f.write(f"{step},{time.monotonic() - self.t0:.3f}\n")
                 totals.append(report.total)
@@ -179,17 +178,22 @@ class _Run:
             self.save_state(epoch)
         return self._finish(metric_name)
 
-    def _apply(self, loss_node, report, step: int) -> None:
+    def _step(self, step_loss, step: int) -> md.LossReport:
+        """Draw one batch and take one optimizer step on it. The step's graph
+        lives in this frame only, so a step that a non-finite loss skips
+        frees it before the next step's forward too."""
+        loss_node, report = step_loss(self.model, self.rngs["batch"], self.rngs["loss"])
         if not np.isfinite(report.total):
             self.skips += 1
             logger.warning("non-finite loss at step %d; skipped (%d consecutive)", step, self.skips)
             if self.skips >= MAX_CONSECUTIVE_SKIPS:
                 raise NumericFailure(f"{self.skips} consecutive non-finite losses")
-            return
+            return report
         self.skips = 0
         self.opt.zero_grad()
         ad.backward(loss_node)
         self.opt.step()
+        return report
 
     def _note_eval(self, epoch: int, sr: float, bleu: float, mean_total: float, metric_name: str):
         values = [e[metric_name] for e in self.entries] + [sr if metric_name == "sr" else bleu]
@@ -474,8 +478,8 @@ def train_speaker_follower(cfg: TrainConfig, corpus, out_dir, speaker_ckpt=None,
         speaker_ckpt, _ = train_stage(cfg, corpus, out / stage_dir)
     # a speaker checkpoint that is missing or cannot speak fails before the run directory is made
     speaker, meta = md.load_model(speaker_ckpt)
-    if not hasattr(speaker, "speak"):
-        raise ValueError(f"checkpoint kind {meta['kind']!r} cannot speak")
+    if not can_speak(speaker, meta):
+        raise ValueError(f"a {meta.get('pipeline', meta['kind'])} checkpoint cannot speak")
     out.mkdir(parents=True, exist_ok=True)
     pseudo = augment(model_speak_fn(speaker), corpus, out / "pseudo_paired.jsonl", speaker_tag=meta["kind"])
     usable = [r for r in pseudo if r["tokens"]]
@@ -492,6 +496,13 @@ TRAINERS = {"supervised-follower": train_supervised_follower,
             "supervised-speaker": train_supervised_speaker, "msvae": train_msvae}
 SPEAKER_STAGES = {"speaker-follower": ("speaker_stage", train_supervised_speaker),
                   "msvae-speaker-follower": ("msvae_stage", train_msvae)}
+
+
+def can_speak(model, meta: dict) -> bool:
+    """Whether a loaded checkpoint holds a trained speaker: its kind speaks,
+    and no follower pipeline wrote it (a `supervised-follower` run with
+    arch_variant=bottleneck saves an msvae whose speaker half never trained)."""
+    return hasattr(model, "speak") and meta.get("pipeline") not in ("supervised-follower", *SPEAKER_STAGES)
 
 
 # ---------------------------------------------------------------------------

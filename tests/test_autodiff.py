@@ -261,6 +261,21 @@ class TestSplitRows:
         expected = 2 * a.value + np.repeat([[1.0], [3.0]], 2, axis=0)
         np.testing.assert_allclose(a.gradient, expected, rtol=1e-15)
 
+    def test_shared_input_rebuilt_graph_same_gradient(self):
+        # each pass hands `a` a fresh join buffer, none left over from the last
+        r = rng_for(71)
+        a = ad.leaf(r.normal(size=(5, 2)))
+        weights = [r.normal(size=(n, 2)) for n in (2, 3)]
+
+        def grad_once():
+            a.grad = None
+            parts = ad.split_rows(ad.tanh(a), [2, 3])
+            ad.backward(ad.add(ad.reduce_sum(ad.mul(a, a)), _weighted_sum(parts, weights)))
+            return a.grad.copy()
+
+        first = grad_once()
+        np.testing.assert_array_equal(grad_once(), first)
+
     def test_negative_size_rejected(self):
         with pytest.raises(ad.ShapeMismatch, match="3 rows"):
             ad.split_rows(ad.leaf(np.zeros((3, 2))), [4, -1])
@@ -408,6 +423,28 @@ class TestBackward:
         ad.backward(ad.reduce_sum(ad.mul(x, c)))
         assert c.grad is None
         np.testing.assert_array_equal(x.gradient, np.ones(3))
+
+    def test_backward_consumes_every_op_node(self):
+        # shared input, a constant operand and split_rows' join in one graph
+        r = rng_for(21)
+        x, w = ad.leaf(r.normal(size=(4, 3))), ad.leaf(r.normal(size=(3, 3)))
+        c = r.normal(size=(4, 3))
+
+        def build():
+            h = ad.tanh(ad.matmul(x, w))
+            top, bottom = ad.split_rows(h, [1, 3])
+            return ad.add(ad.reduce_sum(ad.mul(h, ad.constant(c))),
+                          ad.add(ad.reduce_sum(top), ad.reduce_sum(ad.mul(bottom, bottom))))
+
+        loss = build()
+        ops = [n for n in ad._topo(loss) if n.vjp is not None]
+        assert len(ops) >= 10
+        ad.backward(loss)
+        for node in ops:
+            assert node.grad is None and node.vjp is None and node.parents == (), node
+        for lf in (x, w):  # leaves keep their gradients
+            num = ad.numeric_gradient(lambda: float(build().value), lf.value)
+            assert ad.max_rel_error(lf.grad, num) <= 1e-6
 
     def test_deep_graph_no_recursion_limit(self):
         x = ad.leaf(np.ones(2) * 0.01)

@@ -158,6 +158,18 @@ class TestGenData:
         assert 8.0 <= mean_actions <= 14.0
 
 
+@pytest.fixture(scope="module")
+def bottleneck_follower(corpus_dir, tmp_path_factory):
+    """A supervised-follower checkpoint of the latent architecture: an msvae
+    model whose speaker half was never trained."""
+    out = tmp_path_factory.mktemp("bottleneck")
+    assert run_cli("train", "--pipeline", "supervised-follower", "--corpus", str(corpus_dir), "--out", str(out),
+                   *SMOKE_SETS, "--set", "train.epochs=1", "--set", "train.arch_variant=bottleneck") == 0
+    best = out / "checkpoints" / "best.bin"
+    assert md.load_model(best)[1]["kind"] == "msvae"
+    return best
+
+
 class TestTrain:
     def test_smoke_run_exit0_metrics_nonempty(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
@@ -335,6 +347,16 @@ class TestTrain:
             assert err.startswith("data error: ") and message in err
             assert not out.exists()
 
+    def test_bottleneck_follower_is_no_speaker(self, corpus_dir, bottleneck_follower, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "sf"
+        code = run_cli("train", "--pipeline", "speaker-follower", "--corpus", str(corpus_dir), "--out", str(out),
+                       *SMOKE_SETS, "--speaker-checkpoint", str(bottleneck_follower))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "supervised-follower checkpoint cannot speak" in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("pipeline", ["supervised-follower", "supervised-speaker", "msvae"])
     def test_speaker_checkpoint_rejected_by_other_pipelines(self, tmp_path, capsys, pipeline):
         # a usage error before the corpus is read: the missing corpus is never reached
@@ -424,6 +446,27 @@ class TestEval:
                        *mode, "--speaker-checkpoint", str(tmp_path / "nope.bin"), "--out", str(out))
         assert code == 1
         assert "--speaker-checkpoint works only with --mode pragmatic" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode,message", [
+        (["--mode", "pragmatic", "--candidates", "4"], "needs --speaker-checkpoint"),
+        (["--mode", "speak"], "supervised-follower checkpoint cannot speak")], ids=["pragmatic", "speak"])
+    def test_bottleneck_follower_does_not_speak_itself(self, corpus_dir, bottleneck_follower, tmp_path, capsys,
+                                                       mode, message):
+        out = tmp_path / "e.json"
+        code = run_cli("eval", "--checkpoint", str(bottleneck_follower), "--corpus", str(corpus_dir),
+                       *mode, "--out", str(out))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bottleneck_follower_is_no_speaker_checkpoint(self, corpus_dir, trained, bottleneck_follower,
+                                                          tmp_path, capsys):
+        out = tmp_path / "p.json"
+        code = run_cli("eval", "--checkpoint", str(trained), "--corpus", str(corpus_dir), "--mode", "pragmatic",
+                       "--candidates", "4", "--speaker-checkpoint", str(bottleneck_follower), "--out", str(out))
+        assert code == 1
+        assert "supervised-follower checkpoint cannot speak" in capsys.readouterr().err
         assert not out.exists()
 
     def test_speak_mode_writes_bleu(self, corpus_dir, trained, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -247,6 +248,29 @@ class TestTotalLoss:
         loss, report = md.total_loss(tiny_model, lang, traj, unpaired, hp, np.random.default_rng(0))
         assert abs(report.total - report.recombine(hp)) < 1e-10
         assert abs(float(loss.value) + report.total) < 1e-12
+
+
+def test_training_step_leaves_no_cyclic_garbage():
+    # with the cyclic collector off, reference counting alone must free a
+    # step's graph once backward has run and the loss is dropped
+    model = md.MsVae(np.random.default_rng(0), tiny_cfg())
+    lang, traj, unpaired = TestTotalLoss().batches()
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        loss, _ = md.total_loss(model, lang, traj, unpaired, md.HyperParams(), np.random.default_rng(0))
+        ad.backward(loss)
+        del loss
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, ad.Node)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert cyclic == []
 
 
 class TestFullLossGradient:

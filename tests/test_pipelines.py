@@ -1,12 +1,13 @@
 import gc
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from msvae import corpus, gridworld as gw, metrics, model as md, nn, pipelines as pl
+from msvae import autodiff as ad, corpus, gridworld as gw, metrics, model as md, nn, pipelines as pl
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +245,28 @@ class TestMsVae:
         assert not any(n.startswith("act_dec.attn.wk") for n in copied)
         base, _ = md.load_model(sup_ck)
         np.testing.assert_array_equal(model.lang_enc.gru.w.value, base.lang_enc.gru.w.value)
+
+
+def test_skipped_step_frees_its_graph_before_the_next_forward(small_corpus, tmp_path):
+    # a non-finite loss skips backward, which would otherwise release the graph
+    cfg = small_cfg(epochs=1, iters_per_epoch=3)
+    mcfg = cfg.model_config(len(small_corpus.vocab))
+    graphs = []
+
+    def step_loss(model, batch_rng, loss_rng):
+        assert all(ref() is None for ref in graphs)
+        w = model.params()[0]
+        square = ad.mul(w, w)
+        graphs.append(weakref.ref(square.value))
+        return ad.reduce_sum(square), pl._zero_report(float("nan"), "c2")
+
+    run = pl._Run(cfg, small_corpus, tmp_path / "run", "supervised-follower",
+                  lambda rng: md.BaselineFollower(rng, mcfg))
+    before = {k: v.value.copy() for k, v in run.model.named_params().items()}
+    run.fit(step_loss, lambda model: (0.0, 0.0), "sr")
+    assert run.skips == 3 and len(graphs) == 3
+    for name, node in run.model.named_params().items():
+        np.testing.assert_array_equal(node.value, before[name])
 
 
 class TestAugment:
