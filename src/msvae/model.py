@@ -3,6 +3,10 @@ objective term: per-modality reconstruction and KL terms, the cross-modal
 terms, the unpaired trajectory bound, the per-slot sliced-Wasserstein domain
 distance, and the combined training objective.
 
+Both encoders and both decoders multiply the GRU inputs that do not depend
+on the state once per batch and step on per-step blocks of that product;
+the decoders' input feed is prepared once per sequence (see _Decoder).
+
 Conventions: modality 1 is the trajectory (actions given observations),
 modality 2 is the language. All likelihood terms are per-sample sums of step
 log-probabilities; reported loss terms are batch means. The combined
@@ -173,14 +177,12 @@ class ObsMlp(nn.Layer):
     def __call__(self, x: Node) -> Node:
         return ad.tanh(self.l2(ad.tanh(self.l1(x))))
 
-    def features_steps(self, traj: TrajBatch) -> list[Node]:
-        """A packed batch's observations -> per-step (counts[t], H) nodes of
-        the rows still running, longest first.
-
-        The MLP runs once over all running (step, row) pairs; split_rows cuts
-        the result into steps and gathers their gradients in one buffer.
-        Padded steps are never computed."""
-        return ad.split_rows(self(ad.constant(traj.packed_obs)), traj.packing.counts)
+    def features(self, traj: TrajBatch) -> Node:
+        """A packed batch's observations -> the (sum(counts), H) features of
+        every running (step, row) pair, step-major as Packing.pack orders
+        them. The MLP runs once over all of them; padded steps are never
+        computed."""
+        return self(ad.constant(traj.packed_obs))
 
     def one_hot_row(self, o: np.ndarray) -> Node:
         """The features of one (1, obs_dim) one-hot observation, as a decode
@@ -218,7 +220,8 @@ def fused_grid_readout(query: Node, cells: np.ndarray, wq_w: Node, wq_b: Node, w
                        wc_b: Node, pos: Node, scale: float) -> Node:
     """GridReadout attention as a single graph node with a hand-written backward.
 
-    Equivalent to GridReadout.call_composed, the oracle it is tested against,
+    Equivalent to the composed-op readout (keys and values wc(cells) + pos,
+    scaled dot-product attention, the mix), the oracle it is tested against,
     with one node where the composed form builds fifteen. `cells` is the
     constant (B, n_cells, channels) grid, captured rather than an operand.
     """
@@ -276,21 +279,6 @@ class GridReadout(nn.Layer):
         return fused_grid_readout(query, cells, self.wq.w, self.wq.b, self.wc.w, self.wc.b,
                                   self.pos, self.scale)
 
-    def call_composed(self, query: Node, cells: np.ndarray) -> Node:
-        """Elementary-op formulation; the oracle for fused_grid_readout.
-
-        Keys and values are wc(cells) + pos, and attention is linear in them:
-        q . (c W + b + p) = (q W^T) . c + q . p + q . b, where the q . b term is
-        the same for every cell and cancels in the softmax; the weights sum to
-        one, so sum_n w_n wc(c_n) = wc(sum_n w_n c_n).
-        """
-        cells = ad.constant(cells)
-        q = self.wq(query)
-        scores = ad.add(ad.bdot(ad.matmul(q, ad.transpose2(self.wc.w)), cells),
-                        ad.matmul(q, ad.transpose2(self.pos)))
-        w = ad.softmax(ad.scale(scores, self.scale), axis=-1)
-        return ad.add(self.wc(ad.bmix(w, cells)), ad.matmul(w, self.pos))
-
 
 class LanguageEncoderCore(nn.Layer):
     def __init__(self, rng, cfg: ModelConfig):
@@ -299,29 +287,37 @@ class LanguageEncoderCore(nn.Layer):
         self.gru = self._child("gru", nn.GruCell(rng, cfg.word_emb, cfg.hidden))
 
     def hidden_states(self, lang: LangBatch) -> tuple[Node, Node]:
-        ids = lang.packing.steps(lang.dec_tgt)
-        return nn.gru_encode(self.gru, lang.packing, lambda t, h: self.emb(ids[t]))
+        packing = lang.packing
+        gates = self.gru.input_gates(self.emb(packing.pack(lang.dec_tgt)), packing.counts)
+        return nn.gru_encode(self.gru, packing, lambda t, h: self.gru.step(gates[t], h))
 
 
 class TrajEncoderCore(nn.Layer):
     """Steps over (obs features, action embedding, spatial readout) inputs;
     the readout, queried by the running state, grounds which objects the
-    agent is near so downstream language decoding can name them."""
+    agent is near so downstream language decoding can name them. The first
+    two do not depend on the state: their gate input is one product per
+    batch, and only the readout is multiplied per step."""
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
         self.emb = self._child("emb", nn.Embedding(rng, cfg.n_actions + 2, cfg.action_emb))
         self.readout = self._child("readout", GridReadout(rng, cfg.hidden, cfg.cell_dim, cfg))
-        self.gru = self._child("gru", nn.GruCell(rng, cfg.hidden + cfg.action_emb + cfg.cell_dim, cfg.hidden))
+        self.input_blocks = [cfg.hidden + cfg.action_emb, cfg.cell_dim]  # static, readout
+        self.gru = self._child("gru", nn.GruCell(rng, sum(self.input_blocks), cfg.hidden))
 
-    def hidden_states(self, traj: TrajBatch, obs_feats: list[Node]) -> tuple[Node, Node]:
-        obs, actions = traj.packing.split(traj.packed_obs), traj.packing.steps(traj.dec_tgt)
+    def hidden_states(self, traj: TrajBatch, obs_feats: Node) -> tuple[Node, Node]:
+        """obs_feats: the packed features of ObsMlp.features."""
+        packing = traj.packing
+        w_static, w_readout = ad.split_rows(self.gru.w, self.input_blocks)
+        static = ad.concat([obs_feats, self.emb(packing.pack(traj.dec_tgt))], axis=1)
+        gates = self.gru.input_gates(static, packing.counts, w_static)
+        obs = packing.split(traj.packed_obs)
 
-        def step_input(t, h):
-            cell_ctx = self.readout(h, self.readout.cells(obs[t]))
-            return ad.concat([obs_feats[t], self.emb(actions[t]), cell_ctx], axis=1)
+        def step(t, h):
+            return self.gru.step(gates[t], h, self.readout(h, self.readout.cells(obs[t])), w_readout)
 
-        return nn.gru_encode(self.gru, traj.packing, step_input)
+        return nn.gru_encode(self.gru, packing, step)
 
 
 def _first_rows(x, n: int):
@@ -331,61 +327,113 @@ def _first_rows(x, n: int):
     return x[:n] if isinstance(x, np.ndarray) else ad.narrow(x, 0, 0, n)
 
 
+def _mixes(feed) -> bool:
+    """Whether a decoder's feed (see _Decoder.prepare) is a projected memory
+    to mix, rather than the context rows of the input weight."""
+    return feed is not None and feed.value.ndim == 3
+
+
 class _Decoder(nn.Layer):
     """What both autoregressive decoders share: the recurrent step with its
     input feed, the context it reads from the memory (by attention or,
     without it, as the fixed (B, memory_dim) summary itself), and the
-    teacher-forced loop."""
+    teacher-forced loop.
 
-    def __init__(self, cfg: ModelConfig, memory_dim: int, use_attention: bool):
+    The GRU input is the static parts (observation features, previous
+    action or word embedding), then, with input_feed, the previous step's
+    context. The static parts do not depend on the state, so their gate
+    input is one product per batch (input_gates), cut into steps. The
+    context mixes K memory slots by attention (without attention it is the
+    memory itself: one slot of weight one), so its product with the context
+    rows of the input weight equals the same mix of the memory projected by
+    those rows once per sequence. Mixing costs K / memory_dim of the
+    product forward, but its backward writes a (K, 3H) outer product per
+    row, so it wins only with at most one slot per MIX_DIMS_PER_SLOT memory
+    dimensions (the latent model's 4 slots of 128). Longer memories (the
+    baselines' encoder states) multiply the context by those rows per step.
+    The first step has no previous context.
+    """
+
+    MIX_DIMS_PER_SLOT = 32  # the crossover measured on the fused step, batch 32, 3H = 192
+
+    def __init__(self, cfg: ModelConfig, memory_dim: int, use_attention: bool, static_dim: int):
         super().__init__()
         self.use_attention = use_attention
         self.memory_dim = memory_dim
         self.input_feed = cfg.input_feed
+        self.static_dim = static_dim
 
-    def _context(self, h: Node, memory, prepared, memory_mask):
+    def _weights(self) -> tuple[Node, Node | None]:
+        """The GRU input weight's row blocks: the static parts' and, with
+        input_feed, the context's."""
+        if not self.input_feed:
+            return self.gru.w, None
+        return tuple(ad.split_rows(self.gru.w, [self.static_dim, self.memory_dim]))
+
+    def _context(self, h: Node, memory, prepared, memory_mask) -> tuple[Node, Node]:
+        """The step's context and the weights that mix it from the memory."""
         if self.use_attention:
-            ctx, _ = self.attn(h, prepared, memory, memory_mask)
-            return ctx
-        return memory
+            return self.attn(h, prepared, memory, memory_mask)
+        return memory, ad.constant(np.ones((memory.value.shape[0], 1)))
 
-    def prepare(self, memory):
-        return self.attn.prepare(memory) if self.use_attention else None
+    def prepare(self, memory) -> tuple[Node | None, Node | None]:
+        """Once per sequence: the attention keys and, with input_feed, what
+        feeds the context to the next step: the memory projected by the
+        context rows of the input weight, (B, K, 3H), or, for a memory of
+        too many slots to mix, those rows themselves (memory_dim, 3H)."""
+        keys = self.attn.prepare(memory) if self.use_attention else None
+        if not self.input_feed:
+            return keys, None
+        w_context = self._weights()[1]
+        slots = memory.value.shape[1] if self.use_attention else 1
+        if slots * self.MIX_DIMS_PER_SLOT > self.memory_dim:
+            return keys, w_context
+        proj = ad.matmul(ad.reshape(memory, (-1, self.memory_dim)), w_context)
+        return keys, ad.reshape(proj, (memory.value.shape[0], slots, proj.value.shape[1]))
 
-    def init_context(self, batch: int) -> Node:
-        return ad.constant(np.zeros((batch, self.memory_dim)))
+    def _recurrent_step(self, gates: Node, h: Node, prev, memory, prepared, feed, memory_mask):
+        """Step the GRU on its static gate block and the previous step's
+        feed `prev` (None at the first step and without input_feed): the
+        attention weights that mix the projected memory `feed`, or the
+        context that multiplies the weight rows `feed`. Returns (state,
+        context, this step's feed)."""
+        mixed = _mixes(feed)
+        if prev is None:
+            h = self.gru.step(gates, h)
+        elif mixed:
+            h = self.gru.step(gates, h, attn=prev, proj=feed)
+        else:
+            h = self.gru.step(gates, h, prev, feed)
+        ctx, attn = self._context(h, memory, prepared, memory_mask)
+        return h, ctx, None if feed is None else attn if mixed else ctx
 
-    def _recurrent_step(self, parts: list[Node], h: Node, prev_ctx: Node, memory, prepared, memory_mask):
-        """Step the GRU on the concatenated input parts, with the previous
-        context fed after them when input_feed; returns (state, context)."""
-        if self.input_feed:
-            parts = parts + [prev_ctx]
-        h = self.gru.step(ad.concat(parts, axis=1) if len(parts) > 1 else parts[0], h)
-        return h, self._context(h, memory, prepared, memory_mask)
-
-    def _teacher_forced(self, batch, memory, memory_mask, h0: Node | None, step_inputs) -> Node:
+    def _teacher_forced(self, batch, gates: list[Node], memory, memory_mask, h0: Node | None, step_inputs) -> Node:
         """Per-sample sum of log p(batch.dec_tgt[:, t] | ...) over each row's
         steps -> (B,), in the caller's row order.
 
         The loop runs packed: the memory, its mask and h0 enter in the
         packing's row order, and step t computes only the counts[t] rows
-        still running. step_inputs(t) gives their step_logits arguments that
-        come before the previous ids."""
+        still running. gates are the steps' blocks of input_gates;
+        step_inputs(t) gives the step_logits arguments that come between
+        step t's block and the state."""
         packing = batch.packing
         if not packing.identity:
             memory = ad.gather_rows(memory, packing.order)
             memory_mask = None if memory_mask is None else memory_mask[packing.order]
             h0 = None if h0 is None else ad.gather_rows(h0, packing.order)
-        prepared = self.prepare(memory)
+        prepared, feed = self.prepare(memory)
+        mixed = _mixes(feed)  # then the feed has rows per sequence row, narrowed with them
         h = h0 if h0 is not None else self.gru.init_state(packing.counts[0])
-        ctx = self.init_context(packing.counts[0])
-        prev_ids, targets = packing.steps(batch.dec_in), packing.steps(batch.dec_tgt)
+        prev = None
+        targets = packing.steps(batch.dec_tgt)
         picked = []
         for t, n in enumerate(packing.counts):
             if n < h.value.shape[0]:
-                h, ctx, memory, prepared, memory_mask = (
-                    _first_rows(x, n) for x in (h, ctx, memory, prepared, memory_mask))
-            logits, h, ctx = self.step_logits(*step_inputs(t), prev_ids[t], h, ctx, memory, prepared, memory_mask)
+                h, prev, memory, prepared, memory_mask = (
+                    _first_rows(x, n) for x in (h, prev, memory, prepared, memory_mask))
+                feed = _first_rows(feed, n) if mixed else feed
+            logits, h, prev = self.step_logits(gates[t], *step_inputs(t), h, prev, memory, prepared, feed,
+                                               memory_mask)
             picked.append(ad.select_columns(ad.log_softmax(logits), targets[t]))
         return ad.reduce_sum(ad.ragged_stack(picked, packing.order), axis=1)
 
@@ -395,10 +443,10 @@ class ActionDecoder(_Decoder):
     contexts (fed to the head and, with input_feed, to the next step)."""
 
     def __init__(self, rng, cfg: ModelConfig, memory_dim: int, use_attention: bool = True):
-        super().__init__(cfg, memory_dim, use_attention)
+        super().__init__(cfg, memory_dim, use_attention, cfg.hidden + cfg.action_emb)
         self.start_id = cfg.n_actions
         self.emb = self._child("emb", nn.Embedding(rng, cfg.n_actions + 2, cfg.action_emb))
-        in_dim = cfg.hidden + cfg.action_emb + (memory_dim if cfg.input_feed else 0)
+        in_dim = self.static_dim + (memory_dim if cfg.input_feed else 0)
         self.gru = self._child("gru", nn.GruCell(rng, in_dim, cfg.hidden))
         if use_attention:
             self.attn = self._child("attn", nn.KeyValueAttention(rng, cfg.hidden, memory_dim, cfg.attn_dim))
@@ -407,35 +455,42 @@ class ActionDecoder(_Decoder):
         self.readout = self._child("readout", GridReadout(rng, cfg.hidden + memory_dim, cfg.cell_dim, cfg))
         self.head = self._child("head", nn.Linear(rng, memory_dim + cfg.hidden + cfg.cell_dim, cfg.n_actions))
 
-    def step_logits(self, obs_feat: Node, cell_feats: np.ndarray, prev_ids, h: Node, prev_ctx: Node,
-                    memory, prepared, memory_mask):
-        h, ctx = self._recurrent_step([obs_feat, self.emb(prev_ids)], h, prev_ctx, memory, prepared, memory_mask)
-        cell_ctx = self.readout(ad.concat([h, ctx], axis=1), cell_feats)
-        return self.head(ad.concat([ctx, h, cell_ctx], axis=1)), h, ctx
+    def input_gates(self, traj: TrajBatch, obs_feats: Node) -> list[Node]:
+        """The static gate input of every step of a batch, from the packed
+        features of ObsMlp.features and the previous actions."""
+        static = ad.concat([obs_feats, self.emb(traj.packing.pack(traj.dec_in))], axis=1)
+        return self.gru.input_gates(static, traj.packing.counts, self._weights()[0])
 
-    def teacher_forced_logll(self, traj: TrajBatch, obs_feats: list[Node], memory,
+    def step_logits(self, gates: Node, cell_feats: np.ndarray, h: Node, prev, memory, prepared, feed,
+                    memory_mask):
+        """One step from its static gate block; returns (logits, state, this
+        step's feed for the next)."""
+        h, ctx, fed = self._recurrent_step(gates, h, prev, memory, prepared, feed, memory_mask)
+        cell_ctx = self.readout(ad.concat([h, ctx], axis=1), cell_feats)
+        return self.head(ad.concat([ctx, h, cell_ctx], axis=1)), h, fed
+
+    def teacher_forced_logll(self, traj: TrajBatch, gates: list[Node], memory,
                              memory_mask=None, h0: Node | None = None) -> Node:
         """Per-sample sum of log p(a_t | ...) over valid steps -> (B,);
-        obs_feats are the per-step blocks of ObsMlp.features_steps."""
+        gates are the per-step blocks of input_gates."""
         obs = traj.packing.split(traj.packed_obs)
-        return self._teacher_forced(traj, memory, memory_mask, h0,
-                                    lambda t: (obs_feats[t], self.readout.cells(obs[t])))
+        return self._teacher_forced(traj, gates, memory, memory_mask, h0, lambda t: (self.readout.cells(obs[t]),))
 
     def rollout(self, world: gw.World, obs_mlp: ObsMlp, encode_obs, memory, memory_mask, h: Node | None,
                 mode: str, rng, max_steps: int):
         """Act in the environment from one episode's memory and initial state
         (None: zeros) until `done` or max_steps; returns (trajectory, visited states)."""
         h = self.gru.init_state(1) if h is None else h
-        prepared = self.prepare(memory)
-        ctx = self.init_context(1)
+        prepared, feed = self.prepare(memory)
+        w_static, fed = self._weights()[0], None
         prev = np.array([self.start_id], dtype=np.intp)
         states = [world]
         obs_rows, actions = [], []
         for _ in range(max_steps):
             o = encode_obs([world])
-            of = obs_mlp.one_hot_row(o)
-            cf = self.readout.cells(o)
-            logits, h, ctx = self.step_logits(of, cf, prev, h, ctx, memory, prepared, memory_mask)
+            gates = ad.matmul(ad.concat([obs_mlp.one_hot_row(o), self.emb(prev)], axis=1), w_static)
+            logits, h, fed = self.step_logits(gates, self.readout.cells(o), h, fed, memory, prepared, feed,
+                                              memory_mask)
             a = _pick(logits.value[0], mode, rng)
             obs_rows.append(o[0])
             actions.append(a)
@@ -451,31 +506,39 @@ class WordDecoder(_Decoder):
     """Autoregressive language head; bos-prefixed, eos-terminated."""
 
     def __init__(self, rng, cfg: ModelConfig, memory_dim: int):
-        super().__init__(cfg, memory_dim, use_attention=True)
+        super().__init__(cfg, memory_dim, True, cfg.word_emb)
         self.emb = self._child("emb", nn.Embedding(rng, cfg.vocab_size, cfg.word_emb))
-        in_dim = cfg.word_emb + (memory_dim if cfg.input_feed else 0)
+        in_dim = self.static_dim + (memory_dim if cfg.input_feed else 0)
         self.gru = self._child("gru", nn.GruCell(rng, in_dim, cfg.hidden))
         self.attn = self._child("attn", nn.KeyValueAttention(rng, cfg.hidden, memory_dim, cfg.attn_dim))
         self.head = self._child("head", nn.Linear(rng, memory_dim + cfg.hidden, cfg.vocab_size))
 
-    def step_logits(self, prev_ids, h: Node, prev_ctx: Node, memory, prepared, memory_mask):
-        h, ctx = self._recurrent_step([self.emb(prev_ids)], h, prev_ctx, memory, prepared, memory_mask)
-        return self.head(ad.concat([ctx, h], axis=1)), h, ctx
+    def input_gates(self, lang: LangBatch) -> list[Node]:
+        """The static gate input of every step of a batch, from the previous words."""
+        return self.gru.input_gates(self.emb(lang.packing.pack(lang.dec_in)), lang.packing.counts, self._weights()[0])
 
-    def teacher_forced_logll(self, lang: LangBatch, memory, memory_mask=None,
+    def step_logits(self, gates: Node, h: Node, prev, memory, prepared, feed, memory_mask):
+        """One step from its static gate block; returns (logits, state, this
+        step's feed for the next)."""
+        h, ctx, fed = self._recurrent_step(gates, h, prev, memory, prepared, feed, memory_mask)
+        return self.head(ad.concat([ctx, h], axis=1)), h, fed
+
+    def teacher_forced_logll(self, lang: LangBatch, gates: list[Node], memory, memory_mask=None,
                              h0: Node | None = None) -> Node:
-        return self._teacher_forced(lang, memory, memory_mask, h0, lambda t: ())
+        """gates are the per-step blocks of input_gates."""
+        return self._teacher_forced(lang, gates, memory, memory_mask, h0, lambda t: ())
 
     def rollout(self, memory, memory_mask, h: Node | None, mode: str, rng, len_cap: int):
         """Speak from one episode's memory and initial state (None: zeros)
         until eos or len_cap tokens; returns (token ids, truncated flag)."""
         h = self.gru.init_state(1) if h is None else h
-        prepared = self.prepare(memory)
-        ctx = self.init_context(1)
+        prepared, feed = self.prepare(memory)
+        w_static, fed = self._weights()[0], None
         prev = np.array([RESERVED["<bos>"]], dtype=np.intp)
         out = []
         for _ in range(len_cap):
-            logits, h, ctx = self.step_logits(prev, h, ctx, memory, prepared, memory_mask)
+            gates = ad.matmul(self.emb(prev), w_static)
+            logits, h, fed = self.step_logits(gates, h, fed, memory, prepared, feed, memory_mask)
             w = _pick(logits.value[0], mode, rng)
             if w == RESERVED["<eos>"]:
                 return out, False
@@ -520,7 +583,7 @@ class MsVae(nn.Layer):
         return self.lang_bottleneck(hidden, lang.enc_mask)
 
     def encode_trajectory(self, traj: TrajBatch) -> tuple[Node, Node]:
-        hidden, _ = self.traj_enc.hidden_states(traj, self.enc_obs_mlp.features_steps(traj))
+        hidden, _ = self.traj_enc.hidden_states(traj, self.enc_obs_mlp.features(traj))
         return self.traj_bottleneck(hidden, traj.mask)
 
     # decoder memories, as (memory, mask, initial state): the posterior mean
@@ -534,13 +597,17 @@ class MsVae(nn.Layer):
 
     # the objective's likelihoods, given latent slots z -----------------------
 
-    def action_log_likelihood(self, z: Node, traj: TrajBatch, obs_feats: list[Node] | None = None) -> Node:
-        if obs_feats is None:
-            obs_feats = self.obs_mlp.features_steps(traj)
-        return self.act_dec.teacher_forced_logll(traj, obs_feats, z)
+    def action_log_likelihood(self, z: Node, traj: TrajBatch, gates: list[Node] | None = None) -> Node:
+        """gates: the action decoder's input_gates for traj, if already made."""
+        if gates is None:
+            gates = self.act_dec.input_gates(traj, self.obs_mlp.features(traj))
+        return self.act_dec.teacher_forced_logll(traj, gates, z)
 
-    def language_log_likelihood(self, z: Node, lang: LangBatch) -> Node:
-        return self.word_dec.teacher_forced_logll(lang, z)
+    def language_log_likelihood(self, z: Node, lang: LangBatch, gates: list[Node] | None = None) -> Node:
+        """gates: the word decoder's input_gates for lang, if already made."""
+        if gates is None:
+            gates = self.word_dec.input_gates(lang)
+        return self.word_dec.teacher_forced_logll(lang, gates, z)
 
     # The follower and speaker interface of every model kind, which the
     # baselines take by assignment: each reads only the kind's memory.
@@ -550,12 +617,13 @@ class MsVae(nn.Layer):
     def follower_log_likelihood(self, lang: LangBatch, traj: TrajBatch) -> Node:
         """Per-sample teacher-forced log p(actions | instruction) -> (B,)."""
         memory, mask, h0 = self.instruction_memory(lang)
-        return self.act_dec.teacher_forced_logll(traj, self.obs_mlp.features_steps(traj), memory, mask, h0)
+        gates = self.act_dec.input_gates(traj, self.obs_mlp.features(traj))
+        return self.act_dec.teacher_forced_logll(traj, gates, memory, mask, h0)
 
     def speaker_log_likelihood(self, traj: TrajBatch, lang: LangBatch) -> Node:
         """Per-sample teacher-forced log p(tokens | trajectory) -> (B,)."""
         memory, mask, h0 = self.trajectory_memory(traj)
-        return self.word_dec.teacher_forced_logll(lang, memory, mask, h0)
+        return self.word_dec.teacher_forced_logll(lang, self.word_dec.input_gates(lang), memory, mask, h0)
 
     def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
         """Roll the policy in the environment from a language instruction;
@@ -633,7 +701,7 @@ class BaselineSpeaker(nn.Layer):
         self.init_map = self._child("init_map", nn.Linear(rng, cfg.hidden, cfg.hidden))
 
     def trajectory_memory(self, traj: TrajBatch):
-        hidden, final = self.traj_enc.hidden_states(traj, self.obs_mlp.features_steps(traj))
+        hidden, final = self.traj_enc.hidden_states(traj, self.obs_mlp.features(traj))
         return hidden, traj.mask, ad.tanh(self.init_map(final))
 
     speaker_log_likelihood = MsVae.speaker_log_likelihood
@@ -648,16 +716,18 @@ class BaselineSpeaker(nn.Layer):
 def paired_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, hp: HyperParams, rng) -> dict:
     """All paired-bound terms, one reparameterized sample per modality branch
     (shared between the reconstruction and cross-modal terms)."""
-    obs_feats = model.obs_mlp.features_steps(traj)
+    # each decoder's static gate input serves both of its passes
+    act_gates = model.act_dec.input_gates(traj, model.obs_mlp.features(traj))
+    word_gates = model.word_dec.input_gates(lang)
     m1, lv1 = model.encode_trajectory(traj)
     m2, lv2 = model.encode_language(lang)
     z1 = nn.reparameterize(m1, lv1, rng.standard_normal(m1.value.shape))
     z2 = nn.reparameterize(m2, lv2, rng.standard_normal(m2.value.shape))
 
-    a1 = ad.reduce_mean(model.action_log_likelihood(z1, traj, obs_feats))
-    c1 = ad.reduce_mean(model.language_log_likelihood(z1, lang))
-    a2 = ad.reduce_mean(model.language_log_likelihood(z2, lang))
-    c2 = ad.reduce_mean(model.action_log_likelihood(z2, traj, obs_feats))
+    a1 = ad.reduce_mean(model.action_log_likelihood(z1, traj, act_gates))
+    c1 = ad.reduce_mean(model.language_log_likelihood(z1, lang, word_gates))
+    a2 = ad.reduce_mean(model.language_log_likelihood(z2, lang, word_gates))
+    c2 = ad.reduce_mean(model.action_log_likelihood(z2, traj, act_gates))
 
     pm1, plv1 = nn.prior_log_density_params(model.prior, z1)
     b1 = ad.neg(ad.reduce_mean(nn.gaussian_kl_per_sample(m1, lv1, pm1, plv1)))
@@ -677,10 +747,9 @@ def paired_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, hp: HyperParams,
 
 def unpaired_loss(model: MsVae, traj: TrajBatch, hp: HyperParams, rng) -> dict:
     """Trajectory-only bound V = A_1 + beta * B_1 (B_1 = -KL)."""
-    obs_feats = model.obs_mlp.features_steps(traj)
     m1, lv1 = model.encode_trajectory(traj)
     z1 = nn.reparameterize(m1, lv1, rng.standard_normal(m1.value.shape))
-    a1 = ad.reduce_mean(model.action_log_likelihood(z1, traj, obs_feats))
+    a1 = ad.reduce_mean(model.action_log_likelihood(z1, traj))
     pm1, plv1 = nn.prior_log_density_params(model.prior, z1)
     b1 = ad.neg(ad.reduce_mean(nn.gaussian_kl_per_sample(m1, lv1, pm1, plv1)))
     v = ad.add(a1, ad.scale(b1, hp.beta))
@@ -759,11 +828,6 @@ def checkpoint_meta(model, vocab_words: list[str]) -> dict:
         "vocab_words": vocab_words,
         "attention": getattr(model, "attention", True),
     }
-
-
-def save_model(path, model, vocab_words: list[str], extra: dict | None = None) -> None:
-    arrays = {k: v.value for k, v in model.named_params().items()}
-    nn.save_checkpoint(path, arrays, {**checkpoint_meta(model, vocab_words), **(extra or {})})
 
 
 def build_model(kind: str, rng, cfg: ModelConfig, attention: bool = True):

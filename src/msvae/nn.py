@@ -5,7 +5,9 @@ Every layer registers its parameters in a local dict name -> Node so models
 can collect them hierarchically for the optimizer and for checkpoints.
 All batch-shaped activations are (B, feature) matrices; a variable-length
 batch runs packed (see Packing): step t computes only the rows still
-running, and the results return to the caller's row order.
+running, and the results return to the caller's row order. A recurrence
+multiplies the GRU inputs that do not depend on its state once for all of
+its steps (GruCell.input_gates) and feeds each step its block.
 """
 
 from __future__ import annotations
@@ -112,43 +114,77 @@ class Embedding(Layer):
         return ad.embedding(self.table, ids)
 
 
-def fused_gru_step(x: Node, h: Node, w: Node, u: Node, bx: Node, bh: Node) -> Node:
+def fused_gru_step(gx: Node, h: Node, u: Node, bx: Node, bh: Node, x: Node | None = None, w: Node | None = None,
+                   attn: Node | None = None, proj: Node | None = None) -> Node:
     """One GRU step as a single graph node with a hand-written backward.
 
-    Equivalent to the composed-primitive formulation (see GruCell.step_composed,
-    the oracle it is tested against) but an order of magnitude fewer nodes,
-    which dominates training throughput.
+    The input pre-activation is gx + bx + x @ w + sum_k attn[:, k] proj[:, k].
+    gx is the step's block of the inputs that do not depend on the state,
+    already multiplied by their rows of the input weight (GruCell.input_gates);
+    x is an input computed from the state, w its rows of the input weight;
+    attn mixes proj, a (n, K, 3H) memory projected by its rows of the input
+    weight, with the previous step's attention weights (an input-fed
+    context). The bias and the mix are added here, so no pre-activation
+    array outlives the step. Equivalent to concatenating every input and
+    multiplying by the whole input weight, the oracle it is tested against,
+    with an order of magnitude fewer nodes.
     """
-    xv, hv = x.value, h.value
+    hv = h.value
     nh = hv.shape[1]
-    gx = xv @ w.value + bx.value
-    gh = hv @ u.value + bh.value
-    r = 1.0 / (1.0 + np.exp(-(gx[:, :nh] + gh[:, :nh])))
-    z = 1.0 / (1.0 + np.exp(-(gx[:, nh : 2 * nh] + gh[:, nh : 2 * nh])))
-    gh_n = gh[:, 2 * nh :]
-    n = np.tanh(gx[:, 2 * nh :] + r * gh_n)
-    out = n + z * (hv - n)
+    pre = gx.value + bx.value
+    if x is not None:
+        pre += x.value @ w.value
+    if attn is not None:
+        pre += np.matmul(attn.value[:, None, :], proj.value)[:, 0]
+    gh = hv @ u.value
+    gh += bh.value
+    rz = np.add(pre[:, : 2 * nh], gh[:, : 2 * nh])  # the r and z gates in one array
+    np.negative(rz, out=rz)
+    np.exp(rz, out=rz)
+    rz += 1.0
+    np.divide(1.0, rz, out=rz)
+    r, z = rz[:, :nh], rz[:, nh:]
+    gh_n = gh[:, 2 * nh :].copy()  # a view would keep all of gh alive for the backward pass
+    n = r * gh_n
+    n += pre[:, 2 * nh :]
+    np.tanh(n, out=n)
+    out = hv - n  # h' = n + z * (h - n)
+    out *= z
+    out += n
+    operands = (gx, h, u, bx, bh) + ((x, w) if x is not None else ()) + ((attn, proj) if attn is not None else ())
 
     def vjp(g):
-        dn = g * (1.0 - z)
-        dz = g * (hv - n)
-        dpre_n = dn * (1.0 - n * n)
-        dr = dpre_n * gh_n
-        dpre_r = dr * r * (1.0 - r)
-        dpre_z = dz * z * (1.0 - z)
-        dgx = np.concatenate([dpre_r, dpre_z, dpre_n], axis=1)
-        dgh = np.concatenate([dpre_r, dpre_z, dpre_n * r], axis=1)
-        dx = dgx @ w.value.T if x.needs_grad else None
+        dgx = np.empty((g.shape[0], 3 * nh))
+        drz, dpre_n = dgx[:, : 2 * nh], dgx[:, 2 * nh :]
+        np.multiply(g, 1.0 - z, out=dpre_n)
+        dpre_n *= 1.0 - n * n
+        np.multiply(dpre_n, gh_n, out=drz[:, :nh])
+        np.multiply(g, hv - n, out=drz[:, nh:])
+        drz *= rz
+        drz *= 1.0 - rz
+        dgh = dgx.copy()
+        dgh[:, 2 * nh :] *= r
         dh = dgh @ u.value.T + g * z if h.needs_grad else None
-        dw = xv.T @ dgx
-        du = hv.T @ dgh
-        return dx, dh, dw, du, dgx.sum(axis=0), dgh.sum(axis=0)
+        grads = [dgx, dh, hv.T @ dgh, dgx.sum(axis=0), dgh.sum(axis=0)]
+        if x is not None:
+            grads += [dgx @ w.value.T if x.needs_grad else None, x.value.T @ dgx if w.needs_grad else None]
+        if attn is not None:
+            grads += [np.matmul(proj.value, dgx[:, :, None])[:, :, 0] if attn.needs_grad else None,
+                      attn.value[:, :, None] * dgx[:, None, :] if proj.needs_grad else None]
+        return grads
 
-    return Node(out, (x, h, w, u, bx, bh), vjp)
+    return Node(out, operands, vjp)
 
 
 class GruCell(Layer):
-    """Gated recurrent unit with fused gate weights (r, z, n order)."""
+    """Gated recurrent unit with fused gate weights (r, z, n order).
+
+    The input weight w multiplies the concatenated inputs. A recurrence
+    multiplies the inputs that do not depend on its state once, for every
+    step of a packed batch (input_gates), and hands each step's block to
+    step; input rows fed per step get their own row blocks of w (split_rows
+    on the leaf, so names, shapes and checkpoints stay those of one weight).
+    """
 
     def __init__(self, rng, n_in: int, n_hidden: int):
         super().__init__()
@@ -159,23 +195,24 @@ class GruCell(Layer):
         self.bx = self._param("bx", np.zeros(3 * n_hidden))
         self.bh = self._param("bh", np.zeros(3 * n_hidden))
 
-    def step(self, x: Node, h: Node) -> Node:
-        if x.value.shape[0] != h.value.shape[0] or x.value.shape[1] != self.w.value.shape[0]:
-            raise ad.ShapeMismatch(
-                f"gru step: input {x.value.shape} vs weights {self.w.value.shape} / state {h.value.shape}"
-            )
-        return fused_gru_step(x, h, self.w, self.u, self.bx, self.bh)
+    def input_gates(self, x: Node, counts, w: Node | None = None) -> list[Node]:
+        """Packed static inputs (sum(counts), in) times w (default: the whole
+        input weight) in one product, cut into per-step (counts[t], 3H)
+        blocks; the bias is added in the step."""
+        return ad.split_rows(ad.matmul(x, self.w if w is None else w), counts)
 
-    def step_composed(self, x: Node, h: Node) -> Node:
-        """Elementary-op formulation; the oracle for fused_gru_step."""
-        nh = self.n_hidden
-        gx = ad.add_rowvec(ad.matmul(x, self.w), self.bx)
-        gh = ad.add_rowvec(ad.matmul(h, self.u), self.bh)
-        r = ad.sigmoid(ad.add(ad.narrow(gx, 1, 0, nh), ad.narrow(gh, 1, 0, nh)))
-        z = ad.sigmoid(ad.add(ad.narrow(gx, 1, nh, nh), ad.narrow(gh, 1, nh, nh)))
-        n = ad.tanh(ad.add(ad.narrow(gx, 1, 2 * nh, nh), ad.mul(r, ad.narrow(gh, 1, 2 * nh, nh))))
-        # h' = n + z * (h - n)
-        return ad.add(n, ad.mul(z, ad.sub(h, n)))
+    def step(self, gx: Node, h: Node, x: Node | None = None, w: Node | None = None,
+             attn: Node | None = None, proj: Node | None = None) -> Node:
+        """The next state from a step's static gate block gx, the state h and
+        the optional state-dependent input and input feed (fused_gru_step)."""
+        n, width = h.value.shape[0], 3 * self.n_hidden
+        if (gx.value.shape != (n, width) or h.value.shape[1] != self.n_hidden
+                or (x is not None and (x.value.shape[0] != n or x.value.shape[1:] + (width,) != w.value.shape))
+                or (attn is not None and proj.value.shape != attn.value.shape + (width,))):
+            shapes = [None if a is None else a.value.shape for a in (gx, h, x, w, attn, proj)]
+            raise ad.ShapeMismatch(f"gru step: gates, state, input, its weight, feed weights, feed memory {shapes}"
+                                   f" do not conform to hidden size {self.n_hidden}")
+        return fused_gru_step(gx, h, self.u, self.bx, self.bh, x, w, attn, proj)
 
     def init_state(self, batch: int) -> Node:
         return ad.constant(np.zeros((batch, self.n_hidden)))
@@ -216,21 +253,21 @@ class Packing:
         return self.split(self.pack(a))
 
 
-def gru_encode(cell: GruCell, packing: Packing, step_input) -> tuple[Node, Node]:
+def gru_encode(cell: GruCell, packing: Packing, step) -> tuple[Node, Node]:
     """Run a GRU over a packed batch; returns every state as (B, T, H),
     zeros past each row's end, and each row's last state (B, H), both in
     the caller's row order.
 
-    step_input(t, h) gives step t's (counts[t], in) input for the states h
-    of the rows still running, longest first. A finished row leaves the
-    prefix, so no state is carried through padding.
+    step(t, h) gives step t's next states for the states h of the rows
+    still running, longest first (cell.step on the step's gate block). A
+    finished row leaves the prefix, so no state is carried through padding.
     """
     h = cell.init_state(packing.counts[0])
     states = []
     for t, n in enumerate(packing.counts):
         if n < h.value.shape[0]:
             h = ad.narrow(h, 0, 0, n)
-        h = cell.step(step_input(t, h), h)
+        h = step(t, h)
         states.append(h)
     hidden = ad.ragged_stack(states, packing.order)
     b, width, nh = hidden.value.shape
@@ -262,16 +299,6 @@ class KeyValueAttention(Layer):
     def __call__(self, query: Node, prepared: Node, values: Node, mask: np.ndarray | None = None):
         w = self.weights(query, prepared, mask)
         return ad.bmix(w, values), w
-
-
-def attend(attn: KeyValueAttention, query: Node, keys: Node, values: Node, mask: np.ndarray | None = None) -> Node:
-    """One-shot context vector; convenience over prepare + call."""
-    if keys.value.shape[:2] != values.value.shape[:2]:
-        raise ad.ShapeMismatch(
-            f"attend: keys {keys.value.shape} and values {values.value.shape} disagree on (batch, length)"
-        )
-    ctx, _ = attn(query, attn.prepare(keys), values, mask)
-    return ctx
 
 
 class BottleneckAttention(Layer):
@@ -330,14 +357,15 @@ class AutoregressivePrior(Layer):
         if not slots:
             raise ValueError("prior: need at least one slot")
         batch = slots[0].value.shape[0]
+        # slot k's input is z_{k-1} (the start token for k = 0): none depends
+        # on the state, so one product covers every step
+        inputs = ad.concat([ad.repeat_rows(self.start, batch)] + list(slots[:-1]), axis=0)
         h = self.gru.init_state(batch)
         means, logvars = [], []
-        x = ad.repeat_rows(self.start, batch)
-        for k in range(len(slots)):
-            h = self.gru.step(x, h)
+        for gx in self.gru.input_gates(inputs, [batch] * len(slots)):
+            h = self.gru.step(gx, h)
             means.append(self.mean_head(h))
             logvars.append(ad.clamp(self.logvar_head(h), LOGVAR_MIN, LOGVAR_MAX))
-            x = slots[k]
         return means, logvars
 
 

@@ -456,16 +456,6 @@ def model_speak_fn(model, len_cap: int = 30):
     return lambda corpus, rec: model.speak(corpus.trajectory(rec, model.cfg.obs_view), len_cap=len_cap)
 
 
-def oracle_speak_fn():
-    """Grammar-perfect speaker: re-renders the generating task's instruction."""
-
-    def fn(corpus, rec):
-        _, task = corpus.rebuild(rec)
-        return corpus.vocab.tokenize(gw.render_instruction(task)), False
-
-    return fn
-
-
 def train_speaker_follower(cfg: TrainConfig, corpus, out_dir, speaker_ckpt=None,
                            pipeline_name="speaker-follower"):
     """Augment the unpaired set with a speaker, then train an attention

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msvae import autodiff as ad, cli, config as cfg_mod, corpus as corpus_mod, model as md, nn, pipelines as pl
+from oracles import save_model
 
 
 def run_cli(*argv):
@@ -290,7 +291,7 @@ class TestTrain:
         speaker = tmp_path / "speaker.bin"
         cfg = md.ModelConfig(vocab_size=len(corpus_mod.load(corpus).vocab), hidden=4, word_emb=3, action_emb=3,
                              attn_dim=3, cell_dim=3, obs_hidden=4)
-        md.save_model(speaker, md.BaselineSpeaker(np.random.default_rng(0), cfg), vocab_words=[])
+        save_model(speaker, md.BaselineSpeaker(np.random.default_rng(0), cfg), vocab_words=[])
         capsys.readouterr()
         for argv in [*([p] for p in (*pl.TRAINERS, *pl.SPEAKER_STAGES)),
                      ["speaker-follower", "--speaker-checkpoint", str(speaker)]]:

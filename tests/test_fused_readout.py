@@ -4,6 +4,7 @@ import pytest
 from msvae import autodiff as ad
 from msvae import gridworld as gw
 from msvae import model as md
+from oracles import readout_composed
 
 
 def make_readout(view, seed, proj_dim=6, query_dim=4):
@@ -36,7 +37,7 @@ def test_fused_matches_composed_forward_and_backward(view, trainable_query):
             return out, grads
 
         fused, g1 = run(readout)
-        composed, g2 = run(readout.call_composed)
+        composed, g2 = run(lambda query, cells: readout_composed(readout, query, cells))
         assert ad.max_rel_error(fused.value, composed.value) <= 1e-12
         assert set(g1) == {"wc.w", "wc.b", "pos", "wq.w", "wq.b", "query"}
         for name in g1:

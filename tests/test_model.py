@@ -9,6 +9,7 @@ from msvae import gridworld as gw
 from msvae import model as md
 from msvae import nn
 from msvae import pipelines as pl
+from oracles import save_model
 
 
 def tiny_cfg(**kw):
@@ -356,7 +357,8 @@ class TestRollouts:
         ta, tb = follows()
         assert ta != tb
         dec = m.act_dec
-        monkeypatch.setattr(dec, "_context", lambda h, *_: dec.init_context(h.value.shape[0]))
+        monkeypatch.setattr(dec, "_context", lambda h, *_: (ad.constant(np.zeros((h.value.shape[0], dec.memory_dim))),
+                                                            None))  # and nothing to feed
         ta, tb = follows()
         assert ta == tb
 
@@ -373,7 +375,8 @@ class TestRollouts:
         sa, sb = speaks()
         assert sa != sb
         dec = m.word_dec
-        monkeypatch.setattr(dec, "_context", lambda h, *_: dec.init_context(h.value.shape[0]))
+        monkeypatch.setattr(dec, "_context", lambda h, *_: (ad.constant(np.zeros((h.value.shape[0], dec.memory_dim))),
+                                                            None))  # and nothing to feed
         sa, sb = speaks()
         assert sa == sb
 
@@ -556,7 +559,7 @@ class TestPersistence:
                              prior_hidden=6)
         m = md.MsVae(np.random.default_rng(7), cfg)
         path = tmp_path / "m.bin"
-        md.save_model(path, m, vocab_words=["a", "b"], extra={"note": "t"})
+        save_model(path, m, vocab_words=["a", "b"], extra={"note": "t"})
         m2, meta = md.load_model(path)
         assert meta["kind"] == "msvae" and meta["vocab_words"] == ["a", "b"]
         for name, node in m.named_params().items():
@@ -567,7 +570,7 @@ class TestPersistence:
     def test_baseline_kinds(self, tmp_path):
         cfg = tiny_cfg()
         f = md.BaselineFollower(np.random.default_rng(0), cfg, attention=False)
-        md.save_model(tmp_path / "f.bin", f, vocab_words=[])
+        save_model(tmp_path / "f.bin", f, vocab_words=[])
         f2, meta = md.load_model(tmp_path / "f.bin")
         assert meta["kind"] == "follower" and meta["attention"] is False
         assert f2.attention is False
@@ -629,7 +632,7 @@ class TestHoistedFeatures:
             ad.backward(ad.reduce_sum(ad.stack([ad.mul(f, w) for f, w in zip(feats, weights)])))
             return [f.value for f in feats], [p.gradient.copy() for p in mlp.params()]
 
-        fast = run(mlp.features_steps(traj))
+        fast = run(ad.split_rows(mlp.features(traj), traj.packing.counts))
         oracle = run([mlp(ad.constant(obs[:, t, :])) for t in range(4)])
         for a, b in zip(fast[0] + fast[1], oracle[0] + oracle[1]):
             assert ad.max_rel_error(a, b) <= 1e-12
@@ -680,7 +683,7 @@ class TestHoistedFeatures:
             ad.backward(ad.reduce_sum(ad.concat([ad.mul(f, w) for f, w in zip(feats, weights)], axis=0)))
             return [f.value for f in feats], [p.gradient.copy() for p in mlp.params()]
 
-        fast = run(mlp.features_steps(traj))
+        fast = run(ad.split_rows(mlp.features(traj), traj.packing.counts))
         oracle = run([mlp(ad.constant(obs[order[:n], t, :])) for t, n in enumerate(counts)])
         for a, b in zip(fast[0] + fast[1], oracle[0] + oracle[1]):
             assert a.shape == b.shape

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from msvae import autodiff as ad
 from msvae import nn
+from oracles import attend
 
 
 def rng_for(seed):
@@ -21,13 +22,19 @@ def fd_check(params, build, tol=1e-4, eps=1e-5):
         assert err <= tol, f"{p.name}: rel err {err:.3g}"
 
 
+def fed(cell, step_input):
+    """gru_encode's step for the inputs step_input(t) of the running rows,
+    each step's multiplied by the whole input weight."""
+    return lambda t, h: cell.step(cell.input_gates(step_input(t), [h.value.shape[0]])[0], h)
+
+
 class TestGru:
     def test_single_step_matches_cell(self):
         r = rng_for(0)
         cell = nn.GruCell(r, 3, 4)
         x = ad.constant(r.normal(size=(2, 3)))
-        hidden, final = nn.gru_encode(cell, nn.Packing(np.ones((2, 1))), lambda t, h: x)
-        direct = cell.step(x, cell.init_state(2))
+        hidden, final = nn.gru_encode(cell, nn.Packing(np.ones((2, 1))), fed(cell, lambda t: x))
+        direct = cell.step(cell.input_gates(x, [2])[0], cell.init_state(2))
         np.testing.assert_array_equal(hidden.value[:, 0], direct.value)
         np.testing.assert_array_equal(final.value, direct.value)
 
@@ -40,8 +47,8 @@ class TestGru:
         cell = nn.GruCell(r, 3, 4)
         xs = [ad.constant(r.normal(size=(1, 3))) for _ in range(4)]
         packing = nn.Packing(np.ones((1, 4)))
-        fwd = nn.gru_encode(cell, packing, lambda t, h: xs[t])[1].value
-        rev = nn.gru_encode(cell, packing, lambda t, h: xs[3 - t])[1].value
+        fwd = nn.gru_encode(cell, packing, fed(cell, lambda t: xs[t]))[1].value
+        rev = nn.gru_encode(cell, packing, fed(cell, lambda t: xs[3 - t]))[1].value
         assert not np.allclose(fwd, rev)
 
     def test_final_state_is_last_valid_state(self):
@@ -54,10 +61,10 @@ class TestGru:
         mask = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
         packing = nn.Packing(mask)
         steps = packing.steps(xs)
-        hidden, final = nn.gru_encode(cell, packing, lambda t, h: ad.constant(steps[t]))
+        hidden, final = nn.gru_encode(cell, packing, fed(cell, lambda t: ad.constant(steps[t])))
         for row, length in enumerate((1, 2)):
             alone, alone_final = nn.gru_encode(cell, nn.Packing(np.ones((1, length))),
-                                               lambda t, h: ad.constant(xs[row, t][None]))
+                                               fed(cell, lambda t: ad.constant(xs[row, t][None])))
             np.testing.assert_allclose(hidden.value[row, :length], alone.value[0], rtol=1e-12)
             assert not hidden.value[row, length:].any()
             np.testing.assert_allclose(final.value[row], alone_final.value[0], rtol=1e-12)
@@ -74,7 +81,7 @@ class TestGru:
 
         def run(weights):
             ad.zero_grad(cell.params())
-            hidden, _ = nn.gru_encode(cell, packing, lambda t, h: ad.constant(xs[t]))
+            hidden, _ = nn.gru_encode(cell, packing, fed(cell, lambda t: ad.constant(xs[t])))
             loss = ad.reduce_sum(ad.mul(hidden, ad.constant(weights)))
             ad.backward(loss)
             return loss.value, [p.gradient.copy() for p in cell.params()]
@@ -91,7 +98,7 @@ class TestGru:
 
         def build():
             xs = [ad.constant(v) for v in xs_val]
-            h = nn.gru_encode(cell, nn.Packing(np.ones((1, 20))), lambda t, h: xs[t])[1]
+            h = nn.gru_encode(cell, nn.Packing(np.ones((1, 20))), fed(cell, lambda t: xs[t]))[1]
             return ad.reduce_sum(ad.mul(h, h))
 
         fd_check(cell.params(), build)
@@ -104,7 +111,7 @@ class TestGru:
         w = r.normal(size=(3, 6, 3))
 
         def build():
-            hidden, final = nn.gru_encode(cell, packing, lambda t, h: ad.constant(xs_val[t]))
+            hidden, final = nn.gru_encode(cell, packing, fed(cell, lambda t: ad.constant(xs_val[t])))
             return ad.add(ad.reduce_sum(ad.mul(hidden, ad.constant(w))), ad.reduce_sum(ad.mul(final, final)))
 
         fd_check(cell.params(), build)
@@ -116,7 +123,7 @@ class TestAttention:
         attn = nn.KeyValueAttention(r, 4, 4, 4)
         q = ad.constant(r.normal(size=(2, 4)))
         kv = ad.constant(r.normal(size=(2, 1, 4)))
-        ctx = nn.attend(attn, q, kv, kv)
+        ctx = attend(attn, q, kv, kv)
         np.testing.assert_array_equal(ctx.value, kv.value[:, 0, :])
 
     def test_identical_keys_uniform_weights(self):
@@ -138,7 +145,7 @@ class TestAttention:
         big = 50.0 * np.sqrt(2.0)  # undo the 1/sqrt(P) scale
         keys = ad.constant(np.array([[[big, 0.0], [0.0, 0.0], [0.0, 0.0]]]))
         values = ad.constant(r.normal(size=(1, 3, 2)))
-        ctx = nn.attend(attn, q, keys, values)
+        ctx = attend(attn, q, keys, values)
         assert np.max(np.abs(ctx.value - values.value[:, 0, :])) < 1e-8
 
     def test_weights_sum_to_one(self):
@@ -157,7 +164,7 @@ class TestAttention:
         keys = ad.constant(r.normal(size=(2, 5, 3)))
         values = ad.constant(r.normal(size=(2, 4, 3)))
         with pytest.raises(ad.ShapeMismatch):
-            nn.attend(attn, q, keys, values)
+            attend(attn, q, keys, values)
 
 
 class TestBottleneck:

@@ -1,12 +1,15 @@
 """The packed sequence loops against the padded, masked loops they replace.
 
 Both encoders' GRU scan and both decoders' teacher-forced loop run packed:
-rows sorted longest first, step t computing only the rows still running.
-The masked loops below compute every row at every step, carry a finished
-row's encoder state with h + (h_new - h) * m and multiply each decoder step
-term by the step mask. They live on only here, as the oracle: on random
-ragged batches both must give the same per-sample log-likelihoods, encoder
-posteriors, objective and parameter gradients, up to reordered float sums.
+rows sorted longest first, step t computing only the rows still running,
+with the inputs that do not depend on the state multiplied once for all
+steps. The masked loops below compute every row at every step, concatenate
+each step's whole GRU input and multiply it by the whole input weight,
+carry a finished row's encoder state with h + (h_new - h) * m and multiply
+each decoder step term by the step mask. They live on only here, as the
+oracle: on random ragged batches both must give the same per-sample
+log-likelihoods, encoder posteriors, objective and parameter gradients, up
+to reordered float sums.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from msvae import autodiff as ad
 from msvae import gridworld as gw
 from msvae import model as md
+from oracles import gru_step_composed
 
 RTOL = 1e-12
 
@@ -27,20 +31,24 @@ def masked_gru_encode(cell, mask, step_input):
     h = cell.init_state(mask.shape[0])
     states = []
     for t in range(mask.shape[1]):
-        h_new = cell.step(step_input(t, h), h)
+        h_new = gru_step_composed(cell, step_input(t, h), h)
         h = ad.add(h, ad.mul_colvec(ad.sub(h_new, h), ad.constant(mask[:, t])))
         states.append(h)
     return ad.stack(states, axis=1), states[-1]
 
 
-def masked_teacher_forced(dec, mask, dec_in, dec_tgt, memory, memory_mask, h0, step_inputs):
-    prepared = dec.prepare(memory)
+def masked_teacher_forced(dec, mask, dec_in, dec_tgt, memory, memory_mask, h0, static_inputs, head):
+    """static_inputs(t): the GRU input parts before the previous id's
+    embedding; head(t, h, ctx): the step's logits."""
+    prepared = dec.attn.prepare(memory) if dec.use_attention else None
     h = h0 if h0 is not None else dec.gru.init_state(mask.shape[0])
-    ctx = dec.init_context(mask.shape[0])
+    ctx = ad.constant(np.zeros((mask.shape[0], dec.memory_dim)))
     total = None
     for t in range(mask.shape[1]):
-        logits, h, ctx = dec.step_logits(*step_inputs(t), dec_in[:, t], h, ctx, memory, prepared, memory_mask)
-        picked = ad.mul(ad.select_columns(ad.log_softmax(logits), dec_tgt[:, t]), ad.constant(mask[:, t]))
+        parts = static_inputs(t) + [dec.emb(dec_in[:, t])] + ([ctx] if dec.input_feed else [])
+        h = gru_step_composed(dec.gru, ad.concat(parts, axis=1), h)
+        ctx = dec.attn(h, prepared, memory, memory_mask)[0] if dec.use_attention else memory
+        picked = ad.mul(ad.select_columns(ad.log_softmax(head(t, h, ctx)), dec_tgt[:, t]), ad.constant(mask[:, t]))
         total = picked if total is None else ad.add(total, picked)
     return total
 
@@ -62,20 +70,28 @@ def padded_traj_states(enc, traj, obs_feats):
 
 
 def padded_action_logll(dec, traj, obs_feats, memory, memory_mask=None, h0=None):
+    def head(t, h, ctx):
+        cell_ctx = dec.readout(ad.concat([h, ctx], axis=1), dec.readout.cells(traj.obs[:, t]))
+        return dec.head(ad.concat([ctx, h, cell_ctx], axis=1))
+
     return masked_teacher_forced(dec, traj.mask, traj.dec_in, traj.dec_tgt, memory, memory_mask, h0,
-                                 lambda t: (obs_feats[t], dec.readout.cells(traj.obs[:, t])))
+                                 lambda t: [obs_feats[t]], head)
 
 
-def padded_word_logll(dec, lang, memory, memory_mask=None, h0=None):
+def padded_word_logll(dec, lang, gates, memory, memory_mask=None, h0=None):
     return masked_teacher_forced(dec, lang.enc_mask, lang.dec_in, lang.dec_tgt, memory, memory_mask, h0,
-                                 lambda t: ())
+                                 lambda t: [], lambda t, h, ctx: dec.head(ad.concat([ctx, h], axis=1)))
 
 
 @contextlib.contextmanager
 def padded_loops():
-    """Run every model through the masked loops instead of the packed ones."""
+    """Run every model through the masked loops instead of the packed ones.
+    The decoders' static gate inputs become the plain features (or
+    nothing), which the masked loops concatenate with the other inputs."""
     with contextlib.ExitStack() as stack:
-        for owner, attr, fn in ((md.ObsMlp, "features_steps", padded_features),
+        for owner, attr, fn in ((md.ObsMlp, "features", padded_features),
+                                (md.ActionDecoder, "input_gates", lambda dec, traj, obs_feats: obs_feats),
+                                (md.WordDecoder, "input_gates", lambda dec, lang: None),
                                 (md.LanguageEncoderCore, "hidden_states", padded_lang_states),
                                 (md.TrajEncoderCore, "hidden_states", padded_traj_states),
                                 (md.ActionDecoder, "teacher_forced_logll", padded_action_logll),
@@ -96,6 +112,10 @@ def build(kind, view, seed):
     model = md.build_model(name, rng, cfg, attention != "no_attn")
     for p in model.params():  # off the initial scale, so every input matters
         p.value[...] = rng.normal(size=p.value.shape) * 0.5
+    # odd seeds feed each decoder's context by mixing its projected memory,
+    # even ones through the product with the context rows of the weight
+    for dec in (getattr(model, name) for name in ("act_dec", "word_dec") if hasattr(model, name)):
+        dec.MIX_DIMS_PER_SLOT = 0 if seed % 2 else 10**6
     return model
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from msvae import autodiff as ad, corpus, gridworld as gw, metrics, model as md, nn, pipelines as pl
+from oracles import oracle_speak_fn
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +273,7 @@ def test_skipped_step_frees_its_graph_before_the_next_forward(small_corpus, tmp_
 class TestAugment:
     def test_oracle_speaker_reproduces_references(self, small_corpus, tmp_path):
         path = tmp_path / "pseudo.jsonl"
-        records = pl.augment(pl.oracle_speak_fn(), small_corpus, path, "oracle")
+        records = pl.augment(oracle_speak_fn(), small_corpus, path, "oracle")
         assert len(records) == len(small_corpus.unpaired)
         assert corpus.read_split(path)[1] == records
         for rec in records:
@@ -285,7 +286,7 @@ class TestAugment:
         corpus.generate(root, seed=3, difficulty="goto_seq", m=3, n=0, val_tasks=2, test_tasks=2)
         c = corpus.load(root)
         with caplog.at_level("WARNING"):
-            records = pl.augment(pl.oracle_speak_fn(), c, tmp_path / "p.jsonl", "oracle")
+            records = pl.augment(oracle_speak_fn(), c, tmp_path / "p.jsonl", "oracle")
         assert records == []
         assert corpus.read_split(tmp_path / "p.jsonl")[1] == []
         assert any("empty" in r.message for r in caplog.records)
@@ -310,7 +311,7 @@ class TestSpeakerFollower:
         silent = small_corpus.unpaired[0]["seed"]
 
         def speak_fn(model):
-            oracle = pl.oracle_speak_fn()
+            oracle = oracle_speak_fn()
             return lambda c, rec: ([], False) if rec["seed"] == silent else oracle(c, rec)
 
         trained_on, train_follower = [], pl.train_supervised_follower
