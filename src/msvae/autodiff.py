@@ -628,31 +628,22 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> dic
 
     A parameter whose gradient is non-finite keeps its value and moment
     estimates for this step (warning logged with the parameter name).
-    Each update runs the operations of the textbook formula in its order,
-    writing into two scratch buffers instead of fresh temporaries, so the
-    results are bit for bit the formula's.
     """
     state["t"] += 1
     t = state["t"]
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    size = max((p.value.size for p in params), default=0)
-    scratch = np.empty(size), np.empty(size)
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
         if g is None:
             g = np.zeros_like(p.value)
         if not np.all(np.isfinite(g)):
             logger.warning("adam: non-finite gradient for %s; step skipped", getattr(p, "name", "?"))
             continue
-        a, b = (buf[: m.size].reshape(m.shape) for buf in scratch)
         m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=a)
+        m += (1.0 - beta1) * g
         v *= beta2
-        v += np.multiply(1.0 - beta2, np.multiply(g, g, out=a), out=a)
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
-        p.value -= np.divide(a, b, out=a)
+        v += (1.0 - beta2) * (g * g)
+        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return state
 
 

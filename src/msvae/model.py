@@ -5,7 +5,8 @@ distance, and the combined training objective.
 
 Both encoders and both decoders multiply the GRU inputs that do not depend
 on the state once per batch and step on per-step blocks of that product;
-the decoders' input feed is prepared once per sequence (see _Decoder).
+the decoders feed each step's context to the next through its rows of the
+input weight (see _Decoder).
 
 Conventions: modality 1 is the trajectory (actions given observations),
 modality 2 is the language. All likelihood terms are per-sample sums of step
@@ -327,12 +328,6 @@ def _first_rows(x, n: int):
     return x[:n] if isinstance(x, np.ndarray) else ad.narrow(x, 0, 0, n)
 
 
-def _mixes(feed) -> bool:
-    """Whether a decoder's feed (see _Decoder.prepare) is a projected memory
-    to mix, rather than the context rows of the input weight."""
-    return feed is not None and feed.value.ndim == 3
-
-
 class _Decoder(nn.Layer):
     """What both autoregressive decoders share: the recurrent step with its
     input feed, the context it reads from the memory (by attention or,
@@ -343,18 +338,9 @@ class _Decoder(nn.Layer):
     action or word embedding), then, with input_feed, the previous step's
     context. The static parts do not depend on the state, so their gate
     input is one product per batch (input_gates), cut into steps. The
-    context mixes K memory slots by attention (without attention it is the
-    memory itself: one slot of weight one), so its product with the context
-    rows of the input weight equals the same mix of the memory projected by
-    those rows once per sequence. Mixing costs K / memory_dim of the
-    product forward, but its backward writes a (K, 3H) outer product per
-    row, so it wins only with at most one slot per MIX_DIMS_PER_SLOT memory
-    dimensions (the latent model's 4 slots of 128). Longer memories (the
-    baselines' encoder states) multiply the context by those rows per step.
-    The first step has no previous context.
+    context depends on the state, so each step multiplies it by its rows
+    of the input weight. The first step has no previous context.
     """
-
-    MIX_DIMS_PER_SLOT = 32  # the crossover measured on the fused step, batch 32, 3H = 192
 
     def __init__(self, cfg: ModelConfig, memory_dim: int, use_attention: bool, static_dim: int):
         super().__init__()
@@ -370,42 +356,25 @@ class _Decoder(nn.Layer):
             return self.gru.w, None
         return tuple(ad.split_rows(self.gru.w, [self.static_dim, self.memory_dim]))
 
-    def _context(self, h: Node, memory, prepared, memory_mask) -> tuple[Node, Node]:
-        """The step's context and the weights that mix it from the memory."""
-        if self.use_attention:
-            return self.attn(h, prepared, memory, memory_mask)
-        return memory, ad.constant(np.ones((memory.value.shape[0], 1)))
+    def _context(self, h: Node, memory, prepared, memory_mask) -> Node:
+        """The step's context: the attention mix of the memory or, without
+        attention, the memory itself."""
+        return self.attn(h, prepared, memory, memory_mask)[0] if self.use_attention else memory
 
     def prepare(self, memory) -> tuple[Node | None, Node | None]:
-        """Once per sequence: the attention keys and, with input_feed, what
-        feeds the context to the next step: the memory projected by the
-        context rows of the input weight, (B, K, 3H), or, for a memory of
-        too many slots to mix, those rows themselves (memory_dim, 3H)."""
-        keys = self.attn.prepare(memory) if self.use_attention else None
-        if not self.input_feed:
-            return keys, None
-        w_context = self._weights()[1]
-        slots = memory.value.shape[1] if self.use_attention else 1
-        if slots * self.MIX_DIMS_PER_SLOT > self.memory_dim:
-            return keys, w_context
-        proj = ad.matmul(ad.reshape(memory, (-1, self.memory_dim)), w_context)
-        return keys, ad.reshape(proj, (memory.value.shape[0], slots, proj.value.shape[1]))
+        """Once per sequence: the attention keys and, with input_feed, the
+        context rows of the input weight that feed the context to the next
+        step."""
+        return self.attn.prepare(memory) if self.use_attention else None, self._weights()[1]
 
     def _recurrent_step(self, gates: Node, h: Node, prev, memory, prepared, feed, memory_mask):
         """Step the GRU on its static gate block and the previous step's
-        feed `prev` (None at the first step and without input_feed): the
-        attention weights that mix the projected memory `feed`, or the
-        context that multiplies the weight rows `feed`. Returns (state,
-        context, this step's feed)."""
-        mixed = _mixes(feed)
-        if prev is None:
-            h = self.gru.step(gates, h)
-        elif mixed:
-            h = self.gru.step(gates, h, attn=prev, proj=feed)
-        else:
-            h = self.gru.step(gates, h, prev, feed)
-        ctx, attn = self._context(h, memory, prepared, memory_mask)
-        return h, ctx, None if feed is None else attn if mixed else ctx
+        context `prev` times the context rows `feed` (prev is None at the
+        first step and without input_feed). Returns (state, context, this
+        step's context for the next)."""
+        h = self.gru.step(gates, h) if prev is None else self.gru.step(gates, h, prev, feed)
+        ctx = self._context(h, memory, prepared, memory_mask)
+        return h, ctx, None if feed is None else ctx
 
     def _teacher_forced(self, batch, gates: list[Node], memory, memory_mask, h0: Node | None, step_inputs) -> Node:
         """Per-sample sum of log p(batch.dec_tgt[:, t] | ...) over each row's
@@ -422,7 +391,6 @@ class _Decoder(nn.Layer):
             memory_mask = None if memory_mask is None else memory_mask[packing.order]
             h0 = None if h0 is None else ad.gather_rows(h0, packing.order)
         prepared, feed = self.prepare(memory)
-        mixed = _mixes(feed)  # then the feed has rows per sequence row, narrowed with them
         h = h0 if h0 is not None else self.gru.init_state(packing.counts[0])
         prev = None
         targets = packing.steps(batch.dec_tgt)
@@ -431,7 +399,6 @@ class _Decoder(nn.Layer):
             if n < h.value.shape[0]:
                 h, prev, memory, prepared, memory_mask = (
                     _first_rows(x, n) for x in (h, prev, memory, prepared, memory_mask))
-                feed = _first_rows(feed, n) if mixed else feed
             logits, h, prev = self.step_logits(gates[t], *step_inputs(t), h, prev, memory, prepared, feed,
                                                memory_mask)
             picked.append(ad.select_columns(ad.log_softmax(logits), targets[t]))
@@ -464,7 +431,7 @@ class ActionDecoder(_Decoder):
     def step_logits(self, gates: Node, cell_feats: np.ndarray, h: Node, prev, memory, prepared, feed,
                     memory_mask):
         """One step from its static gate block; returns (logits, state, this
-        step's feed for the next)."""
+        step's context for the next)."""
         h, ctx, fed = self._recurrent_step(gates, h, prev, memory, prepared, feed, memory_mask)
         cell_ctx = self.readout(ad.concat([h, ctx], axis=1), cell_feats)
         return self.head(ad.concat([ctx, h, cell_ctx], axis=1)), h, fed
@@ -519,7 +486,7 @@ class WordDecoder(_Decoder):
 
     def step_logits(self, gates: Node, h: Node, prev, memory, prepared, feed, memory_mask):
         """One step from its static gate block; returns (logits, state, this
-        step's feed for the next)."""
+        step's context for the next)."""
         h, ctx, fed = self._recurrent_step(gates, h, prev, memory, prepared, feed, memory_mask)
         return self.head(ad.concat([ctx, h], axis=1)), h, fed
 

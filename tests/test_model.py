@@ -357,8 +357,7 @@ class TestRollouts:
         ta, tb = follows()
         assert ta != tb
         dec = m.act_dec
-        monkeypatch.setattr(dec, "_context", lambda h, *_: (ad.constant(np.zeros((h.value.shape[0], dec.memory_dim))),
-                                                            None))  # and nothing to feed
+        monkeypatch.setattr(dec, "_context", lambda h, *_: ad.constant(np.zeros((h.value.shape[0], dec.memory_dim))))
         ta, tb = follows()
         assert ta == tb
 
@@ -375,8 +374,7 @@ class TestRollouts:
         sa, sb = speaks()
         assert sa != sb
         dec = m.word_dec
-        monkeypatch.setattr(dec, "_context", lambda h, *_: (ad.constant(np.zeros((h.value.shape[0], dec.memory_dim))),
-                                                            None))  # and nothing to feed
+        monkeypatch.setattr(dec, "_context", lambda h, *_: ad.constant(np.zeros((h.value.shape[0], dec.memory_dim))))
         sa, sb = speaks()
         assert sa == sb
 

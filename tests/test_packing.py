@@ -112,10 +112,6 @@ def build(kind, view, seed):
     model = md.build_model(name, rng, cfg, attention != "no_attn")
     for p in model.params():  # off the initial scale, so every input matters
         p.value[...] = rng.normal(size=p.value.shape) * 0.5
-    # odd seeds feed each decoder's context by mixing its projected memory,
-    # even ones through the product with the context rows of the weight
-    for dec in (getattr(model, name) for name in ("act_dec", "word_dec") if hasattr(model, name)):
-        dec.MIX_DIMS_PER_SLOT = 0 if seed % 2 else 10**6
     return model
 
 
