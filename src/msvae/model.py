@@ -5,8 +5,7 @@ distance, and the combined training objective.
 
 Both encoders and both decoders multiply the GRU inputs that do not depend
 on the state once per batch and step on per-step blocks of that product;
-the decoders feed each step's context to the next through its rows of the
-input weight (see _Decoder).
+the decoders' input feed is prepared once per sequence (see _Decoder).
 
 Conventions: modality 1 is the trajectory (actions given observations),
 modality 2 is the language. All likelihood terms are per-sample sums of step
@@ -338,16 +337,27 @@ class _Decoder(nn.Layer):
     action or word embedding), then, with input_feed, the previous step's
     context. The static parts do not depend on the state, so their gate
     input is one product per batch (input_gates), cut into steps. The
-    context depends on the state, so each step multiplies it by its rows
-    of the input weight. The first step has no previous context.
+    context depends on the state; how it enters follows what the memory is:
+    - slot_memory, a few fixed slots read by attention (the latent model's
+      K slots): the context mixes the slots, so its product with the
+      context rows of the input weight is the same mix of the slots
+      projected by those rows once per sequence, and each step mixes that
+      projection with the previous attention weights;
+    - one entry per time step (the baselines' encoder states) or no
+      attention: each step multiplies the context by the context rows.
+      Mixing a long memory would write a (T, 3H) outer product per row in
+      the backward pass, which measured slower than the product.
+    The first step has no previous context.
     """
 
-    def __init__(self, cfg: ModelConfig, memory_dim: int, use_attention: bool, static_dim: int):
+    def __init__(self, cfg: ModelConfig, memory_dim: int, use_attention: bool, static_dim: int,
+                 slot_memory: bool):
         super().__init__()
         self.use_attention = use_attention
         self.memory_dim = memory_dim
         self.input_feed = cfg.input_feed
         self.static_dim = static_dim
+        self.slot_memory = slot_memory and use_attention
 
     def _weights(self) -> tuple[Node, Node | None]:
         """The GRU input weight's row blocks: the static parts' and, with
@@ -356,25 +366,40 @@ class _Decoder(nn.Layer):
             return self.gru.w, None
         return tuple(ad.split_rows(self.gru.w, [self.static_dim, self.memory_dim]))
 
-    def _context(self, h: Node, memory, prepared, memory_mask) -> Node:
-        """The step's context: the attention mix of the memory or, without
-        attention, the memory itself."""
-        return self.attn(h, prepared, memory, memory_mask)[0] if self.use_attention else memory
+    def _context(self, h: Node, memory, prepared, memory_mask) -> tuple[Node, Node | None]:
+        """The step's context and, with attention, the weights that mix it
+        from the memory."""
+        if self.use_attention:
+            return self.attn(h, prepared, memory, memory_mask)
+        return memory, None
 
     def prepare(self, memory) -> tuple[Node | None, Node | None]:
-        """Once per sequence: the attention keys and, with input_feed, the
-        context rows of the input weight that feed the context to the next
-        step."""
-        return self.attn.prepare(memory) if self.use_attention else None, self._weights()[1]
+        """Once per sequence: the attention keys and, with input_feed, what
+        feeds the context to the next step: for a slot memory the slots
+        projected by the context rows of the input weight, (B, K, 3H), else
+        those rows themselves."""
+        keys = self.attn.prepare(memory) if self.use_attention else None
+        w_context = self._weights()[1]
+        if w_context is None or not self.slot_memory:
+            return keys, w_context
+        b, k, d = memory.value.shape
+        proj = ad.matmul(ad.reshape(memory, (b * k, d)), w_context)
+        return keys, ad.reshape(proj, (b, k, proj.value.shape[1]))
 
     def _recurrent_step(self, gates: Node, h: Node, prev, memory, prepared, feed, memory_mask):
         """Step the GRU on its static gate block and the previous step's
-        context `prev` times the context rows `feed` (prev is None at the
-        first step and without input_feed). Returns (state, context, this
-        step's context for the next)."""
-        h = self.gru.step(gates, h) if prev is None else self.gru.step(gates, h, prev, feed)
-        ctx = self._context(h, memory, prepared, memory_mask)
-        return h, ctx, None if feed is None else ctx
+        feed `prev` (None at the first step and without input_feed): the
+        attention weights that mix the projected slots `feed`, or the
+        context that multiplies the context rows `feed`. Returns (state,
+        context, this step's feed for the next)."""
+        if prev is None:
+            h = self.gru.step(gates, h)
+        elif self.slot_memory:
+            h = self.gru.step(gates, h, attn=prev, proj=feed)
+        else:
+            h = self.gru.step(gates, h, prev, feed)
+        ctx, weights = self._context(h, memory, prepared, memory_mask)
+        return h, ctx, None if feed is None else weights if self.slot_memory else ctx
 
     def _teacher_forced(self, batch, gates: list[Node], memory, memory_mask, h0: Node | None, step_inputs) -> Node:
         """Per-sample sum of log p(batch.dec_tgt[:, t] | ...) over each row's
@@ -399,6 +424,7 @@ class _Decoder(nn.Layer):
             if n < h.value.shape[0]:
                 h, prev, memory, prepared, memory_mask = (
                     _first_rows(x, n) for x in (h, prev, memory, prepared, memory_mask))
+                feed = _first_rows(feed, n) if self.slot_memory else feed  # projected slots have rows
             logits, h, prev = self.step_logits(gates[t], *step_inputs(t), h, prev, memory, prepared, feed,
                                                memory_mask)
             picked.append(ad.select_columns(ad.log_softmax(logits), targets[t]))
@@ -409,8 +435,9 @@ class ActionDecoder(_Decoder):
     """Autoregressive policy head; the memory enters only through attention
     contexts (fed to the head and, with input_feed, to the next step)."""
 
-    def __init__(self, rng, cfg: ModelConfig, memory_dim: int, use_attention: bool = True):
-        super().__init__(cfg, memory_dim, use_attention, cfg.hidden + cfg.action_emb)
+    def __init__(self, rng, cfg: ModelConfig, memory_dim: int, use_attention: bool = True,
+                 slot_memory: bool = False):
+        super().__init__(cfg, memory_dim, use_attention, cfg.hidden + cfg.action_emb, slot_memory)
         self.start_id = cfg.n_actions
         self.emb = self._child("emb", nn.Embedding(rng, cfg.n_actions + 2, cfg.action_emb))
         in_dim = self.static_dim + (memory_dim if cfg.input_feed else 0)
@@ -431,7 +458,7 @@ class ActionDecoder(_Decoder):
     def step_logits(self, gates: Node, cell_feats: np.ndarray, h: Node, prev, memory, prepared, feed,
                     memory_mask):
         """One step from its static gate block; returns (logits, state, this
-        step's context for the next)."""
+        step's feed for the next)."""
         h, ctx, fed = self._recurrent_step(gates, h, prev, memory, prepared, feed, memory_mask)
         cell_ctx = self.readout(ad.concat([h, ctx], axis=1), cell_feats)
         return self.head(ad.concat([ctx, h, cell_ctx], axis=1)), h, fed
@@ -472,8 +499,8 @@ class ActionDecoder(_Decoder):
 class WordDecoder(_Decoder):
     """Autoregressive language head; bos-prefixed, eos-terminated."""
 
-    def __init__(self, rng, cfg: ModelConfig, memory_dim: int):
-        super().__init__(cfg, memory_dim, True, cfg.word_emb)
+    def __init__(self, rng, cfg: ModelConfig, memory_dim: int, slot_memory: bool = False):
+        super().__init__(cfg, memory_dim, True, cfg.word_emb, slot_memory)
         self.emb = self._child("emb", nn.Embedding(rng, cfg.vocab_size, cfg.word_emb))
         in_dim = self.static_dim + (memory_dim if cfg.input_feed else 0)
         self.gru = self._child("gru", nn.GruCell(rng, in_dim, cfg.hidden))
@@ -486,7 +513,7 @@ class WordDecoder(_Decoder):
 
     def step_logits(self, gates: Node, h: Node, prev, memory, prepared, feed, memory_mask):
         """One step from its static gate block; returns (logits, state, this
-        step's context for the next)."""
+        step's feed for the next)."""
         h, ctx, fed = self._recurrent_step(gates, h, prev, memory, prepared, feed, memory_mask)
         return self.head(ad.concat([ctx, h], axis=1)), h, fed
 
@@ -539,8 +566,8 @@ class MsVae(nn.Layer):
         self.traj_bottleneck = self._child(
             "traj_bottleneck", nn.BottleneckAttention(rng, cfg.k_slots, cfg.hidden, cfg.latent_dim, cfg.attn_dim)
         )
-        self.act_dec = self._child("act_dec", ActionDecoder(rng, cfg, memory_dim=cfg.latent_dim))
-        self.word_dec = self._child("word_dec", WordDecoder(rng, cfg, memory_dim=cfg.latent_dim))
+        self.act_dec = self._child("act_dec", ActionDecoder(rng, cfg, memory_dim=cfg.latent_dim, slot_memory=True))
+        self.word_dec = self._child("word_dec", WordDecoder(rng, cfg, memory_dim=cfg.latent_dim, slot_memory=True))
         self.prior = self._child("prior", nn.AutoregressivePrior(rng, cfg.latent_dim, cfg.prior_hidden))
 
     # encoders ---------------------------------------------------------------

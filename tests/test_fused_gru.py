@@ -1,11 +1,11 @@
 """The fused GRU step against the per-step concatenate-then-multiply oracle.
 
-The fused step takes its input in two parts: a static gate block (the
-static inputs already multiplied by their rows of the input weight) and an
-optional state-dependent input with its weight rows (a readout, or an
-input-fed context: here an attention mix of a memory). The oracle
-concatenates [static, dynamic] and multiplies by the whole weight, one
-elementary op at a time.
+The fused step takes its input in parts: a static gate block (the static
+inputs already multiplied by their rows of the input weight), an optional
+state-dependent input with its weight rows, and an optional input feed, a
+memory projected by its weight rows and mixed by attention weights. The
+oracle concatenates [static, dynamic, attention mix of the memory] and
+multiplies by the whole weight, one elementary op at a time.
 """
 
 import numpy as np
@@ -15,8 +15,8 @@ from msvae import autodiff as ad
 from msvae import nn
 from oracles import gru_step_composed
 
-N_STATIC, N_DYNAMIC, K, B, H = 3, 4, 3, 3, 4
-SPLIT = [N_STATIC, N_DYNAMIC]
+N_STATIC, N_DYNAMIC, N_MEMORY, K, B, H = 3, 2, 4, 3, 3, 4
+SPLIT = [N_STATIC, N_DYNAMIC, N_MEMORY]
 
 
 def operands(seed):
@@ -25,32 +25,33 @@ def operands(seed):
     for p in cell.params():  # nonzero biases, so every operand matters
         p.value[...] = r.normal(size=p.value.shape) * 0.7
     leaves = {"static": r.normal(size=(B, N_STATIC)), "h": r.normal(size=(B, H)),
-              "memory": r.normal(size=(B, K, N_DYNAMIC))}
+              "dynamic": r.normal(size=(B, N_DYNAMIC)), "memory": r.normal(size=(B, K, N_MEMORY))}
     attn = np.exp(r.normal(size=(B, K)))
     leaves["attn"] = attn / attn.sum(axis=1, keepdims=True)
     return cell, {k: ad.leaf(v, name=k) for k, v in leaves.items()}, r.normal(size=(B, H))
 
 
-def fused(cell, v, dynamic=True):
-    w_static, w_dynamic = ad.split_rows(cell.w, SPLIT)
+def fused(cell, v, feed=True, dynamic=True):
+    w_static, w_dynamic, w_memory = ad.split_rows(cell.w, SPLIT)
     gx = cell.input_gates(v["static"], [B], w_static)[0]
-    if not dynamic:
-        return cell.step(gx, v["h"])
-    return cell.step(gx, v["h"], ad.bmix(v["attn"], v["memory"]), w_dynamic)
+    proj = ad.reshape(ad.matmul(ad.reshape(v["memory"], (B * K, N_MEMORY)), w_memory), (B, K, 3 * H))
+    return cell.step(gx, v["h"], *((v["dynamic"], w_dynamic) if dynamic else (None, None)),
+                     *((v["attn"], proj) if feed else (None, None)))
 
 
-def composed(cell, v, dynamic=True):
-    dyn = ad.bmix(v["attn"], v["memory"]) if dynamic else ad.constant(np.zeros((B, N_DYNAMIC)))
-    return gru_step_composed(cell, ad.concat([v["static"], dyn], axis=1), v["h"])
+def composed(cell, v, feed=True, dynamic=True):
+    ctx = ad.bmix(v["attn"], v["memory"]) if feed else ad.constant(np.zeros((B, N_MEMORY)))
+    dyn = v["dynamic"] if dynamic else ad.constant(np.zeros((B, N_DYNAMIC)))
+    return gru_step_composed(cell, ad.concat([v["static"], dyn, ctx], axis=1), v["h"])
 
 
 def test_fused_matches_composed_forward_and_backward():
     for trial in range(20):
-        dynamic = trial % 2 == 0  # with and without the state-dependent input
+        feed, dynamic = trial % 2 == 0, trial % 4 < 2  # with and without each optional part
         cell, v, w = operands(trial)
 
         def run(step):
-            out = step(cell, v, dynamic)
+            out = step(cell, v, feed, dynamic)
             params = cell.params() + list(v.values())
             ad.zero_grad(params)
             ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(w))))
@@ -64,8 +65,9 @@ def test_fused_matches_composed_forward_and_backward():
 
 
 def test_fused_gradient_finite_difference():
-    # every operand of the node: the static block, the state, u, bx, bh and
-    # the dynamic input and its weight block, each a leaf of its own
+    # every operand of the node: the static block, the state, u, bx, bh, the
+    # dynamic input and its weight block, the attention weights and the
+    # projected memory, each a leaf of its own
     for trial in range(5):
         r = np.random.default_rng(100 + trial)
         cell, _, _ = operands(trial)
@@ -74,11 +76,13 @@ def test_fused_gradient_finite_difference():
             "h": ad.leaf(r.normal(size=(B, H)), name="h"),
             "x": ad.leaf(r.normal(size=(B, N_DYNAMIC)), name="x"),
             "w": ad.leaf(r.normal(size=(N_DYNAMIC, 3 * H)), name="w"),
+            "attn": ad.leaf(r.uniform(size=(B, K)), name="attn"),
+            "proj": ad.leaf(r.normal(size=(B, K, 3 * H)), name="proj"),
         }
 
         def build():
             v = leaves
-            out = nn.fused_gru_step(v["gx"], v["h"], cell.u, cell.bx, cell.bh, v["x"], v["w"])
+            out = nn.fused_gru_step(v["gx"], v["h"], cell.u, cell.bx, cell.bh, v["x"], v["w"], v["attn"], v["proj"])
             return ad.reduce_sum(ad.mul(out, out))
 
         params = list(leaves.values()) + [cell.u, cell.bx, cell.bh]
@@ -92,7 +96,7 @@ def test_fused_gradient_finite_difference():
 def test_fused_is_one_node_over_its_operands():
     cell, v, _ = operands(0)
     out = fused(cell, v)
-    assert len(out.parents) == 7  # gx, h, u, bx, bh, x, w
+    assert len(out.parents) == 9  # gx, h, u, bx, bh, x, w, attn, proj
 
 
 def test_mismatched_operands_rejected():
@@ -101,4 +105,6 @@ def test_mismatched_operands_rejected():
     with pytest.raises(ad.ShapeMismatch):
         cell.step(gx, ad.narrow(v["h"], 0, 0, B - 1))
     with pytest.raises(ad.ShapeMismatch):
-        cell.step(gx, v["h"], v["static"], cell.u)
+        cell.step(gx, v["h"], v["dynamic"], cell.u)
+    with pytest.raises(ad.ShapeMismatch):
+        cell.step(gx, v["h"], attn=v["attn"], proj=v["memory"])

@@ -357,7 +357,8 @@ class TestRollouts:
         ta, tb = follows()
         assert ta != tb
         dec = m.act_dec
-        monkeypatch.setattr(dec, "_context", lambda h, *_: ad.constant(np.zeros((h.value.shape[0], dec.memory_dim))))
+        monkeypatch.setattr(dec, "_context", lambda h, *_: (ad.constant(np.zeros((h.value.shape[0], dec.memory_dim))),
+                                                            None))  # and nothing to feed
         ta, tb = follows()
         assert ta == tb
 
@@ -374,7 +375,8 @@ class TestRollouts:
         sa, sb = speaks()
         assert sa != sb
         dec = m.word_dec
-        monkeypatch.setattr(dec, "_context", lambda h, *_: ad.constant(np.zeros((h.value.shape[0], dec.memory_dim))))
+        monkeypatch.setattr(dec, "_context", lambda h, *_: (ad.constant(np.zeros((h.value.shape[0], dec.memory_dim))),
+                                                            None))  # and nothing to feed
         sa, sb = speaks()
         assert sa == sb
 

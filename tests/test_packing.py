@@ -156,6 +156,15 @@ KINDS = ["msvae", "follower", "follower_no_attn", "speaker"]
 lengths = st.lists(st.integers(1, 6), min_size=1, max_size=4)
 
 
+def test_kinds_cover_both_input_feed_forms():
+    # the latent model's decoders mix their projected slots, the baselines'
+    # multiply the context by its weight rows; the cases below run every kind
+    for kind in KINDS:
+        model = build(kind, "synthetic", 0)
+        decoders = [getattr(model, name) for name in ("act_dec", "word_dec") if hasattr(model, name)]
+        assert decoders and all(dec.slot_memory == (kind == "msvae") for dec in decoders), kind
+
+
 @st.composite
 def ragged_batches(draw):
     traj_lengths = draw(lengths)
