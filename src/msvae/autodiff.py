@@ -84,25 +84,6 @@ class Node:
         tag = self.name or ("const" if self.const else "node")
         return f"Node({tag}, shape={self.value.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def leaf(value, name: str | None = None) -> Node:
     """Trainable leaf: backward accumulates into .grad."""

@@ -137,8 +137,12 @@ def cmd_eval(args) -> int:
     ev = doc["eval"]
     if args.speaker_checkpoint is not None and not (args.mode == "pragmatic" and ev["candidates"] > 0):
         raise UsageError("--speaker-checkpoint works only with --mode pragmatic and --candidates > 0")
+    if ev["decoding"] == "sample" and (args.mode != "follow" or args.checkpoint == "oracle"):
+        raise UsageError("eval.decoding=sample works only with --mode follow and a model checkpoint")
     corpus = corpus_mod.load(args.corpus)
     recs = getattr(corpus, ev["split"])[:ev["limit"]]
+    if not recs:
+        raise ValueError(f"the corpus has an empty {ev['split']} split; there is nothing to evaluate")
     rng = np.random.default_rng(ev["seed"])
     sr, bleu, rep = 0.0, 0.0, None
 
@@ -174,7 +178,7 @@ def cmd_eval(args) -> int:
         out_path, sr=sr, bleu=bleu, n_episodes=n, seed=ev["seed"], checkpoint=args.checkpoint,
         extra={"mode": args.mode, "split": ev["split"], "corpus": str(args.corpus),
                "candidates": ev["candidates"] if args.mode == "pragmatic" else None,
-               "config": doc},
+               "config": {"eval": ev}},
     )
     print(f"mode={args.mode} n={n} SR={sr:.4f} BLEU={bleu:.4f} -> {out_path}")
     return 0

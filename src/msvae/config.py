@@ -27,11 +27,10 @@ def _pick(doc: dict, keys) -> dict:
 
 
 # The model and train sections come from the dataclasses' fields and
-# defaults. The corpus and the gridworld fix vocab_size, obs_dim and
-# n_actions, so they are no keys; the latent geometry is set in the train
-# section, next to the objective weights.
+# defaults. The corpus fixes vocab_size and obs_dim, so they are no keys; the
+# latent geometry is set in the train section, next to the objective weights.
 _LATENT_KEYS = ["k_slots", "latent_dim"]
-_MODEL_KEYS = _fields(md.ModelConfig, skip=["vocab_size", "obs_dim", "n_actions", *_LATENT_KEYS])
+_MODEL_KEYS = _fields(md.ModelConfig, skip=["vocab_size", "obs_dim", *_LATENT_KEYS])
 _HP_KEYS = _fields(md.HyperParams)
 _TRAIN_KEYS = _fields(pl.TrainConfig, skip=["hp", "model"])
 _TRAIN = asdict(pl.TrainConfig())

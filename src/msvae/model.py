@@ -41,7 +41,6 @@ class HyperParams:
 class ModelConfig:
     vocab_size: int = 0  # set from the corpus vocabulary by TrainConfig.model_config
     obs_dim: int = 0  # 0 takes the width of obs_view
-    n_actions: int = gw.N_ACTIONS
     word_emb: int = 32
     action_emb: int = 16
     hidden: int = 64
@@ -51,7 +50,6 @@ class ModelConfig:
     k_slots: int = 4
     latent_dim: int = 128
     prior_hidden: int = 128
-    input_feed: bool = True  # feed the previous attention context into the decoder step
     obs_view: str = "ego"  # model-side observation frame: ego | grid | synthetic
 
     def __post_init__(self):
@@ -138,12 +136,12 @@ def make_lang_batch(token_lists) -> LangBatch:
     return LangBatch(mask, dec_in, dec_tgt)
 
 
-def make_traj_batch(trajectories, n_actions: int = gw.N_ACTIONS) -> TrajBatch:
+def make_traj_batch(trajectories) -> TrajBatch:
     if not trajectories:
         raise ValueError("empty trajectory batch")
     if any(len(t) == 0 for t in trajectories):
         raise ValueError("empty trajectory")
-    start_id, pad_id = n_actions, n_actions + 1
+    start_id, pad_id = gw.N_ACTIONS, gw.N_ACTIONS + 1
     width = max(len(t) for t in trajectories)
     b = len(trajectories)
     odim = trajectories[0].observations.shape[1]
@@ -301,7 +299,7 @@ class TrajEncoderCore(nn.Layer):
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
-        self.emb = self._child("emb", nn.Embedding(rng, cfg.n_actions + 2, cfg.action_emb))
+        self.emb = self._child("emb", nn.Embedding(rng, gw.N_ACTIONS + 2, cfg.action_emb))
         self.readout = self._child("readout", GridReadout(rng, cfg.hidden, cfg.cell_dim, cfg))
         self.input_blocks = [cfg.hidden + cfg.action_emb, cfg.cell_dim]  # static, readout
         self.gru = self._child("gru", nn.GruCell(rng, sum(self.input_blocks), cfg.hidden))
@@ -334,8 +332,8 @@ class _Decoder(nn.Layer):
     teacher-forced loop.
 
     The GRU input is the static parts (observation features, previous
-    action or word embedding), then, with input_feed, the previous step's
-    context. The static parts do not depend on the state, so their gate
+    action or word embedding), then the previous step's context (input
+    feeding). The static parts do not depend on the state, so their gate
     input is one product per batch (input_gates), cut into steps. The
     context depends on the state; how it enters follows what the memory is:
     - slot_memory, a few fixed slots read by attention (the latent model's
@@ -350,21 +348,16 @@ class _Decoder(nn.Layer):
     The first step has no previous context.
     """
 
-    def __init__(self, cfg: ModelConfig, memory_dim: int, use_attention: bool, static_dim: int,
-                 slot_memory: bool):
+    def __init__(self, memory_dim: int, use_attention: bool, static_dim: int, slot_memory: bool):
         super().__init__()
         self.use_attention = use_attention
         self.memory_dim = memory_dim
-        self.input_feed = cfg.input_feed
         self.static_dim = static_dim
         self.slot_memory = slot_memory and use_attention
 
-    def _weights(self) -> tuple[Node, Node | None]:
-        """The GRU input weight's row blocks: the static parts' and, with
-        input_feed, the context's."""
-        if not self.input_feed:
-            return self.gru.w, None
-        return tuple(ad.split_rows(self.gru.w, [self.static_dim, self.memory_dim]))
+    def _weights(self) -> list[Node]:
+        """The GRU input weight's row blocks: the static parts' and the context's."""
+        return ad.split_rows(self.gru.w, [self.static_dim, self.memory_dim])
 
     def _context(self, h: Node, memory, prepared, memory_mask) -> tuple[Node, Node | None]:
         """The step's context and, with attention, the weights that mix it
@@ -373,14 +366,14 @@ class _Decoder(nn.Layer):
             return self.attn(h, prepared, memory, memory_mask)
         return memory, None
 
-    def prepare(self, memory) -> tuple[Node | None, Node | None]:
-        """Once per sequence: the attention keys and, with input_feed, what
-        feeds the context to the next step: for a slot memory the slots
-        projected by the context rows of the input weight, (B, K, 3H), else
-        those rows themselves."""
+    def prepare(self, memory) -> tuple[Node | None, Node]:
+        """Once per sequence: the attention keys and what feeds the context
+        to the next step: for a slot memory the slots projected by the
+        context rows of the input weight, (B, K, 3H), else those rows
+        themselves."""
         keys = self.attn.prepare(memory) if self.use_attention else None
         w_context = self._weights()[1]
-        if w_context is None or not self.slot_memory:
+        if not self.slot_memory:
             return keys, w_context
         b, k, d = memory.value.shape
         proj = ad.matmul(ad.reshape(memory, (b * k, d)), w_context)
@@ -388,10 +381,9 @@ class _Decoder(nn.Layer):
 
     def _recurrent_step(self, gates: Node, h: Node, prev, memory, prepared, feed, memory_mask):
         """Step the GRU on its static gate block and the previous step's
-        feed `prev` (None at the first step and without input_feed): the
-        attention weights that mix the projected slots `feed`, or the
-        context that multiplies the context rows `feed`. Returns (state,
-        context, this step's feed for the next)."""
+        feed `prev` (None at the first step): the attention weights that mix
+        the projected slots `feed`, or the context that multiplies the context
+        rows `feed`. Returns (state, context, this step's feed for the next)."""
         if prev is None:
             h = self.gru.step(gates, h)
         elif self.slot_memory:
@@ -399,7 +391,7 @@ class _Decoder(nn.Layer):
         else:
             h = self.gru.step(gates, h, prev, feed)
         ctx, weights = self._context(h, memory, prepared, memory_mask)
-        return h, ctx, None if feed is None else weights if self.slot_memory else ctx
+        return h, ctx, weights if self.slot_memory else ctx
 
     def _teacher_forced(self, batch, gates: list[Node], memory, memory_mask, h0: Node | None, step_inputs) -> Node:
         """Per-sample sum of log p(batch.dec_tgt[:, t] | ...) over each row's
@@ -433,21 +425,19 @@ class _Decoder(nn.Layer):
 
 class ActionDecoder(_Decoder):
     """Autoregressive policy head; the memory enters only through attention
-    contexts (fed to the head and, with input_feed, to the next step)."""
+    contexts (fed to the head and to the next step)."""
 
     def __init__(self, rng, cfg: ModelConfig, memory_dim: int, use_attention: bool = True,
                  slot_memory: bool = False):
-        super().__init__(cfg, memory_dim, use_attention, cfg.hidden + cfg.action_emb, slot_memory)
-        self.start_id = cfg.n_actions
-        self.emb = self._child("emb", nn.Embedding(rng, cfg.n_actions + 2, cfg.action_emb))
-        in_dim = self.static_dim + (memory_dim if cfg.input_feed else 0)
-        self.gru = self._child("gru", nn.GruCell(rng, in_dim, cfg.hidden))
+        super().__init__(memory_dim, use_attention, cfg.hidden + cfg.action_emb, slot_memory)
+        self.emb = self._child("emb", nn.Embedding(rng, gw.N_ACTIONS + 2, cfg.action_emb))
+        self.gru = self._child("gru", nn.GruCell(rng, self.static_dim + memory_dim, cfg.hidden))
         if use_attention:
             self.attn = self._child("attn", nn.KeyValueAttention(rng, cfg.hidden, memory_dim, cfg.attn_dim))
         # spatial readout: query from (state, instruction context) attends
         # over grid cells; the dot product binds the instruction to cells
         self.readout = self._child("readout", GridReadout(rng, cfg.hidden + memory_dim, cfg.cell_dim, cfg))
-        self.head = self._child("head", nn.Linear(rng, memory_dim + cfg.hidden + cfg.cell_dim, cfg.n_actions))
+        self.head = self._child("head", nn.Linear(rng, memory_dim + cfg.hidden + cfg.cell_dim, gw.N_ACTIONS))
 
     def input_gates(self, traj: TrajBatch, obs_feats: Node) -> list[Node]:
         """The static gate input of every step of a batch, from the packed
@@ -477,7 +467,7 @@ class ActionDecoder(_Decoder):
         h = self.gru.init_state(1) if h is None else h
         prepared, feed = self.prepare(memory)
         w_static, fed = self._weights()[0], None
-        prev = np.array([self.start_id], dtype=np.intp)
+        prev = np.array([gw.N_ACTIONS], dtype=np.intp)  # the start id
         states = [world]
         obs_rows, actions = [], []
         for _ in range(max_steps):
@@ -500,10 +490,9 @@ class WordDecoder(_Decoder):
     """Autoregressive language head; bos-prefixed, eos-terminated."""
 
     def __init__(self, rng, cfg: ModelConfig, memory_dim: int, slot_memory: bool = False):
-        super().__init__(cfg, memory_dim, True, cfg.word_emb, slot_memory)
+        super().__init__(memory_dim, True, cfg.word_emb, slot_memory)
         self.emb = self._child("emb", nn.Embedding(rng, cfg.vocab_size, cfg.word_emb))
-        in_dim = self.static_dim + (memory_dim if cfg.input_feed else 0)
-        self.gru = self._child("gru", nn.GruCell(rng, in_dim, cfg.hidden))
+        self.gru = self._child("gru", nn.GruCell(rng, self.static_dim + memory_dim, cfg.hidden))
         self.attn = self._child("attn", nn.KeyValueAttention(rng, cfg.hidden, memory_dim, cfg.attn_dim))
         self.head = self._child("head", nn.Linear(rng, memory_dim + cfg.hidden, cfg.vocab_size))
 
@@ -631,13 +620,13 @@ class MsVae(nn.Layer):
               len_cap: int = 30) -> tuple[list[int], bool]:
         """Describe a trajectory; returns (token ids, truncated flag)."""
         with self.frozen():
-            memory, mask, h = self.trajectory_memory(make_traj_batch([traj], self.cfg.n_actions))
+            memory, mask, h = self.trajectory_memory(make_traj_batch([traj]))
             return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap)
 
     def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
         """log p(tokens | traj); the pragmatic-inference score."""
         with self.frozen():
-            tb, lang = make_traj_batch([traj], self.cfg.n_actions), make_lang_batch([list(tokens)])
+            tb, lang = make_traj_batch([traj]), make_lang_batch([list(tokens)])
             return float(self.speaker_log_likelihood(tb, lang).value[0])
 
 
@@ -834,9 +823,18 @@ def build_model(kind: str, rng, cfg: ModelConfig, attention: bool = True):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+# ModelConfig fields that older checkpoints carry, with the one value every
+# run trained with
+_RETIRED_FIELDS = {"input_feed": True, "n_actions": gw.N_ACTIONS}
+
+
 def load_model(path):
     """Rebuild a model from a checkpoint; returns (model, meta)."""
     arrays, meta = nn.load_checkpoint(path)
+    for key, value in _RETIRED_FIELDS.items():
+        held = meta["model_config"].pop(key, value)
+        if held != value:
+            raise ValueError(f"checkpoint {path}: model_config.{key}={held!r} is not supported (only {value!r})")
     cfg = ModelConfig(**meta["model_config"])
     model = build_model(meta["kind"], np.random.default_rng(0), cfg, meta.get("attention", True))
     params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}

@@ -70,6 +70,9 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(cfg_mod.ConfigError, match="unknown config key: corpus.bogus"):
             cfg_mod.resolve("desk_scale", overrides=["corpus.bogus=1"])
+        # the decoders always feed the previous context: the key that turned that off is gone
+        with pytest.raises(cfg_mod.ConfigError, match="unknown config key: model.input_feed"):
+            cfg_mod.resolve("desk_scale", overrides=["model.input_feed=true"])
 
     def test_unknown_file_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
@@ -203,7 +206,7 @@ class TestTrain:
                                           "train.arch_variant=foo", 'train.learning_rate="x"',
                                           "train.seed=1.5", "model.hidden=0", "train.eval_every=0",
                                           "model.hidden=-3", "train.eval_tasks=-1", "train.unpaired_batch=-1",
-                                          'model.input_feed="no"', "train.alpha=NaN"])
+                                          'model.input_feed="no"', "model.input_feed=true", "train.alpha=NaN"])
     def test_value_rejected_by_config_dataclass_is_usage_error(self, corpus_dir, tmp_path, override):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "msvae", "train", "--pipeline", "supervised-follower",
@@ -377,6 +380,14 @@ def trained(corpus_dir, tmp_path_factory):
     return out / "checkpoints" / "best.bin"
 
 
+@pytest.fixture(scope="module")
+def empty_test_split(tmp_path_factory):
+    out = tmp_path_factory.mktemp("notest")
+    assert run_cli("gen-data", "--out", str(out), "--set", "corpus.m=6", "--set", "corpus.n=6",
+                   "--set", "corpus.val_tasks=2", "--set", "corpus.test_tasks=0") == 0
+    return out
+
+
 class TestEval:
 
     def test_oracle_sentinel_perfect_sr(self, corpus_dir, tmp_path, capsys):
@@ -427,7 +438,55 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", str(trained), "--corpus", str(corpus_dir),
                        "--mode", "pragmatic", "--candidates", "0", "--out", str(p)) == 0
         assert json.loads(f.read_text())["sr"] == json.loads(p.read_text())["sr"]
-        assert json.loads(p.read_text())["config"]["eval"]["candidates"] == 0
+        # only the eval settings: the model comes from the checkpoint and the
+        # corpus from its files, so the other sections' defaults would misreport both
+        assert json.loads(p.read_text())["config"] == {"eval": {**cfg_mod.DEFAULTS["eval"], "candidates": 0}}
+
+    @pytest.mark.parametrize("checkpoint,mode", [("trained", ["--mode", "follow"]),
+                                                 ("trained", ["--mode", "pragmatic", "--candidates", "2"]),
+                                                 ("trained", ["--mode", "speak"]),
+                                                 ("oracle", ["--mode", "follow"])],
+                             ids=["follow", "pragmatic", "speak", "oracle"])
+    def test_empty_split_is_data_error(self, empty_test_split, trained, tmp_path, capsys, checkpoint, mode):
+        out = tmp_path / "eval.json"
+        ckpt = str(trained) if checkpoint == "trained" else checkpoint
+        code = run_cli("eval", "--checkpoint", ckpt, "--corpus", str(empty_test_split), *mode, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "data error: the corpus has an empty test split; there is nothing to evaluate\n", err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("checkpoint,mode", [("f.bin", ["--mode", "speak"]),
+                                                 ("f.bin", ["--mode", "pragmatic", "--candidates", "0"]),
+                                                 ("f.bin", ["--mode", "pragmatic", "--candidates", "4"]),
+                                                 ("oracle", ["--mode", "follow"])],
+                             ids=["speak", "pragmatic_0", "pragmatic_4", "oracle"])
+    def test_sample_decoding_where_nothing_samples_is_usage_error(self, tmp_path, capsys, checkpoint, mode):
+        # a usage error before the corpus is read: the missing corpus and checkpoint are never reached
+        out = tmp_path / "eval.json"
+        code = run_cli("eval", "--checkpoint", checkpoint, "--corpus", str(tmp_path / "nope"), *mode,
+                       "--set", "eval.decoding=sample", "--out", str(out))
+        assert code == 1
+        assert "eval.decoding=sample works only with --mode follow" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("input_feed", False), ("n_actions", 7)])
+    def test_checkpoint_with_unsupported_retired_key_is_data_error(self, corpus_dir, tmp_path, capsys, key, value):
+        path = tmp_path / "f.bin"
+        model = md.BaselineFollower(np.random.default_rng(0), md.ModelConfig(
+            vocab_size=len(corpus_mod.load(corpus_dir).vocab), hidden=4, word_emb=3, action_emb=3, attn_dim=3,
+            cell_dim=3, obs_hidden=4))
+        meta = md.checkpoint_meta(model, [])
+        meta["model_config"].update({"input_feed": True, "n_actions": 6, key: value})
+        nn.save_checkpoint(path, {k: p.value for k, p in model.named_params().items()}, meta)
+        out = tmp_path / "eval.json"
+        code = run_cli("eval", "--checkpoint", str(path), "--corpus", str(corpus_dir), "--mode", "follow",
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"model_config.{key}=" in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_mode_checkpoint_mismatch_rejected(self, corpus_dir, tmp_path):
         spk = tmp_path / "spk"

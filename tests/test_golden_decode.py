@@ -1,7 +1,7 @@
 """Pinned decode outputs and teacher-forced losses of fixed-seed tiny models.
 
-Every follow/speak path (the latent model with and without input feeding,
-the follower with and without attention, and the speaker) is run greedily
+Every follow/speak path (the latent model, the follower with and without
+attention, and the speaker) is run greedily
 and in sampled mode with a fixed generator. The expected actions, tokens,
 truncated flags and the generator's next draw (which pins how many draws a
 decode consumed) were recorded from the implementation; a refactor of the
@@ -33,7 +33,6 @@ def _cfg(**kw):
 
 BUILDERS = {
     "msvae": lambda: md.MsVae(np.random.default_rng(11), _cfg()),
-    "msvae_no_feed": lambda: md.MsVae(np.random.default_rng(12), _cfg(input_feed=False)),
     "follower_attn": lambda: md.BaselineFollower(np.random.default_rng(13), _cfg()),
     "follower_no_attn": lambda: md.BaselineFollower(np.random.default_rng(14), _cfg(), attention=False),
     "speaker_attn": lambda: md.BaselineSpeaker(np.random.default_rng(15), _cfg()),
@@ -82,16 +81,6 @@ EXPECTED = {
         ('speak', 'sample', [11, 11], False, 583756036),
         ('speak', 'greedy', [9, 11, 11, 11, 11, 11, 11, 11, 11, 11], True),
         ('speak', 'sample', [14, 11, 11, 11, 11, 11, 5, 11, 11, 11], True, 217273011),
-    ],
-    'msvae_no_feed': [
-        ('follow', 'greedy', (3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4)),
-        ('follow', 'sample', (4, 4, 3, 0, 4, 3, 3, 4, 3, 3, 4, 3), 346203802),
-        ('follow', 'greedy', (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4)),
-        ('follow', 'sample', (4, 4, 4, 4, 3, 4, 4, 3, 4, 3, 4, 4), 108550259),
-        ('speak', 'greedy', [6, 6, 6, 6, 6, 6, 6, 6, 6, 6], True),
-        ('speak', 'sample', [14, 14], False, 583756036),
-        ('speak', 'greedy', [6, 6, 6, 6, 6, 6, 6, 6, 6, 6], True),
-        ('speak', 'sample', [21, 6, 6, 6, 6, 6, 6, 6, 21, 21], True, 217273011),
     ],
     'follower_attn': [
         ('follow', 'greedy', (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4)),

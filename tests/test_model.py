@@ -13,7 +13,7 @@ from oracles import save_model
 
 
 def tiny_cfg(**kw):
-    base = dict(vocab_size=9, obs_dim=5, n_actions=6, word_emb=3, action_emb=3,
+    base = dict(vocab_size=9, obs_dim=5, word_emb=3, action_emb=3,
                 hidden=4, attn_dim=3, cell_dim=3, k_slots=2, latent_dim=3, prior_hidden=4,
                 obs_view="synthetic")
     base.update(kw)
@@ -575,6 +575,28 @@ class TestPersistence:
         assert meta["kind"] == "follower" and meta["attention"] is False
         assert f2.attention is False
 
+    def test_checkpoint_with_retired_config_keys(self, tmp_path):
+        # checkpoints written while input feeding could be turned off and the
+        # action count was a field carry both keys in their model_config
+        m = md.BaselineFollower(np.random.default_rng(0), tiny_cfg())
+        arrays = {k: v.value for k, v in m.named_params().items()}
+        path = tmp_path / "f.bin"
+
+        def write(**retired):
+            meta = md.checkpoint_meta(m, [])
+            meta["model_config"].update({"input_feed": True, "n_actions": 6, **retired})
+            nn.save_checkpoint(path, arrays, meta)
+
+        write()
+        m2, meta = md.load_model(path)
+        assert m2.cfg == m.cfg and "input_feed" not in meta["model_config"]
+        for name, node in m2.named_params().items():
+            np.testing.assert_array_equal(node.value, arrays[name])
+        for key, value in (("input_feed", False), ("n_actions", 7)):
+            write(**{key: value})
+            with pytest.raises(ValueError, match=f"model_config.{key}={value!r}"):
+                md.load_model(path)
+
 
 def _materialised_readout(readout, query, obs, t):
     """GridReadout as first written: project every cell to a key, attend over
@@ -624,7 +646,7 @@ class TestHoistedFeatures:
         r = np.random.default_rng(32)
         mlp = md.ObsMlp(r, obs_dim=5, hidden=4, width=6)
         obs = r.normal(size=(3, 4, 5))
-        traj = md.make_traj_batch([gw.Trajectory(o, (0,) * 4) for o in obs], n_actions=6)
+        traj = md.make_traj_batch([gw.Trajectory(o, (0,) * 4) for o in obs])
         weights = [ad.constant(r.normal(size=(3, 4))) for _ in range(4)]
 
         def run(feats):
@@ -673,7 +695,7 @@ class TestHoistedFeatures:
         mlp = md.ObsMlp(r, obs_dim=5, hidden=4, width=6)
         obs = r.normal(size=(3, 4, 5))
         lengths = (4, 1, 3)
-        traj = md.make_traj_batch([gw.Trajectory(o[:n], (0,) * n) for o, n in zip(obs, lengths)], n_actions=6)
+        traj = md.make_traj_batch([gw.Trajectory(o[:n], (0,) * n) for o, n in zip(obs, lengths)])
         order, counts = traj.packing.order, traj.packing.counts
         assert order.tolist() == [0, 2, 1] and counts.tolist() == [3, 2, 2, 1]
         weights = [ad.constant(r.normal(size=(n, 4))) for n in counts]

@@ -45,7 +45,7 @@ def masked_teacher_forced(dec, mask, dec_in, dec_tgt, memory, memory_mask, h0, s
     ctx = ad.constant(np.zeros((mask.shape[0], dec.memory_dim)))
     total = None
     for t in range(mask.shape[1]):
-        parts = static_inputs(t) + [dec.emb(dec_in[:, t])] + ([ctx] if dec.input_feed else [])
+        parts = static_inputs(t) + [dec.emb(dec_in[:, t]), ctx]
         h = gru_step_composed(dec.gru, ad.concat(parts, axis=1), h)
         ctx = dec.attn(h, prepared, memory, memory_mask)[0] if dec.use_attention else memory
         picked = ad.mul(ad.select_columns(ad.log_softmax(head(t, h, ctx)), dec_tgt[:, t]), ad.constant(mask[:, t]))
@@ -104,7 +104,7 @@ VIEWS = {"synthetic": 5, "grid": gw.OBS_VIEWS["grid"][1]}
 
 
 def build(kind, view, seed):
-    cfg = md.ModelConfig(vocab_size=9, obs_dim=VIEWS[view], n_actions=6, word_emb=3, action_emb=3, hidden=4,
+    cfg = md.ModelConfig(vocab_size=9, obs_dim=VIEWS[view], word_emb=3, action_emb=3, hidden=4,
                          obs_hidden=5, attn_dim=3, cell_dim=3, k_slots=2, latent_dim=3, prior_hidden=4,
                          obs_view=view)
     rng = np.random.default_rng(seed)
@@ -132,7 +132,7 @@ def interface_lls(model, lang, traj):
 
 def outputs(model, trajs, langs, unpaired, seed):
     """Every per-sample output and the loss gradients of `model` on a batch."""
-    traj, lang = md.make_traj_batch(trajs, 6), md.make_lang_batch(langs)
+    traj, lang = md.make_traj_batch(trajs), md.make_lang_batch(langs)
     ad.zero_grad(model.params())
     lls = interface_lls(model, lang, traj)
     out = {f"ll {i}": ll.value for i, ll in enumerate(lls)}
@@ -142,7 +142,7 @@ def outputs(model, trajs, langs, unpaired, seed):
         z = ad.constant(np.random.default_rng(seed).normal(size=(len(trajs), 2, 3)))
         out["action_ll"] = model.action_log_likelihood(z, traj).value
         out["language_ll"] = model.language_log_likelihood(z, lang).value
-        loss, _ = md.total_loss(model, lang, traj, md.make_traj_batch(unpaired, 6),
+        loss, _ = md.total_loss(model, lang, traj, md.make_traj_batch(unpaired),
                                 md.HyperParams(alpha=0.3, gamma=2.0, n_projections=3), np.random.default_rng(seed))
     else:
         loss = ad.neg(ad.reduce_mean(lls[0]))
@@ -200,7 +200,7 @@ def test_permuting_rows_permutes_per_sample_outputs(case, random):
     random.shuffle(perm)
 
     def per_sample(trajs, langs, z):
-        traj, lang = md.make_traj_batch(trajs, 6), md.make_lang_batch(langs)
+        traj, lang = md.make_traj_batch(trajs), md.make_lang_batch(langs)
         out = interface_lls(model, lang, traj)
         if model.kind == "msvae":
             out += [*model.encode_trajectory(traj), *model.encode_language(lang),
