@@ -436,31 +436,35 @@ def bdot(q, k) -> Node:
 
 
 def bdot_shared(q, k) -> Node:
-    """Shared query against per-sample keys: (P,) x (B, N, P) -> (B, N)."""
+    """Shared queries against per-sample keys: (K, P) x (B, N, P) -> (B, K, N)."""
     q, k = _coerce(q), _coerce(k)
     qv, kv = q.value, k.value
-    if qv.ndim != 1 or kv.ndim != 3 or qv.shape[0] != kv.shape[2]:
+    if qv.ndim != 2 or kv.ndim != 3 or qv.shape[1] != kv.shape[2]:
         raise ShapeMismatch(f"bdot_shared: shapes {qv.shape} and {kv.shape} do not conform")
 
     def vjp(g):
-        return (np.einsum("bn,bnp->p", g, kv) if q.needs_grad else None,
-                np.einsum("bn,p->bnp", g, qv) if k.needs_grad else None)
+        return (np.einsum("bkn,bnp->kp", g, kv) if q.needs_grad else None,
+                np.einsum("bkn,kp->bnp", g, qv) if k.needs_grad else None)
 
-    return Node(np.einsum("p,bnp->bn", qv, kv), (q, k), vjp)
+    return Node(np.einsum("kp,bnp->bkn", qv, kv), (q, k), vjp)
 
 
 def bmix(w, v) -> Node:
-    """Weighted mix of values: (B, N) x (B, N, H) -> (B, H)."""
+    """Weighted mix of values: (B, N) x (B, N, H) -> (B, H), or K mixes at
+    once, (B, K, N) x (B, N, H) -> (B, K, H)."""
     w, v = _coerce(w), _coerce(v)
     wv, vv = w.value, v.value
-    if wv.ndim != 2 or vv.ndim != 3 or wv.shape != vv.shape[:2]:
+    if wv.ndim not in (2, 3) or vv.ndim != 3 or (wv.shape[0], wv.shape[-1]) != vv.shape[:2]:
         raise ShapeMismatch(f"bmix: shapes {wv.shape} and {vv.shape} do not conform")
+    # the decoders' bits depend on the 2-D strings: an ellipsis form of the same sums changed them
+    fwd, dw, dv = (("bn,bnh->bh", "bh,bnh->bn", "bh,bn->bnh") if wv.ndim == 2
+                   else ("bkn,bnh->bkh", "bkh,bnh->bkn", "bkh,bkn->bnh"))
 
     def vjp(g):
-        return (np.einsum("bh,bnh->bn", g, vv) if w.needs_grad else None,
-                np.einsum("bh,bn->bnh", g, wv) if v.needs_grad else None)
+        return (np.einsum(dw, g, vv) if w.needs_grad else None,
+                np.einsum(dv, g, wv) if v.needs_grad else None)
 
-    return Node(np.einsum("bn,bnh->bh", wv, vv), (w, v), vjp)
+    return Node(np.einsum(fwd, wv, vv), (w, v), vjp)
 
 
 def sort_axis0(a) -> Node:

@@ -98,7 +98,7 @@ def cmd_gen_data(args) -> int:
     doc = cfg_mod.resolve(args.preset, args.config, args.overrides)
     c = doc["corpus"]
     summary = corpus_mod.generate(args.out, **c)
-    Path(args.out, "config.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+    Path(args.out, "config.json").write_text(json.dumps({"corpus": c}, sort_keys=True) + "\n")
     print(f"corpus at {args.out}: M={c['m']} N={c['n']} vocab={summary['vocab_size']}")
     for split in ("paired", "unpaired", "val", "test"):
         s = summary[split]

@@ -755,19 +755,18 @@ def domain_distance(paired_means: Node, unpaired_means: Node, n_projections: int
         )
     b = min(pb, ub)
     k, d = paired_means.value.shape[1], paired_means.value.shape[2]
-    x = ad.narrow(paired_means, 0, 0, b)
-    y = ad.narrow(unpaired_means, 0, 0, b)
-    total = None
-    for slot in range(k):
-        dirs = rng.standard_normal((d, n_projections))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=0, keepdims=True), 1e-12)
-        dirs_c = ad.constant(dirs)
-        xs = ad.sort_axis0(ad.matmul(ad.reshape(ad.narrow(x, 1, slot, 1), (b, d)), dirs_c))
-        ys = ad.sort_axis0(ad.matmul(ad.reshape(ad.narrow(y, 1, slot, 1), (b, d)), dirs_c))
-        diff = ad.sub(xs, ys)
-        slot_dist = ad.reduce_mean(ad.mul(diff, diff))
-        total = slot_dist if total is None else ad.add(total, slot_dist)
-    return total
+    dirs = rng.standard_normal((k, d, n_projections))  # the same draws as k draws of (d, P)
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
+    # slot s's D coordinates meet only its own P directions: one block-diagonal (K*D, K*P) product
+    blocks = np.zeros((k, d, k, n_projections))
+    blocks[np.arange(k), :, np.arange(k)] = dirs
+    blocks = ad.constant(blocks.reshape(k * d, k * n_projections))
+
+    def sorted_projections(means):
+        return ad.sort_axis0(ad.matmul(ad.reshape(ad.narrow(means, 0, 0, b), (b, k * d)), blocks))
+
+    diff = ad.sub(sorted_projections(paired_means), sorted_projections(unpaired_means))
+    return ad.scale(ad.reduce_sum(ad.mul(diff, diff)), 1.0 / (b * n_projections))
 
 
 def total_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, unpaired: TrajBatch | None,

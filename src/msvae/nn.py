@@ -3,7 +3,8 @@ the bottleneck attention module, and the autoregressive latent prior.
 
 Every layer registers its parameters in a local dict name -> Node so models
 can collect them hierarchically for the optimizer and for checkpoints.
-All batch-shaped activations are (B, feature) matrices; a variable-length
+All batch-shaped activations are (B, feature) matrices and the K latent
+slots one (B, K, feature) tensor; a variable-length
 batch runs packed (see Packing): step t computes only the rows still
 running, and the results return to the caller's row order. A recurrence
 multiplies the GRU inputs that do not depend on its state once for all of
@@ -301,40 +302,40 @@ class KeyValueAttention(Layer):
         return ad.bmix(w, values), w
 
 
+def gaussian_heads(layer: Layer, rows: Node, shape) -> tuple[Node, Node]:
+    """A layer's mean and clamped logvar heads, each applied once over all
+    (n, H) rows and reshaped to `shape`."""
+    return (ad.reshape(layer.mean_head(rows), shape),
+            ad.reshape(ad.clamp(layer.logvar_head(rows), LOGVAR_MIN, LOGVAR_MAX), shape))
+
+
 class BottleneckAttention(Layer):
     """K learned query tokens attend over variable-length hidden states and
     emit exactly K diagonal-Gaussian slots via shared mean/logvar heads."""
 
     def __init__(self, rng, n_slots: int, hidden_dim: int, latent_dim: int, proj_dim: int):
         super().__init__()
-        self.n_slots = n_slots
         self.latent_dim = latent_dim
         self.tokens = self._param("tokens", rng.normal(0.0, 0.02, size=(n_slots, hidden_dim)))
         self.attn = self._child("attn", KeyValueAttention(rng, hidden_dim, hidden_dim, proj_dim))
         self.mean_head = self._child("mean_head", Linear(rng, hidden_dim, latent_dim))
         self.logvar_head = self._child("logvar_head", Linear(rng, hidden_dim, latent_dim))
 
-    def slot_contexts(self, hidden: Node, mask: np.ndarray | None = None) -> list[Node]:
+    def slot_contexts(self, hidden: Node, mask: np.ndarray | None = None) -> Node:
+        """(B, L, H) hidden states -> (B, K, H), slot k the mix its token attends."""
         if hidden.value.ndim != 3:
             raise ad.ShapeMismatch(f"bottleneck: expected (B, L, H) hidden states, got {hidden.value.shape}")
-        prepared = self.attn.prepare(hidden)
         qp = ad.matmul(self.tokens, self.attn.wq)  # (K, P)
-        contexts = []
-        for k in range(self.n_slots):
-            qk = ad.reshape(ad.narrow(qp, 0, k, 1), (qp.value.shape[1],))
-            scores = ad.scale(ad.bdot_shared(qk, prepared), self.attn.scale)
-            if mask is not None:
-                scores = ad.add(scores, ad.constant((mask - 1.0) * 1e9))
-            w = ad.softmax(scores, axis=-1)
-            contexts.append(ad.bmix(w, hidden))
-        return contexts
+        scores = ad.scale(ad.bdot_shared(qp, self.attn.prepare(hidden)), self.attn.scale)
+        if mask is not None:
+            scores = ad.add(scores, ad.constant(np.broadcast_to(((mask - 1.0) * 1e9)[:, None], scores.value.shape)))
+        return ad.bmix(ad.softmax(scores, axis=-1), hidden)
 
     def __call__(self, hidden: Node, mask: np.ndarray | None = None) -> tuple[Node, Node]:
         """(B, L, H) -> means (B, K, D), logvars (B, K, D), any L >= 1."""
         contexts = self.slot_contexts(hidden, mask)
-        means = ad.stack([self.mean_head(c) for c in contexts], axis=1)
-        logvars = ad.stack([ad.clamp(self.logvar_head(c), LOGVAR_MIN, LOGVAR_MAX) for c in contexts], axis=1)
-        return means, logvars
+        b, k, h = contexts.value.shape
+        return gaussian_heads(self, ad.reshape(contexts, (b * k, h)), (b, k, self.latent_dim))
 
 
 class AutoregressivePrior(Layer):
@@ -343,38 +344,28 @@ class AutoregressivePrior(Layer):
 
     def __init__(self, rng, latent_dim: int, hidden_dim: int = 128):
         super().__init__()
-        self.latent_dim = latent_dim
         self.start = self._param("start", rng.normal(0.0, 0.02, size=(1, latent_dim)))
         self.gru = self._child("gru", GruCell(rng, latent_dim, hidden_dim))
         self.mean_head = self._child("mean_head", Linear(rng, hidden_dim, latent_dim))
         self.logvar_head = self._child("logvar_head", Linear(rng, hidden_dim, latent_dim))
 
-    def params_for_slots(self, slots: list[Node]) -> tuple[list[Node], list[Node]]:
-        """Per-slot prior parameters given sampled slots [(B, D) x K].
-
-        Slot k's output depends only on slots[:k]; slots[-1] is never read.
-        """
-        if not slots:
-            raise ValueError("prior: need at least one slot")
-        batch = slots[0].value.shape[0]
-        # slot k's input is z_{k-1} (the start token for k = 0): none depends
-        # on the state, so one product covers every step
-        inputs = ad.concat([ad.repeat_rows(self.start, batch)] + list(slots[:-1]), axis=0)
-        h = self.gru.init_state(batch)
-        means, logvars = [], []
-        for gx in self.gru.input_gates(inputs, [batch] * len(slots)):
-            h = self.gru.step(gx, h)
-            means.append(self.mean_head(h))
-            logvars.append(ad.clamp(self.logvar_head(h), LOGVAR_MIN, LOGVAR_MAX))
-        return means, logvars
-
 
 def prior_log_density_params(prior: AutoregressivePrior, z: Node) -> tuple[Node, Node]:
-    """(B, K, D) samples -> prior means/logvars stacked to (B, K, D)."""
+    """(B, K, D) samples -> prior means/logvars (B, K, D).
+
+    Slot k's parameters depend only on z[:, :k]; z[:, -1] is never read.
+    """
     b, k, d = z.value.shape
-    slots = [ad.reshape(ad.narrow(z, 1, i, 1), (b, d)) for i in range(k)]
-    means, logvars = prior.params_for_slots(slots)
-    return ad.stack(means, axis=1), ad.stack(logvars, axis=1)
+    # slot k's input is z_{k-1} (the start token for k = 0), rows step-major:
+    # none depends on the state, so one product covers every step
+    previous = (np.arange(k - 1)[:, None] + k * np.arange(b)).ravel()
+    inputs = ad.concat([ad.repeat_rows(prior.start, b), ad.gather_rows(ad.reshape(z, (b * k, d)), previous)], axis=0)
+    h = prior.gru.init_state(b)
+    states = []
+    for gx in prior.gru.input_gates(inputs, [b] * k):
+        h = prior.gru.step(gx, h)
+        states.append(h)
+    return gaussian_heads(prior, ad.reshape(ad.stack(states, axis=1), (b * k, prior.gru.n_hidden)), (b, k, d))
 
 
 def gaussian_kl_per_sample(q_mean, q_logvar, p_mean, p_logvar) -> Node:

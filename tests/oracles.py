@@ -2,7 +2,9 @@
 
 The fused nodes and hoisted products of the package are checked against
 the composed-op forms below, written the plain way: concatenate every
-input, multiply by the whole weight, one elementary op at a time.
+input, multiply by the whole weight, one elementary op at a time. The
+layers that take the K latent slots as one tensor are checked against
+their per-slot forms, one slot at a time.
 """
 
 import numpy as np
@@ -51,6 +53,59 @@ def attend(attn: nn.KeyValueAttention, query, keys, values, mask=None) -> ad.Nod
         )
     ctx, _ = attn(query, attn.prepare(keys), values, mask)
     return ctx
+
+
+def bottleneck_per_slot(bn: nn.BottleneckAttention, hidden: ad.Node, mask=None) -> tuple[ad.Node, ad.Node]:
+    """BottleneckAttention one slot at a time; the oracle for its single
+    attention over all K query tokens. Each token's query is repeated per
+    sample and scored with bdot."""
+    prepared = bn.attn.prepare(hidden)
+    qp = ad.matmul(bn.tokens, bn.attn.wq)  # (K, P)
+    b = hidden.value.shape[0]
+    means, logvars = [], []
+    for k in range(qp.value.shape[0]):
+        scores = ad.scale(ad.bdot(ad.repeat_rows(ad.narrow(qp, 0, k, 1), b), prepared), bn.attn.scale)
+        if mask is not None:
+            scores = ad.add(scores, ad.constant((mask - 1.0) * 1e9))
+        context = ad.bmix(ad.softmax(scores, axis=-1), hidden)
+        means.append(bn.mean_head(context))
+        logvars.append(ad.clamp(bn.logvar_head(context), nn.LOGVAR_MIN, nn.LOGVAR_MAX))
+    return ad.stack(means, axis=1), ad.stack(logvars, axis=1)
+
+
+def prior_per_slot(prior: nn.AutoregressivePrior, z: ad.Node) -> tuple[ad.Node, ad.Node]:
+    """prior_log_density_params with each slot cut out of z, fed to its own
+    GRU step from the whole input weight and read by its own heads; the
+    oracle for the stacked form."""
+    b, k, d = z.value.shape
+    inputs = [ad.repeat_rows(prior.start, b)] + [ad.reshape(ad.narrow(z, 1, i, 1), (b, d)) for i in range(k - 1)]
+    h = prior.gru.init_state(b)
+    means, logvars = [], []
+    for x in inputs:
+        h = gru_step_composed(prior.gru, x, h)
+        means.append(prior.mean_head(h))
+        logvars.append(ad.clamp(prior.logvar_head(h), nn.LOGVAR_MIN, nn.LOGVAR_MAX))
+    return ad.stack(means, axis=1), ad.stack(logvars, axis=1)
+
+
+def domain_distance_per_slot(paired_means: ad.Node, unpaired_means: ad.Node, n_projections: int, rng) -> ad.Node:
+    """model.domain_distance one slot at a time, each slot drawing its own
+    (D, P) directions; the oracle for the block-diagonal projection."""
+    b = min(paired_means.value.shape[0], unpaired_means.value.shape[0])
+    k, d = paired_means.value.shape[1:]
+    x = ad.narrow(paired_means, 0, 0, b)
+    y = ad.narrow(unpaired_means, 0, 0, b)
+    total = None
+    for slot in range(k):
+        dirs = rng.standard_normal((d, n_projections))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=0, keepdims=True), 1e-12)
+        dirs_c = ad.constant(dirs)
+        xs = ad.sort_axis0(ad.matmul(ad.reshape(ad.narrow(x, 1, slot, 1), (b, d)), dirs_c))
+        ys = ad.sort_axis0(ad.matmul(ad.reshape(ad.narrow(y, 1, slot, 1), (b, d)), dirs_c))
+        diff = ad.sub(xs, ys)
+        slot_dist = ad.reduce_mean(ad.mul(diff, diff))
+        total = slot_dist if total is None else ad.add(total, slot_dist)
+    return total
 
 
 def save_model(path, model, vocab_words: list[str], extra: dict | None = None) -> None:

@@ -92,11 +92,13 @@ class TestPrimitiveGradients:
             q = r.normal(size=(3, 4))
             k = r.normal(size=(3, 5, 4))
             check_op(lambda l: quad(ad.bdot(l[0], l[1])), [q, k])
-            qs = r.normal(size=(4,))
+            qs = r.normal(size=(2, 4))
             check_op(lambda l: quad(ad.bdot_shared(l[0], l[1])), [qs, k])
             w = r.normal(size=(3, 5))
             v = r.normal(size=(3, 5, 4))
             check_op(lambda l: quad(ad.bmix(l[0], l[1])), [w, v])
+            ws = r.normal(size=(3, 2, 5))
+            check_op(lambda l: quad(ad.bmix(l[0], l[1])), [ws, v])
 
     def test_sort_axis0(self):
         for r in self.instances(7):
@@ -146,8 +148,9 @@ SKIPPING_OPS = {
     "mul": (ad.mul, [(3, 4), (3, 4)]),
     "mul_colvec": (ad.mul_colvec, [(3, 5), (3,)]),
     "bdot": (ad.bdot, [(3, 4), (3, 5, 4)]),
-    "bdot_shared": (ad.bdot_shared, [(4,), (3, 5, 4)]),
+    "bdot_shared": (ad.bdot_shared, [(2, 4), (3, 5, 4)]),
     "bmix": (ad.bmix, [(3, 5), (3, 5, 4)]),
+    "bmix_slots": (ad.bmix, [(3, 2, 5), (3, 5, 4)]),
 }
 
 

@@ -143,6 +143,13 @@ class TestGenData:
         sums_b = [l for l in out_b.splitlines() if "sha256" in l]
         assert sums_a == sums_b and len(sums_a) == 5
 
+    def test_config_json_holds_only_the_corpus_section(self, tmp_path):
+        out = tmp_path / "c"
+        sets = ["corpus.m=3", "corpus.n=2", "corpus.val_tasks=1", "corpus.test_tasks=1", "model.hidden=7"]
+        assert run_cli("gen-data", "--out", str(out), *[a for s in sets for a in ("--set", s)]) == 0
+        doc = json.loads((out / "config.json").read_text())
+        assert doc == {"corpus": cfg_mod.resolve("desk_scale", None, sets)["corpus"]}
+
     def test_section_override_keeps_the_other_keys(self, tmp_path):
         out = tmp_path / "c"
         assert run_cli("gen-data", "--out", str(out),

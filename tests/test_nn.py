@@ -176,8 +176,7 @@ class TestBottleneck:
         bn = self.make(r)
         hidden = ad.constant(r.normal(size=(2, 1, 6)))
         contexts = bn.slot_contexts(hidden)
-        for c in contexts:
-            np.testing.assert_array_equal(c.value, hidden.value[:, 0, :])
+        np.testing.assert_array_equal(contexts.value, np.repeat(hidden.value, 4, axis=1))
         # shared heads: slot means identical for L=1
         means, logvars = bn(hidden)
         for k in range(1, 4):
@@ -227,11 +226,11 @@ class TestPrior:
     def test_single_slot_uses_start_token_only(self):
         r = rng_for(14)
         prior = nn.AutoregressivePrior(r, latent_dim=3, hidden_dim=5)
-        z_a = [ad.constant(r.normal(size=(2, 3)))]
-        z_b = [ad.constant(r.normal(size=(2, 3)))]
-        ma, _ = prior.params_for_slots(z_a)
-        mb, _ = prior.params_for_slots(z_b)
-        np.testing.assert_array_equal(ma[0].value, mb[0].value)
+        z_a = ad.constant(r.normal(size=(2, 1, 3)))
+        z_b = ad.constant(r.normal(size=(2, 1, 3)))
+        ma, _ = nn.prior_log_density_params(prior, z_a)
+        mb, _ = nn.prior_log_density_params(prior, z_b)
+        np.testing.assert_array_equal(ma.value, mb.value)
 
     def test_causality(self):
         r = rng_for(15)
