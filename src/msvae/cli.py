@@ -185,14 +185,11 @@ def cmd_eval(args) -> int:
 
 
 def _load_run(run_dir: Path) -> dict:
-    out = {"dir": str(run_dir)}
-    cfg_path = run_dir / "config.json"
-    out["config"] = json.loads(cfg_path.read_text()) if cfg_path.exists() else {}
-    rr = run_dir / "runrecord.json"
-    out["runrecord"] = json.loads(rr.read_text()) if rr.exists() else None
-    ej = run_dir / "eval.json"
-    out["eval"] = json.loads(ej.read_text()) if ej.exists() else None
-    return out
+    def read(name: str, missing=None):
+        return json.loads((run_dir / name).read_text()) if (run_dir / name).exists() else missing
+
+    return {"dir": str(run_dir), "config": read("config.json", {}), "runrecord": read("runrecord.json"),
+            "eval": read("eval.json")}
 
 
 def _condition(run: dict) -> str:
@@ -230,17 +227,14 @@ def cmd_report(args) -> int:
             f"| {name} | {len(srs)} | {np.mean(srs):.3f} ± {np.std(srs, ddof=min(1, len(srs) - 1)):.3f} "
             f"| {np.mean(bleus):.4f} ± {np.std(bleus, ddof=min(1, len(bleus) - 1)):.4f} |"
         )
+    lines += [""] if args.compare else []
     for a, b in args.compare:
         if a not in scores or b not in scores:
             raise UsageError(f"--compare {a}:{b}: unknown condition")
-    if args.compare and any(len(g) >= 2 for g in groups.values()):
-        lines.append("")
-        for a, b in args.compare:
-            if len(scores[a]["sr"]) < 2 or len(scores[b]["sr"]) < 2:
-                lines.append(f"p(SR {a} > {b}): needs >= 2 seeds per side")
-                continue
-            p = metrics_mod.t_test_one_sided(scores[a]["sr"], scores[b]["sr"])
-            lines.append(f"p(SR {a} > {b}) = {p:.3g}")
+        if len(scores[a]["sr"]) < 2 or len(scores[b]["sr"]) < 2:
+            lines.append(f"p(SR {a} > {b}): needs >= 2 seeds per side")
+        else:
+            lines.append(f"p(SR {a} > {b}) = {metrics_mod.t_test_one_sided(scores[a]['sr'], scores[b]['sr']):.3g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

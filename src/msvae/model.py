@@ -381,15 +381,10 @@ class _Decoder(nn.Layer):
 
     def _recurrent_step(self, gates: Node, h: Node, prev, memory, prepared, feed, memory_mask):
         """Step the GRU on its static gate block and the previous step's
-        feed `prev` (None at the first step): the attention weights that mix
-        the projected slots `feed`, or the context that multiplies the context
-        rows `feed`. Returns (state, context, this step's feed for the next)."""
-        if prev is None:
-            h = self.gru.step(gates, h)
-        elif self.slot_memory:
-            h = self.gru.step(gates, h, attn=prev, proj=feed)
-        else:
-            h = self.gru.step(gates, h, prev, feed)
+        feed `prev` (None at the first step: no input) times its weight rows
+        `feed`, each row's projected slots or the shared context rows.
+        Returns (state, context, this step's feed for the next)."""
+        h = self.gru.step(gates, h, prev, feed)
         ctx, weights = self._context(h, memory, prepared, memory_mask)
         return h, ctx, weights if self.slot_memory else ctx
 

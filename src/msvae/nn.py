@@ -115,28 +115,27 @@ class Embedding(Layer):
         return ad.embedding(self.table, ids)
 
 
-def fused_gru_step(gx: Node, h: Node, u: Node, bx: Node, bh: Node, x: Node | None = None, w: Node | None = None,
-                   attn: Node | None = None, proj: Node | None = None) -> Node:
+def fused_gru_step(gx: Node, h: Node, u: Node, bx: Node, bh: Node, x: Node | None = None,
+                   w: Node | None = None) -> Node:
     """One GRU step as a single graph node with a hand-written backward.
 
-    The input pre-activation is gx + bx + x @ w + sum_k attn[:, k] proj[:, k].
-    gx is the step's block of the inputs that do not depend on the state,
-    already multiplied by their rows of the input weight (GruCell.input_gates);
-    x is an input computed from the state, w its rows of the input weight;
-    attn mixes proj, a (n, K, 3H) memory projected by its rows of the input
-    weight, with the previous step's attention weights (an input-fed
-    context). The bias and the mix are added here, so no pre-activation
-    array outlives the step. Equivalent to concatenating every input and
-    multiplying by the whole input weight, the oracle it is tested against,
-    with an order of magnitude fewer nodes.
+    The input pre-activation is gx + bx + x w. gx is the step's block of the
+    inputs that do not depend on the state, already multiplied by their rows
+    of the input weight (GruCell.input_gates); x is an input computed from
+    the state and w its weight rows, shared (in, 3H) or one block per row
+    (n, in, 3H), as when attention weights mix each row's memory projected
+    by the input weight (an input-fed context). The bias and the product
+    are added here, so no pre-activation array outlives the step.
+    Equivalent to concatenating every input and multiplying by the whole
+    input weight, the oracle it is tested against, with an order of
+    magnitude fewer nodes.
     """
     hv = h.value
     nh = hv.shape[1]
     pre = gx.value + bx.value
+    per_row = x is not None and w.value.ndim == 3
     if x is not None:
-        pre += x.value @ w.value
-    if attn is not None:
-        pre += np.matmul(attn.value[:, None, :], proj.value)[:, 0]
+        pre += np.matmul(x.value[:, None, :], w.value)[:, 0] if per_row else x.value @ w.value
     gh = hv @ u.value
     gh += bh.value
     rz = np.add(pre[:, : 2 * nh], gh[:, : 2 * nh])  # the r and z gates in one array
@@ -152,7 +151,7 @@ def fused_gru_step(gx: Node, h: Node, u: Node, bx: Node, bh: Node, x: Node | Non
     out = hv - n  # h' = n + z * (h - n)
     out *= z
     out += n
-    operands = (gx, h, u, bx, bh) + ((x, w) if x is not None else ()) + ((attn, proj) if attn is not None else ())
+    operands = (gx, h, u, bx, bh) + ((x, w) if x is not None else ())
 
     def vjp(g):
         dgx = np.empty((g.shape[0], 3 * nh))
@@ -167,11 +166,11 @@ def fused_gru_step(gx: Node, h: Node, u: Node, bx: Node, bh: Node, x: Node | Non
         dgh[:, 2 * nh :] *= r
         dh = dgh @ u.value.T + g * z if h.needs_grad else None
         grads = [dgx, dh, hv.T @ dgh, dgx.sum(axis=0), dgh.sum(axis=0)]
-        if x is not None:
+        if per_row:
+            grads += [np.matmul(w.value, dgx[:, :, None])[:, :, 0] if x.needs_grad else None,
+                      x.value[:, :, None] * dgx[:, None, :] if w.needs_grad else None]
+        elif x is not None:
             grads += [dgx @ w.value.T if x.needs_grad else None, x.value.T @ dgx if w.needs_grad else None]
-        if attn is not None:
-            grads += [np.matmul(proj.value, dgx[:, :, None])[:, :, 0] if attn.needs_grad else None,
-                      attn.value[:, :, None] * dgx[:, None, :] if proj.needs_grad else None]
         return grads
 
     return Node(out, operands, vjp)
@@ -202,18 +201,18 @@ class GruCell(Layer):
         blocks; the bias is added in the step."""
         return ad.split_rows(ad.matmul(x, self.w if w is None else w), counts)
 
-    def step(self, gx: Node, h: Node, x: Node | None = None, w: Node | None = None,
-             attn: Node | None = None, proj: Node | None = None) -> Node:
+    def step(self, gx: Node, h: Node, x: Node | None = None, w: Node | None = None) -> Node:
         """The next state from a step's static gate block gx, the state h and
-        the optional state-dependent input and input feed (fused_gru_step)."""
+        the optional state-dependent input x (n, in) with its weight rows w,
+        shared (in, 3H) or per row (n, in, 3H); see fused_gru_step."""
         n, width = h.value.shape[0], 3 * self.n_hidden
         if (gx.value.shape != (n, width) or h.value.shape[1] != self.n_hidden
-                or (x is not None and (x.value.shape[0] != n or x.value.shape[1:] + (width,) != w.value.shape))
-                or (attn is not None and proj.value.shape != attn.value.shape + (width,))):
-            shapes = [None if a is None else a.value.shape for a in (gx, h, x, w, attn, proj)]
-            raise ad.ShapeMismatch(f"gru step: gates, state, input, its weight, feed weights, feed memory {shapes}"
+                or (x is not None and (x.value.ndim != 2 or x.value.shape[0] != n
+                                       or w.value.shape not in ((x.value.shape[1], width), x.value.shape + (width,))))):
+            shapes = [None if a is None else a.value.shape for a in (gx, h, x, w)]
+            raise ad.ShapeMismatch(f"gru step: gates, state, input, its weight {shapes}"
                                    f" do not conform to hidden size {self.n_hidden}")
-        return fused_gru_step(gx, h, self.u, self.bx, self.bh, x, w, attn, proj)
+        return fused_gru_step(gx, h, self.u, self.bx, self.bh, x, w)
 
     def init_state(self, batch: int) -> Node:
         return ad.constant(np.zeros((batch, self.n_hidden)))

@@ -238,6 +238,7 @@ class _Run:
             "entries": self.entries,
             "best": {"metric": float(self.best_metric), "epoch": self.best_epoch},
             "rng_states": {k: r.bit_generator.state for k, r in self.rngs.items()},
+            "train": asdict(self.cfg),
             "train_state": True,
         })
         prev = self.out / "checkpoints" / f"epoch_{epoch - 1:04d}.bin"
@@ -259,6 +260,12 @@ class _Run:
             if want.get(name) != have.get(name):
                 raise ValueError(f"{path} does not fit this model: {name} has shape "
                                  f"{have.get(name, 'none')} there and {want.get(name, 'none')} here")
+        if "train" in meta:  # states saved before the settings were recorded resume unchecked
+            there, here = _dotted(meta["train"]), _dotted(asdict(self.cfg))
+            for key in sorted(there.keys() | here.keys()):
+                if key != "train.epochs" and there.get(key) != here.get(key):
+                    raise ValueError(f"{path} was trained with {key}={json.dumps(there.get(key))}, not "
+                                     f"{json.dumps(here.get(key))}; only train.epochs may change on resume")
         self.model.load_values({k: v for k, v in arrays.items()
                                 if not k.startswith(("adam.", "best."))})
         self.opt.load_state_arrays(arrays)
@@ -270,6 +277,14 @@ class _Run:
         self.best_epoch = meta["best"]["epoch"]
         best = {k[len("best."):]: v for k, v in arrays.items() if k.startswith("best.")}
         self.best_params = best or None
+
+
+def _dotted(settings: dict, prefix: str = "train.") -> dict:
+    """Nested settings -> {dotted key: value}, keys as config.json nests them."""
+    out = {}
+    for k, v in settings.items():
+        out.update(_dotted(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k: v})
+    return out
 
 
 def _require_val(corpus) -> None:
@@ -310,11 +325,7 @@ def warm_start(model, ckpt_path, rename: dict[str, str] | None = None) -> list[s
     for name, arr in arrays.items():
         if name.startswith(("adam.", "best.")):
             continue
-        mapped = name
-        for old, new in (rename or {}).items():
-            if name.startswith(old):
-                mapped = new + name[len(old):]
-                break
+        mapped = next((new + name[len(old):] for old, new in (rename or {}).items() if name.startswith(old)), name)
         node = target.get(mapped)
         if node is not None and node.value.shape == tuple(arr.shape):
             node.value[...] = arr

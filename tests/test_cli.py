@@ -273,8 +273,9 @@ class TestTrain:
         assert (full / "metrics.csv").read_bytes() == (part / "metrics.csv").read_bytes()
 
     def test_resume_that_does_not_fit_leaves_run_directory_unchanged(self, corpus_dir, trained, tmp_path, capsys):
-        # a wrong model setting, or another pipeline's training state, fails
-        # before config.json or the step logs are touched
+        # a wrong model setting, another pipeline's training state, or train
+        # settings other than epochs that differ from the state's fail before
+        # config.json or the step logs are touched
         mv, fol = tmp_path / "mv", tmp_path / "fol"
         shutil.copytree(trained.parents[1], mv)
         assert run_cli("train", "--pipeline", "supervised-follower", "--corpus", str(corpus_dir),
@@ -283,7 +284,9 @@ class TestTrain:
         for run, pipeline, extra, message in [
                 (mv, "msvae", ["--set", "model.hidden=9"], "does not fit this model"),
                 (fol, "msvae", [], "is a supervised-follower checkpoint"),
-                (fol, "supervised-speaker", [], "is a supervised-follower checkpoint")]:
+                (fol, "supervised-speaker", [], "is a supervised-follower checkpoint"),
+                (mv, "msvae", ["--set", "train.seed=9", "--set", "train.paired_batch=2",
+                               "--set", "train.learning_rate=0.5"], "trained with train.hp.learning_rate=0.001, not 0.5")]:
             files = {name: (run / name).read_bytes() for name in ("config.json", "metrics.csv", "timing.csv")}
             state = next((run / "checkpoints").glob("epoch_*.bin"))
             code = run_cli("train", "--pipeline", pipeline, "--corpus", str(corpus_dir), "--out", str(run),
@@ -610,6 +613,12 @@ class TestReport:
         p = float(out.strip().rsplit("= ", 1)[1])
         from msvae import metrics
         assert p == pytest.approx(metrics.t_test_one_sided([0.8, 0.85, 0.9], [0.4, 0.45, 0.5]), rel=1e-2)
+
+    def test_compare_with_one_seed_per_condition_says_why_no_pvalue(self, tmp_path, capsys):
+        runs = [str(self._mk_run(tmp_path, "a", "msvae", 0.8, 0)),
+                str(self._mk_run(tmp_path, "b", "supervised-follower", 0.4, 0))]
+        assert run_cli("report", "--runs", *runs, "--compare", "msvae:supervised-follower") == 0
+        assert "p(SR msvae > supervised-follower): needs >= 2 seeds per side" in capsys.readouterr().out
 
     def test_markdown_written_to_file(self, tmp_path):
         d = self._mk_run(tmp_path, "r1", "msvae", 0.5, 0)

@@ -142,7 +142,8 @@ class TestMsVae:
 
     def test_resume_from_checkpoint_with_retired_eval_stream(self, small_corpus, tmp_path):
         # epoch checkpoints used to carry the state of an unused "eval" rng
-        # stream; those files still resume, and exactly
+        # stream and no record of the train settings; those files still
+        # resume, and exactly
         cfg = small_cfg(seed=3, epochs=4, iters_per_epoch=3)
         pl.train_msvae(cfg, small_corpus, tmp_path / "full")
         pl.train_msvae(replace(cfg, epochs=2), small_corpus, tmp_path / "part")
@@ -150,6 +151,7 @@ class TestMsVae:
         arrays, meta = nn.load_checkpoint(state)
         assert "eval" not in meta["rng_states"]
         meta["rng_states"]["eval"] = np.random.default_rng([cfg.seed, 2]).bit_generator.state
+        del meta["train"]
         nn.save_checkpoint(state, arrays, meta)
         pl.train_msvae(cfg, small_corpus, tmp_path / "part", resume_from=state)
         for name in ("metrics.csv", "checkpoints/best.bin"):
