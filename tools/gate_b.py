@@ -13,7 +13,8 @@ the msvae run and `eval --mode speak` on the speaker run. It then prints
 subdirectory, `metrics.csv`, `best.bin`, `pseudo_paired.jsonl` and
 `runrecord.json`, and for both eval json files; in `runrecord.json` and the
 eval json the side's output directory is replaced by a placeholder before
-comparing. Exits 1 on any `DIFF` or failed command, 0 otherwise.
+comparing. Exits 1 on any `DIFF` or failed command, 2 on bad arguments,
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/gate_b.py PARENT_SRC CHANGE_SRC OUT", file=sys.stderr)
         return 2
     parent_src, change_src, out = (Path(a).resolve() for a in argv)
-    sides = {"parent": (parent_src, out / "parent"), "change": (change_src, out / "change")}
-    for src, side in sides.values():
+    sides = [(parent_src, out / "parent"), (change_src, out / "change")]
+    for src, side in sides:
         if not (src / "msvae").is_dir():
             print(f"{src} holds no msvae package", file=sys.stderr)
             return 2
@@ -102,13 +103,13 @@ def main(argv: list[str]) -> int:
             print(f"{side} exists; give a new OUT", file=sys.stderr)
             return 2
     try:
-        for src, side in sides.values():
+        for src, side in sides:
             side.mkdir(parents=True)
             run_side(src, side)
     except subprocess.CalledProcessError as e:
         print(f"command failed with exit {e.returncode}: {' '.join(e.cmd)}", file=sys.stderr)
         return 1
-    parent, change = (side for _, side in sides.values())
+    parent, change = (side for _, side in sides)
     diffs = 0
     for rel in sorted(set(compared_files(parent)) | set(compared_files(change))):
         before, after = content(parent, rel), content(change, rel)
