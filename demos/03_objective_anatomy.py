@@ -24,8 +24,8 @@ trajs = [gw.Trajectory(rng.normal(size=(3, 6)), (0, 1, 5)),
 unpaired = [gw.Trajectory(rng.normal(size=(3, 6)), (2, 0, 5)) for _ in range(3)]
 
 hp = md.HyperParams(alpha=0.1, gamma=2.0, beta=0.5)
-loss, report = md.total_loss(model, lang, md.make_traj_batch(trajs),
-                             md.make_traj_batch(unpaired), hp, np.random.default_rng(0))
+# one trajectory batch: the paired trajectories first, then the unpaired ones
+loss, report = md.total_loss(model, lang, md.make_traj_batch(trajs + unpaired), hp, np.random.default_rng(0))
 
 print("loss report (maximized objective; trainer minimizes the negation):")
 for field in md.LossReport.FIELDS:

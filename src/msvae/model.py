@@ -5,7 +5,9 @@ distance, and the combined training objective.
 
 Both encoders and both decoders multiply the GRU inputs that do not depend
 on the state once per batch and step on per-step blocks of that product;
-the decoders' input feed is prepared once per sequence (see _Decoder).
+the decoders' input feed is prepared once per sequence (see _Decoder). The
+objective runs each encoder, decoder and the prior once per step, over the
+paired and unpaired rows stacked (see per_sample_terms).
 
 Conventions: modality 1 is the trajectory (actions given observations),
 modality 2 is the language. All likelihood terms are per-sample sums of step
@@ -100,10 +102,15 @@ class LangBatch:
     def __post_init__(self):
         self.packing = nn.Packing(self.enc_mask)  # shared by the encoder and the decoder
 
+    def rows(self, index) -> "LangBatch":
+        """The batch of this batch's rows `index` (repeats allowed)."""
+        width = _width(self.enc_mask, index)
+        return LangBatch(self.enc_mask[index, :width], self.dec_in[index, :width], self.dec_tgt[index, :width])
+
 
 @dataclass
 class TrajBatch:
-    obs: np.ndarray  # (B, T, obs_dim)
+    obs: np.ndarray | None  # (B, T, obs_dim); None in a batch of another batch's rows
     dec_in: np.ndarray  # start + actions[:-1]
     dec_tgt: np.ndarray  # the recorded actions: the encoder's input and the decoder's targets
     mask: np.ndarray
@@ -112,7 +119,23 @@ class TrajBatch:
         self.packing = nn.Packing(self.mask)
         # the running steps' observations, gathered once for both observation
         # MLPs and every readout
-        self.packed_obs = self.packing.pack(self.obs)
+        self.packed_obs = None if self.obs is None else self.packing.pack(self.obs)
+
+    def rows(self, index) -> "TrajBatch":
+        """The batch of this batch's rows `index` (repeats allowed), made
+        without a dense copy: its `source` maps each of its packed rows to
+        the packed row of this batch it repeats, and its packed observations
+        are those rows."""
+        width = _width(self.mask, index)
+        sub = TrajBatch(None, self.dec_in[index, :width], self.dec_tgt[index, :width], self.mask[index, :width])
+        sub.source = sub.packing.pack(self.packing.positions()[index, :width])
+        sub.packed_obs = self.packed_obs[sub.source]
+        return sub
+
+
+def _width(mask: np.ndarray, index) -> int:
+    """The longest of the rows `index` of a ones-then-zeros (B, T) mask."""
+    return int(mask[index].sum(axis=1).max())
 
 
 def make_lang_batch(token_lists) -> LangBatch:
@@ -575,17 +598,14 @@ class MsVae(nn.Layer):
 
     # the objective's likelihoods, given latent slots z -----------------------
 
-    def action_log_likelihood(self, z: Node, traj: TrajBatch, gates: list[Node] | None = None) -> Node:
-        """gates: the action decoder's input_gates for traj, if already made."""
-        if gates is None:
-            gates = self.act_dec.input_gates(traj, self.obs_mlp.features(traj))
-        return self.act_dec.teacher_forced_logll(traj, gates, z)
+    def action_log_likelihood(self, z: Node, traj: TrajBatch, obs_feats: Node | None = None) -> Node:
+        """obs_feats: the decoder-side ObsMlp.features of traj, if already made."""
+        if obs_feats is None:
+            obs_feats = self.obs_mlp.features(traj)
+        return self.act_dec.teacher_forced_logll(traj, self.act_dec.input_gates(traj, obs_feats), z)
 
-    def language_log_likelihood(self, z: Node, lang: LangBatch, gates: list[Node] | None = None) -> Node:
-        """gates: the word decoder's input_gates for lang, if already made."""
-        if gates is None:
-            gates = self.word_dec.input_gates(lang)
-        return self.word_dec.teacher_forced_logll(lang, gates, z)
+    def language_log_likelihood(self, z: Node, lang: LangBatch) -> Node:
+        return self.word_dec.teacher_forced_logll(lang, self.word_dec.input_gates(lang), z)
 
     # The follower and speaker interface of every model kind, which the
     # baselines take by assignment: each reads only the kind's memory.
@@ -691,27 +711,58 @@ class BaselineSpeaker(nn.Layer):
 # objectives
 
 
-def paired_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, hp: HyperParams, rng) -> dict:
-    """All paired-bound terms, one reparameterized sample per modality branch
-    (shared between the reconstruction and cross-modal terms)."""
-    # each decoder's static gate input serves both of its passes
-    act_gates = model.act_dec.input_gates(traj, model.obs_mlp.features(traj))
-    word_gates = model.word_dec.input_gates(lang)
+def per_sample_terms(model: MsVae, lang: LangBatch, traj: TrajBatch, rng) -> dict:
+    """Run every module of the objective once over stacked rows.
+
+    traj holds the paired trajectories (one per instruction of lang, in its
+    order), then any unpaired ones. Each posterior gets one reparameterized
+    sample, its noise drawn in the order paired z1, z2, unpaired z1. The
+    latent rows are [paired z1; unpaired z1; z2]. The action decoder reads
+    them all, each with its trajectory; the word decoder reads
+    [paired z1; z2] with the instructions twice; the prior and the KL read
+    them all. The action decoder's batch repeats the paired rows, so its
+    features are computed once per trajectory and gathered (with
+    ad.embedding, whose backward adds up repeated rows).
+
+    Returns the per-sample outputs in those row orders ("actions", "words",
+    "kl"), the trajectory posterior means and the number of paired rows.
+    """
+    n_paired, n = lang.dec_tgt.shape[0], traj.mask.shape[0]
+    if n < n_paired:
+        raise ValueError(f"{n} trajectories for {n_paired} instructions: the paired ones come first")
     m1, lv1 = model.encode_trajectory(traj)
     m2, lv2 = model.encode_language(lang)
-    z1 = nn.reparameterize(m1, lv1, rng.standard_normal(m1.value.shape))
-    z2 = nn.reparameterize(m2, lv2, rng.standard_normal(m2.value.shape))
+    means, logvars = ad.concat([m1, m2], axis=0), ad.concat([lv1, lv2], axis=0)
+    noise = rng.standard_normal((n + n_paired,) + m1.value.shape[1:])  # in draw order, to latent row order
+    z = nn.reparameterize(means, logvars, np.concatenate([noise[:n_paired], noise[2 * n_paired:],
+                                                          noise[n_paired : 2 * n_paired]]))
+    decoded = traj.rows(np.r_[:n, :n_paired])
+    feats = ad.embedding(model.obs_mlp.features(traj), decoded.source)
+    paired = np.r_[:n_paired, n : n + n_paired]
+    prior_mean, prior_logvar = nn.prior_log_density_params(model.prior, z)
+    return {
+        "actions": model.action_log_likelihood(z, decoded, feats),
+        "words": model.language_log_likelihood(ad.gather_rows(z, paired), lang.rows(np.r_[:n_paired, :n_paired])),
+        "kl": nn.gaussian_kl_per_sample(means, logvars, prior_mean, prior_logvar),
+        "traj_means": m1,
+        "n_paired": n_paired,
+    }
 
-    a1 = ad.reduce_mean(model.action_log_likelihood(z1, traj, act_gates))
-    c1 = ad.reduce_mean(model.language_log_likelihood(z1, lang, word_gates))
-    a2 = ad.reduce_mean(model.language_log_likelihood(z2, lang, word_gates))
-    c2 = ad.reduce_mean(model.action_log_likelihood(z2, traj, act_gates))
 
-    pm1, plv1 = nn.prior_log_density_params(model.prior, z1)
-    b1 = ad.neg(ad.reduce_mean(nn.gaussian_kl_per_sample(m1, lv1, pm1, plv1)))
-    pm2, plv2 = nn.prior_log_density_params(model.prior, z2)
-    b2 = ad.neg(ad.reduce_mean(nn.gaussian_kl_per_sample(m2, lv2, pm2, plv2)))
+def _block_mean(x: Node, start: int, size: int) -> Node:
+    return ad.reduce_mean(ad.narrow(x, 0, start, size))
 
+
+def paired_loss(terms: dict, hp: HyperParams) -> dict:
+    """All paired-bound terms from per_sample_terms: each modality's
+    reconstruction and cross-modal likelihood under its one sample, and
+    B = -KL of each posterior."""
+    b = terms["n_paired"]
+    z2 = terms["kl"].value.shape[0] - b  # the first z2 row
+    actions, words, kl = terms["actions"], terms["words"], terms["kl"]
+    a1, c2 = _block_mean(actions, 0, b), _block_mean(actions, z2, b)
+    c1, a2 = _block_mean(words, 0, b), _block_mean(words, b, b)
+    b1, b2 = ad.neg(_block_mean(kl, 0, b)), ad.neg(_block_mean(kl, z2, b))
     jbar = ad.scale(
         ad.add(
             ad.add(ad.add(a1, ad.scale(b1, hp.beta)), c1),
@@ -719,19 +770,17 @@ def paired_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, hp: HyperParams,
         ),
         0.5,
     )
-    return {"a1": a1, "b1": b1, "c1": c1, "a2": a2, "b2": b2, "c2": c2,
-            "jbar": jbar, "traj_means": m1}
+    return {"a1": a1, "b1": b1, "c1": c1, "a2": a2, "b2": b2, "c2": c2, "jbar": jbar}
 
 
-def unpaired_loss(model: MsVae, traj: TrajBatch, hp: HyperParams, rng) -> dict:
-    """Trajectory-only bound V = A_1 + beta * B_1 (B_1 = -KL)."""
-    m1, lv1 = model.encode_trajectory(traj)
-    z1 = nn.reparameterize(m1, lv1, rng.standard_normal(m1.value.shape))
-    a1 = ad.reduce_mean(model.action_log_likelihood(z1, traj))
-    pm1, plv1 = nn.prior_log_density_params(model.prior, z1)
-    b1 = ad.neg(ad.reduce_mean(nn.gaussian_kl_per_sample(m1, lv1, pm1, plv1)))
-    v = ad.add(a1, ad.scale(b1, hp.beta))
-    return {"a1": a1, "b1": b1, "v": v, "traj_means": m1}
+def unpaired_loss(terms: dict, hp: HyperParams) -> dict:
+    """Trajectory-only bound V = A_1 + beta * B_1 (B_1 = -KL) of the
+    unpaired rows of per_sample_terms."""
+    b = terms["n_paired"]
+    size = terms["traj_means"].value.shape[0] - b
+    a1 = _block_mean(terms["actions"], b, size)
+    b1 = ad.neg(_block_mean(terms["kl"], b, size))
+    return {"a1": a1, "b1": b1, "v": ad.add(a1, ad.scale(b1, hp.beta))}
 
 
 def domain_distance(paired_means: Node, unpaired_means: Node, n_projections: int, rng) -> Node:
@@ -764,23 +813,27 @@ def domain_distance(paired_means: Node, unpaired_means: Node, n_projections: int
     return ad.scale(ad.reduce_sum(ad.mul(diff, diff)), 1.0 / (b * n_projections))
 
 
-def total_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, unpaired: TrajBatch | None,
-               hp: HyperParams, rng) -> tuple[Node, LossReport]:
+def total_loss(model: MsVae, lang: LangBatch, traj: TrajBatch, hp: HyperParams, rng) -> tuple[Node, LossReport]:
     """Combined objective over one paired and one unpaired mini-batch.
 
-    Returns (loss node to minimize, per-term report). The domain distance is
-    always evaluated when an unpaired batch is present, but enters the
-    objective only with weight alpha > 0.
+    traj holds the paired trajectories, one per instruction of lang, then
+    the unpaired ones, if any (see per_sample_terms). Returns (loss node to
+    minimize, per-term report). The domain distance is always evaluated when
+    there are unpaired rows, but enters the objective only with weight
+    alpha > 0.
     """
-    p = paired_loss(model, lang, traj, hp, rng)
+    terms = per_sample_terms(model, lang, traj, rng)
+    p = paired_loss(terms, hp)
     total = p["jbar"]
     v_val, d_val = 0.0, 0.0
-    if unpaired is not None:
-        u = unpaired_loss(model, unpaired, hp, rng)
+    b, n = terms["n_paired"], traj.mask.shape[0]
+    if n > b:
+        u = unpaired_loss(terms, hp)
         v_val = float(u["v"].value)
         if hp.gamma > 0:
             total = ad.add(total, ad.scale(u["v"], hp.gamma))
-        dprime = domain_distance(p["traj_means"], u["traj_means"], hp.n_projections, rng)
+        means = terms["traj_means"]
+        dprime = domain_distance(ad.narrow(means, 0, 0, b), ad.narrow(means, 0, b, n - b), hp.n_projections, rng)
         d_val = float(dprime.value)
         if hp.alpha > 0:
             total = ad.sub(total, ad.scale(dprime, hp.alpha))

@@ -244,6 +244,12 @@ class Packing:
         """(B, T, ...) -> (sum(counts), ...) running rows, step-major."""
         return a[self._rows, self._steps]
 
+    def positions(self) -> np.ndarray:
+        """(B, T): each running (row, step)'s row in a packed array; -1 at padding."""
+        pos = np.full((self.order.size, self.counts.size), -1, dtype=np.intp)
+        pos[self._rows, self._steps] = np.arange(self._rows.size)
+        return pos
+
     def split(self, packed: np.ndarray) -> list[np.ndarray]:
         """Packed rows -> per-step views, step t's of shape (counts[t], ...)."""
         return np.split(packed, self._offsets)

@@ -70,14 +70,18 @@ class RunRecord:
 # batches from corpus records
 
 
-def pair_batches(records, corpus, idx, view: str = "ego") -> tuple[md.LangBatch, md.TrajBatch]:
+def pair_batches(records, corpus, idx, view: str = "ego", unpaired=()) -> tuple[md.LangBatch, md.TrajBatch]:
+    """The instructions of records[idx] and one batch of their trajectories,
+    followed by those of the `unpaired` records (model.total_loss's batch)."""
     chosen = [records[i] for i in idx]
     lang = md.make_lang_batch([r["tokens"] for r in chosen])
-    traj = md.make_traj_batch([corpus.trajectory(r, view) for r in chosen])
+    traj = md.make_traj_batch([corpus.trajectory(r, view) for r in chosen + list(unpaired)])
     return lang, traj
 
 
 def traj_batch(records, corpus, idx, view: str = "ego") -> md.TrajBatch:
+    """The trajectories of records[idx] as one batch. The pipelines draw
+    unpaired rows through pair_batches; perfbench's tracer times this name."""
     return md.make_traj_batch([corpus.trajectory(records[i], view) for i in idx])
 
 
@@ -337,9 +341,12 @@ def warm_start(model, ckpt_path, rename: dict[str, str] | None = None) -> list[s
 # pipelines
 
 
-def _paired_batch(records, corpus, cfg: TrainConfig, rng) -> tuple[md.LangBatch, md.TrajBatch]:
+def _paired_batch(records, corpus, cfg: TrainConfig, rng, unpaired=()) -> tuple[md.LangBatch, md.TrajBatch]:
+    """Draw a paired batch from records and, if there are `unpaired` records
+    and cfg.unpaired_batch > 0, that many of them, whose trajectories follow."""
     idx = rng.integers(0, len(records), size=min(cfg.paired_batch, len(records)))
-    return pair_batches(records, corpus, idx, cfg.model.obs_view)
+    uidx = rng.integers(0, len(unpaired), size=cfg.unpaired_batch) if unpaired and cfg.unpaired_batch > 0 else ()
+    return pair_batches(records, corpus, idx, cfg.model.obs_view, [unpaired[i] for i in uidx])
 
 
 def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
@@ -408,7 +415,6 @@ def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
     if not corpus.paired:
         raise ValueError("no paired records to train on")
     mcfg = cfg.model_config(len(corpus.vocab))
-    use_unpaired = cfg.unpaired_batch > 0 and len(corpus.unpaired) > 0
 
     def build(rng):
         model = md.MsVae(rng, mcfg)
@@ -421,12 +427,8 @@ def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
         return model
 
     def step_loss(model, batch_rng, loss_rng):
-        lang, traj = _paired_batch(corpus.paired, corpus, cfg, batch_rng)
-        unpaired = None
-        if use_unpaired:
-            uidx = batch_rng.integers(0, len(corpus.unpaired), size=cfg.unpaired_batch)
-            unpaired = traj_batch(corpus.unpaired, corpus, uidx, cfg.model.obs_view)
-        return md.total_loss(model, lang, traj, unpaired, cfg.hp, loss_rng)
+        lang, traj = _paired_batch(corpus.paired, corpus, cfg, batch_rng, corpus.unpaired)
+        return md.total_loss(model, lang, traj, cfg.hp, loss_rng)
 
     def evaluate(model):
         sr = evaluate_follower(model, corpus, corpus.val[:cfg.eval_tasks]).sr

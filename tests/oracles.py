@@ -4,7 +4,9 @@ The fused nodes and hoisted products of the package are checked against
 the composed-op forms below, written the plain way: concatenate every
 input, multiply by the whole weight, one elementary op at a time. The
 layers that take the K latent slots as one tensor are checked against
-their per-slot forms, one slot at a time.
+their per-slot forms, one slot at a time. The training objective, which
+runs each module once over stacked rows, is checked against its per-pass
+composition: each encoder, decoder and prior pass over one batch at a time.
 """
 
 import numpy as np
@@ -106,6 +108,45 @@ def domain_distance_per_slot(paired_means: ad.Node, unpaired_means: ad.Node, n_p
         slot_dist = ad.reduce_mean(ad.mul(diff, diff))
         total = slot_dist if total is None else ad.add(total, slot_dist)
     return total
+
+
+def total_loss_per_pass(model: md.MsVae, lang, traj, unpaired, hp: md.HyperParams, rng):
+    """model.total_loss as one pass per term: the paired bound's passes over
+    lang and traj (each decoder's static gate input shared by its two
+    passes), then the unpaired bound's over the separate `unpaired` batch
+    (or None), then the domain distance; the oracle for the stacked form."""
+    act_gates = model.act_dec.input_gates(traj, model.obs_mlp.features(traj))
+    word_gates = model.word_dec.input_gates(lang)
+    m1, lv1 = model.encode_trajectory(traj)
+    m2, lv2 = model.encode_language(lang)
+    z1 = nn.reparameterize(m1, lv1, rng.standard_normal(m1.value.shape))
+    z2 = nn.reparameterize(m2, lv2, rng.standard_normal(m2.value.shape))
+
+    def neg_kl(m, lv, z):
+        return ad.neg(ad.reduce_mean(nn.gaussian_kl_per_sample(m, lv, *nn.prior_log_density_params(model.prior, z))))
+
+    a1 = ad.reduce_mean(model.act_dec.teacher_forced_logll(traj, act_gates, z1))
+    c1 = ad.reduce_mean(model.word_dec.teacher_forced_logll(lang, word_gates, z1))
+    a2 = ad.reduce_mean(model.word_dec.teacher_forced_logll(lang, word_gates, z2))
+    c2 = ad.reduce_mean(model.act_dec.teacher_forced_logll(traj, act_gates, z2))
+    b1, b2 = neg_kl(m1, lv1, z1), neg_kl(m2, lv2, z2)
+    total = ad.scale(ad.add(ad.add(ad.add(a1, ad.scale(b1, hp.beta)), c1),
+                            ad.add(ad.add(a2, ad.scale(b2, hp.beta)), c2)), 0.5)
+    v_val, d_val = 0.0, 0.0
+    if unpaired is not None:
+        um1, ulv1 = model.encode_trajectory(unpaired)
+        uz1 = nn.reparameterize(um1, ulv1, rng.standard_normal(um1.value.shape))
+        v = ad.add(ad.reduce_mean(model.action_log_likelihood(uz1, unpaired)), ad.scale(neg_kl(um1, ulv1, uz1), hp.beta))
+        v_val = float(v.value)
+        if hp.gamma > 0:
+            total = ad.add(total, ad.scale(v, hp.gamma))
+        dprime = md.domain_distance(m1, um1, hp.n_projections, rng)
+        d_val = float(dprime.value)
+        if hp.alpha > 0:
+            total = ad.sub(total, ad.scale(dprime, hp.alpha))
+    report = md.LossReport(*(float(x.value) for x in (a1, a2, b1, b2, c1, c2)), v=v_val, dprime=d_val,
+                           total=float(total.value))
+    return ad.neg(total), report
 
 
 def save_model(path, model, vocab_words: list[str], extra: dict | None = None) -> None:

@@ -129,12 +129,13 @@ def loss_outputs(name):
     of one model's training loss on fixed ragged batches."""
     model = sharpened("msvae" if name == "bottleneck" else name)
     lang = md.make_lang_batch([list(t) for t in TOKENS])
-    traj = md.make_traj_batch(_trajectories((40, 41, 42)))
+    paired = _trajectories((40, 41, 42))
     if isinstance(model, md.MsVae) and name != "bottleneck":
-        unpaired = md.make_traj_batch(_trajectories((50, 51, 52)))
-        loss, report = md.total_loss(model, lang, traj, unpaired, md.HyperParams(), np.random.default_rng(7))
+        traj = md.make_traj_batch(paired + _trajectories((50, 51, 52)))  # then the unpaired ones
+        loss, report = md.total_loss(model, lang, traj, md.HyperParams(), np.random.default_rng(7))
         terms = report.as_row()
     else:  # a follower's IL loss (bottleneck: the latent architecture's), or a speaker's
+        traj = md.make_traj_batch(paired)
         ll = (model.follower_log_likelihood(lang, traj) if hasattr(model, "follow")
               else model.speaker_log_likelihood(traj, lang))
         mean_ll = ad.reduce_mean(ll)

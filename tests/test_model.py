@@ -119,7 +119,8 @@ class TestPairedLoss:
         lang = md.make_lang_batch([synth_lang(r, 3)])
         traj = md.make_traj_batch([synth_traj(r, 3)])
         hp = md.HyperParams(beta=0.0)
-        p = paired = md.paired_loss(tiny_model, lang, traj, hp, np.random.default_rng(0))
+        terms = md.per_sample_terms(tiny_model, lang, traj, np.random.default_rng(0))
+        p = paired = md.paired_loss(terms, hp)
         expected = 0.5 * (float(p["a1"].value) + float(p["c1"].value)
                           + float(p["a2"].value) + float(p["c2"].value))
         assert abs(float(paired["jbar"].value) - expected) < 1e-12
@@ -130,7 +131,7 @@ class TestPairedLoss:
         lang = md.make_lang_batch([synth_lang(r, 3)])
         traj = md.make_traj_batch([synth_traj(r, 4)])
         hp = md.HyperParams()
-        p = md.paired_loss(tiny_model, lang, traj, hp, np.random.default_rng(42))
+        p = md.paired_loss(md.per_sample_terms(tiny_model, lang, traj, np.random.default_rng(42)), hp)
         # replay the same noise stream to rebuild z1
         rng = np.random.default_rng(42)
         m1, lv1 = tiny_model.encode_trajectory(traj)
@@ -153,17 +154,19 @@ class TestUnpairedLoss:
         m.prior.logvar_head.w.value[...] = 0.0
         m.prior.logvar_head.b.value[...] = 0.0
         r = np.random.default_rng(10)
-        traj = md.make_traj_batch([synth_traj(r, 2)])
+        lang = md.make_lang_batch([synth_lang(r, 2)])
+        traj = md.make_traj_batch([synth_traj(r, 3), synth_traj(r, 2)])  # one paired, one unpaired
         hp = md.HyperParams(beta=1.0)
-        u = md.unpaired_loss(m, traj, hp, np.random.default_rng(0))
+        u = md.unpaired_loss(md.per_sample_terms(m, lang, traj, np.random.default_rng(0)), hp)
         assert abs(float(u["b1"].value) + 0.5) < 1e-12
         assert abs(float(u["v"].value) - (float(u["a1"].value) - 0.5)) < 1e-12
 
     def test_v_le_a1_with_beta_one(self, tiny_model):
         r = np.random.default_rng(11)
-        traj = md.make_traj_batch([synth_traj(r, 3) for _ in range(3)])
+        lang = md.make_lang_batch([synth_lang(r, 2)])
+        traj = md.make_traj_batch([synth_traj(r, 3) for _ in range(4)])  # one paired, three unpaired
         hp = md.HyperParams(beta=1.0)
-        u = md.unpaired_loss(tiny_model, traj, hp, np.random.default_rng(0))
+        u = md.unpaired_loss(md.per_sample_terms(tiny_model, lang, traj, np.random.default_rng(0)), hp)
         assert float(u["v"].value) <= float(u["a1"].value) + 1e-12
         assert float(u["b1"].value) <= 1e-12
 
@@ -222,31 +225,32 @@ class TestDomainDistance:
 
 class TestTotalLoss:
     def batches(self, seed=18):
+        """(lang, its paired trajectories, those followed by unpaired ones)"""
         r = np.random.default_rng(seed)
         lang = md.make_lang_batch([synth_lang(r, 3) for _ in range(3)])
-        traj = md.make_traj_batch([synth_traj(r, 3) for _ in range(3)])
-        unpaired = md.make_traj_batch([synth_traj(r, 4) for _ in range(3)])
-        return lang, traj, unpaired
+        paired = [synth_traj(r, 3) for _ in range(3)]
+        unpaired = [synth_traj(r, 4) for _ in range(3)]
+        return lang, md.make_traj_batch(paired), md.make_traj_batch(paired + unpaired)
 
     def test_paired_only_reduction(self, tiny_model):
         lang, traj, _ = self.batches()
         hp = md.HyperParams(gamma=0.0, alpha=0.0)
-        loss, report = md.total_loss(tiny_model, lang, traj, None, hp, np.random.default_rng(0))
-        p = md.paired_loss(tiny_model, lang, traj, hp, np.random.default_rng(0))
+        loss, report = md.total_loss(tiny_model, lang, traj, hp, np.random.default_rng(0))
+        p = md.paired_loss(md.per_sample_terms(tiny_model, lang, traj, np.random.default_rng(0)), hp)
         assert abs(report.total - float(p["jbar"].value)) < 1e-12
         assert report.v == 0.0 and report.dprime == 0.0
 
     def test_alpha_zero_reports_dprime(self, tiny_model):
-        lang, traj, unpaired = self.batches()
+        lang, _, traj = self.batches()
         hp = md.HyperParams(alpha=0.0, gamma=1.0)
-        _, report = md.total_loss(tiny_model, lang, traj, unpaired, hp, np.random.default_rng(0))
+        _, report = md.total_loss(tiny_model, lang, traj, hp, np.random.default_rng(0))
         assert report.dprime > 0.0
         assert abs(report.total - report.recombine(hp)) < 1e-10
 
     def test_accounting_identity(self, tiny_model):
-        lang, traj, unpaired = self.batches()
+        lang, _, traj = self.batches()
         hp = md.HyperParams(alpha=0.3, gamma=2.0, beta=0.5)
-        loss, report = md.total_loss(tiny_model, lang, traj, unpaired, hp, np.random.default_rng(0))
+        loss, report = md.total_loss(tiny_model, lang, traj, hp, np.random.default_rng(0))
         assert abs(report.total - report.recombine(hp)) < 1e-10
         assert abs(float(loss.value) + report.total) < 1e-12
 
@@ -255,13 +259,13 @@ def test_training_step_leaves_no_cyclic_garbage():
     # with the cyclic collector off, reference counting alone must free a
     # step's graph once backward has run and the loss is dropped
     model = md.MsVae(np.random.default_rng(0), tiny_cfg())
-    lang, traj, unpaired = TestTotalLoss().batches()
+    lang, _, traj = TestTotalLoss().batches()
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        loss, _ = md.total_loss(model, lang, traj, unpaired, md.HyperParams(), np.random.default_rng(0))
+        loss, _ = md.total_loss(model, lang, traj, md.HyperParams(), np.random.default_rng(0))
         ad.backward(loss)
         del loss
         gc.collect()
@@ -283,12 +287,11 @@ class TestFullLossGradient:
         m = md.MsVae(np.random.default_rng(1), cfg)
         r = np.random.default_rng(19)
         lang = md.make_lang_batch([synth_lang(r, 2)])
-        traj = md.make_traj_batch([synth_traj(r, 2)])
-        unpaired = md.make_traj_batch([synth_traj(r, 2)])
+        traj = md.make_traj_batch([synth_traj(r, 2), synth_traj(r, 2)])  # one paired, one unpaired
         hp = md.HyperParams(alpha=0.25, gamma=1.5, beta=0.7)
 
         def build():
-            loss, _ = md.total_loss(m, lang, traj, unpaired, hp, np.random.default_rng(7))
+            loss, _ = md.total_loss(m, lang, traj, hp, np.random.default_rng(7))
             return loss
 
         params = m.params()
@@ -661,31 +664,33 @@ class TestHoistedFeatures:
 
     def test_padded_obs_rows_do_not_reach_the_loss(self):
         # garbage in padded observation rows changes neither the objective
-        # nor any parameter gradient
+        # nor any parameter gradient: in the stacked batch of the objective,
+        # the unpaired rows padded to the longest paired one, and then the
+        # paired rows padded to the longest unpaired one
         obs_dim = gw.OBS_VIEWS["grid"][1]
         m = md.MsVae(np.random.default_rng(2), tiny_cfg(obs_dim=obs_dim, obs_view="grid"))
         r = np.random.default_rng(34)
         lang = md.make_lang_batch([synth_lang(r, n) for n in (2, 4, 3)])
-        traj = md.make_traj_batch([synth_traj(r, t, obs_dim) for t in (2, 5, 3)])
-        unpaired = md.make_traj_batch([synth_traj(r, t, obs_dim) for t in (4, 1, 2)])
+        paired = [synth_traj(r, t, obs_dim) for t in (2, 5, 3)]
         hp = md.HyperParams(alpha=0.3, gamma=2.0)
 
-        def run():
-            loss, report = md.total_loss(m, lang, traj, unpaired, hp, np.random.default_rng(7))
+        def run(traj):
+            loss, report = md.total_loss(m, lang, traj, hp, np.random.default_rng(7))
             ad.zero_grad(m.params())
             ad.backward(loss)
             return report.total, {n: p.gradient.copy() for n, p in m.named_params().items()}
 
-        clean = run()
-        for batch in (traj, unpaired):
-            pad = batch.mask == 0
-            batch.obs[pad] = r.normal(size=batch.obs[pad].shape)
-        # a batch gathers its running observations when it is made
-        traj, unpaired = dataclasses.replace(traj), dataclasses.replace(unpaired)
-        noisy = run()
-        assert noisy[0] == clean[0]
-        for name, g in clean[1].items():
-            np.testing.assert_array_equal(noisy[1][name], g, err_msg=name)
+        for unpaired in ((4, 1, 2), (7, 1, 2)):
+            traj = md.make_traj_batch(paired + [synth_traj(r, t, obs_dim) for t in unpaired])
+            clean = run(traj)
+            pad = traj.mask == 0
+            assert pad[:3].any()
+            traj.obs[pad] = r.normal(size=traj.obs[pad].shape)
+            # a batch gathers its running observations when it is made
+            noisy = run(dataclasses.replace(traj))
+            assert noisy[0] == clean[0]
+            for name, g in clean[1].items():
+                np.testing.assert_array_equal(noisy[1][name], g, err_msg=name)
 
     def test_obs_features_skip_padded_steps(self):
         # rows of unequal length: step t's block holds only the rows still

@@ -9,7 +9,9 @@ carry a finished row's encoder state with h + (h_new - h) * m and multiply
 each decoder step term by the step mask. They live on only here, as the
 oracle: on random ragged batches both must give the same per-sample
 log-likelihoods, encoder posteriors, objective and parameter gradients, up
-to reordered float sums.
+to reordered float sums. The objective runs each module once over stacked
+rows; the masked loops run its per-pass composition (tests/oracles.py),
+one batch at a time.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from msvae import autodiff as ad
 from msvae import gridworld as gw
 from msvae import model as md
-from oracles import gru_step_composed
+from oracles import gru_step_composed, total_loss_per_pass
 
 RTOL = 1e-12
 
@@ -83,6 +85,16 @@ def padded_word_logll(dec, lang, gates, memory, memory_mask=None, h0=None):
                                  lambda t: [], lambda t, h, ctx: dec.head(ad.concat([ctx, h], axis=1)))
 
 
+def stacked_total_loss(model, lang, trajs, unpaired, hp, rng):
+    return md.total_loss(model, lang, md.make_traj_batch(trajs + unpaired), hp, rng)
+
+
+def per_pass_total_loss(model, lang, trajs, unpaired, hp, rng):
+    """The objective's per-pass composition, whose batches the masked loops
+    read densely."""
+    return total_loss_per_pass(model, lang, md.make_traj_batch(trajs), md.make_traj_batch(unpaired), hp, rng)
+
+
 @contextlib.contextmanager
 def padded_loops():
     """Run every model through the masked loops instead of the packed ones.
@@ -130,8 +142,10 @@ def interface_lls(model, lang, traj):
     return lls + ([model.speaker_log_likelihood(traj, lang)] if hasattr(model, "speak") else [])
 
 
-def outputs(model, trajs, langs, unpaired, seed):
-    """Every per-sample output and the loss gradients of `model` on a batch."""
+def outputs(model, trajs, langs, unpaired, seed, total_loss):
+    """Every per-sample output and the loss gradients of `model` on a batch;
+    total_loss(model, lang, trajs, unpaired trajs, hp, rng) gives the msvae
+    objective."""
     traj, lang = md.make_traj_batch(trajs), md.make_lang_batch(langs)
     ad.zero_grad(model.params())
     lls = interface_lls(model, lang, traj)
@@ -142,8 +156,8 @@ def outputs(model, trajs, langs, unpaired, seed):
         z = ad.constant(np.random.default_rng(seed).normal(size=(len(trajs), 2, 3)))
         out["action_ll"] = model.action_log_likelihood(z, traj).value
         out["language_ll"] = model.language_log_likelihood(z, lang).value
-        loss, _ = md.total_loss(model, lang, traj, md.make_traj_batch(unpaired),
-                                md.HyperParams(alpha=0.3, gamma=2.0, n_projections=3), np.random.default_rng(seed))
+        loss, _ = total_loss(model, lang, trajs, unpaired, md.HyperParams(alpha=0.3, gamma=2.0, n_projections=3),
+                             np.random.default_rng(seed))
     else:
         loss = ad.neg(ad.reduce_mean(lls[0]))
     ad.backward(loss)
@@ -181,9 +195,9 @@ def test_packed_loops_match_masked_loops(case):
     model = build(kind, view, seed)
     trajs, langs = batches(seed, traj_lengths, lang_lengths, view)
     unpaired, _ = batches(seed + 1, unpaired_lengths, [], view)
-    packed = outputs(model, trajs, langs, unpaired, seed)
+    packed = outputs(model, trajs, langs, unpaired, seed, stacked_total_loss)
     with padded_loops():
-        padded = outputs(model, trajs, langs, unpaired, seed)
+        padded = outputs(model, trajs, langs, unpaired, seed, per_pass_total_loss)
     assert packed.keys() == padded.keys()
     for name, value in packed.items():
         assert value.shape == padded[name].shape, name

@@ -13,12 +13,16 @@ the msvae run and `eval --mode speak` on the speaker run. It then prints
 subdirectory, `metrics.csv`, `best.bin`, `pseudo_paired.jsonl` and
 `runrecord.json`, and for both eval json files; in `runrecord.json` and the
 eval json the side's output directory is replaced by a placeholder before
-comparing. Exits 1 on any `DIFF` or failed command, 2 on bad arguments,
+comparing. A `metrics.csv` that differs also gets the largest relative
+difference over its numeric cells, so a numeric fast path can show how far
+its loss curve moved (or a note that the two files do not line up cell for
+cell). Exits 1 on any `DIFF` or failed command, 2 on bad arguments,
 0 otherwise.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +93,28 @@ def content(side: Path, rel: Path) -> bytes | None:
     return data
 
 
+def max_rel_diff(before: bytes, after: bytes) -> float | None:
+    """The largest |a - b| / max(|a|, |b|) over the numeric cells of two
+    csv files (inf where only one is finite or nan); None unless both have
+    the same shape and the same text in every cell that is not a number."""
+    rows = [[line.split(",") for line in data.decode().splitlines()] for data in (before, after)]
+    if [len(r) for r in rows[0]] != [len(r) for r in rows[1]]:
+        return None
+    worst = 0.0
+    for cell_a, cell_b in zip(*(sum(r, []) for r in rows)):
+        try:
+            a, b = float(cell_a), float(cell_b)
+        except ValueError:
+            if cell_a != cell_b:
+                return None
+            continue
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        finite = math.isfinite(a) and math.isfinite(b)
+        worst = max(worst, abs(a - b) / max(abs(a), abs(b)) if finite else math.inf)
+    return worst
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print("usage: python tools/gate_b.py PARENT_SRC CHANGE_SRC OUT", file=sys.stderr)
@@ -115,7 +141,11 @@ def main(argv: list[str]) -> int:
         before, after = content(parent, rel), content(change, rel)
         same = before is not None and before == after
         diffs += not same
-        print(f"{'same' if same else 'DIFF'}  {rel}")
+        note = ""
+        if not same and rel.name == "metrics.csv" and before is not None and after is not None:
+            worst = max_rel_diff(before, after)
+            note = "  (cells do not line up)" if worst is None else f"  (max relative difference {worst:.3g})"
+        print(f"{'same' if same else 'DIFF'}  {rel}{note}")
     print(f"{diffs} of the compared files differ")
     return 1 if diffs else 0
 
