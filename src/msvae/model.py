@@ -110,27 +110,24 @@ class LangBatch:
 
 @dataclass
 class TrajBatch:
-    obs: np.ndarray | None  # (B, T, obs_dim); None in a batch of another batch's rows
+    # the running steps' observations, packed (step-major, as Packing.pack
+    # orders them) for both observation MLPs and every readout; padded steps
+    # have no row
+    packed_obs: np.ndarray
     dec_in: np.ndarray  # start + actions[:-1]
     dec_tgt: np.ndarray  # the recorded actions: the encoder's input and the decoder's targets
     mask: np.ndarray
 
     def __post_init__(self):
         self.packing = nn.Packing(self.mask)
-        # the running steps' observations, gathered once for both observation
-        # MLPs and every readout
-        self.packed_obs = None if self.obs is None else self.packing.pack(self.obs)
 
-    def rows(self, index) -> "TrajBatch":
-        """The batch of this batch's rows `index` (repeats allowed), made
-        without a dense copy: its `source` maps each of its packed rows to
-        the packed row of this batch it repeats, and its packed observations
-        are those rows."""
+    def rows(self, index) -> tuple["TrajBatch", np.ndarray]:
+        """The batch of this batch's rows `index` (repeats allowed), and the
+        packed row of this batch that each of its packed rows repeats."""
         width = _width(self.mask, index)
-        sub = TrajBatch(None, self.dec_in[index, :width], self.dec_tgt[index, :width], self.mask[index, :width])
-        sub.source = sub.packing.pack(self.packing.positions()[index, :width])
-        sub.packed_obs = self.packed_obs[sub.source]
-        return sub
+        mask = self.mask[index, :width]
+        source = nn.Packing(mask).pack(self.packing.positions()[index, :width])
+        return TrajBatch(self.packed_obs[source], self.dec_in[index, :width], self.dec_tgt[index, :width], mask), source
 
 
 def _width(mask: np.ndarray, index) -> int:
@@ -167,19 +164,22 @@ def make_traj_batch(trajectories) -> TrajBatch:
     start_id, pad_id = gw.N_ACTIONS, gw.N_ACTIONS + 1
     width = max(len(t) for t in trajectories)
     b = len(trajectories)
-    odim = trajectories[0].observations.shape[1]
-    obs = np.zeros((b, width, odim))
     dec_in = np.full((b, width), pad_id, dtype=np.intp)
     dec_tgt = np.full((b, width), 0, dtype=np.intp)
     mask = np.zeros((b, width))
     for i, tr in enumerate(trajectories):
         n = len(tr)
-        obs[i, :n] = tr.observations
         dec_in[i, 0] = start_id
         dec_in[i, 1:n] = tr.actions[: n - 1]
         dec_tgt[i, :n] = tr.actions
         mask[i, :n] = 1.0
-    return TrajBatch(obs, dec_in, dec_tgt, mask)
+    # each trajectory's observations go straight to their packed rows, with
+    # no padded (B, T, obs_dim) copy
+    positions = nn.Packing(mask).positions()
+    packed_obs = np.empty((int(mask.sum()), trajectories[0].observations.shape[1]))
+    for i, tr in enumerate(trajectories):
+        packed_obs[positions[i, : len(tr)]] = tr.observations
+    return TrajBatch(packed_obs, dec_in, dec_tgt, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +736,8 @@ def per_sample_terms(model: MsVae, lang: LangBatch, traj: TrajBatch, rng) -> dic
     noise = rng.standard_normal((n + n_paired,) + m1.value.shape[1:])  # in draw order, to latent row order
     z = nn.reparameterize(means, logvars, np.concatenate([noise[:n_paired], noise[2 * n_paired:],
                                                           noise[n_paired : 2 * n_paired]]))
-    decoded = traj.rows(np.r_[:n, :n_paired])
-    feats = ad.embedding(model.obs_mlp.features(traj), decoded.source)
+    decoded, source = traj.rows(np.r_[:n, :n_paired])
+    feats = ad.embedding(model.obs_mlp.features(traj), source)
     paired = np.r_[:n_paired, n : n + n_paired]
     prior_mean, prior_logvar = nn.prior_log_density_params(model.prior, z)
     return {

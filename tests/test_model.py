@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 
 import numpy as np
@@ -663,7 +662,8 @@ class TestHoistedFeatures:
             assert ad.max_rel_error(a, b) <= 1e-12
 
     def test_padded_obs_rows_do_not_reach_the_loss(self):
-        # garbage in padded observation rows changes neither the objective
+        # a batch holds no observation row for a padded step, and garbage in
+        # the padded steps of its action ids changes neither the objective
         # nor any parameter gradient: in the stacked batch of the objective,
         # the unpaired rows padded to the longest paired one, and then the
         # paired rows padded to the longest unpaired one
@@ -682,12 +682,13 @@ class TestHoistedFeatures:
 
         for unpaired in ((4, 1, 2), (7, 1, 2)):
             traj = md.make_traj_batch(paired + [synth_traj(r, t, obs_dim) for t in unpaired])
+            assert traj.packed_obs.shape[0] == traj.mask.sum()
             clean = run(traj)
             pad = traj.mask == 0
             assert pad[:3].any()
-            traj.obs[pad] = r.normal(size=traj.obs[pad].shape)
-            # a batch gathers its running observations when it is made
-            noisy = run(dataclasses.replace(traj))
+            noisy_ids = [np.where(pad, r.integers(0, gw.N_ACTIONS + 2, pad.shape), ids)
+                         for ids in (traj.dec_in, traj.dec_tgt)]
+            noisy = run(md.TrajBatch(traj.packed_obs, *noisy_ids, traj.mask))
             assert noisy[0] == clean[0]
             for name, g in clean[1].items():
                 np.testing.assert_array_equal(noisy[1][name], g, err_msg=name)

@@ -108,17 +108,16 @@ class TestRepeatedRows:
     def test_rows_equal_a_batch_made_from_the_repeated_trajectories(self):
         trajs, traj = self.batch()
         index = np.array([0, 1, 2, 3, 2, 0])
-        sub = traj.rows(index)
+        sub, source = traj.rows(index)
         made = md.make_traj_batch([trajs[i] for i in index])
         for name in ("dec_in", "dec_tgt", "mask", "packed_obs"):
             np.testing.assert_array_equal(getattr(sub, name), getattr(made, name), err_msg=name)
         np.testing.assert_array_equal(sub.packing.counts, made.packing.counts)
-        np.testing.assert_array_equal(traj.packed_obs[sub.source], made.packed_obs)
-        assert sub.obs is None
+        np.testing.assert_array_equal(traj.packed_obs[source], made.packed_obs)
 
     def test_rows_drop_steps_no_row_reaches(self):
         trajs, traj = self.batch()
-        sub = traj.rows(np.array([3, 1, 3]))
+        sub, _ = traj.rows(np.array([3, 1, 3]))
         assert sub.mask.shape == (3, 2)
         np.testing.assert_array_equal(sub.packed_obs, md.make_traj_batch([trajs[i] for i in (3, 1, 3)]).packed_obs)
 
@@ -127,14 +126,14 @@ class TestRepeatedRows:
         # gather's backward adds the repeated rows' gradients into each
         # source row, checked by central differences
         _, traj = self.batch()
-        sub = traj.rows(np.array([0, 1, 2, 3, 0, 2]))
-        assert np.unique(sub.source).size < sub.source.size
+        _, source = traj.rows(np.array([0, 1, 2, 3, 0, 2]))
+        assert np.unique(source).size < source.size
         r = np.random.default_rng(14)
         mlp = md.ObsMlp(r, OBS_DIM, hidden=3, width=4)
-        weights = ad.constant(r.normal(size=(sub.source.size, 3)))
+        weights = ad.constant(r.normal(size=(source.size, 3)))
 
         def loss():
-            return ad.reduce_sum(ad.mul(ad.embedding(mlp.features(traj), sub.source), weights))
+            return ad.reduce_sum(ad.mul(ad.embedding(mlp.features(traj), source), weights))
 
         ad.zero_grad(mlp.params())
         ad.backward(loss())

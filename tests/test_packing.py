@@ -55,8 +55,16 @@ def masked_teacher_forced(dec, mask, dec_in, dec_tgt, memory, memory_mask, h0, s
     return total
 
 
+def dense_obs(traj):
+    """A batch's observations as a padded (B, T, obs_dim) array, zeros past
+    each row's end."""
+    positions = traj.packing.positions()
+    return traj.packed_obs[positions] * (positions >= 0)[..., None]
+
+
 def padded_features(mlp, traj):
-    return [mlp(ad.constant(traj.obs[:, t] * traj.mask[:, t, None])) for t in range(traj.mask.shape[1])]
+    obs = dense_obs(traj)
+    return [mlp(ad.constant(obs[:, t] * traj.mask[:, t, None])) for t in range(traj.mask.shape[1])]
 
 
 def padded_lang_states(enc, lang):
@@ -64,16 +72,20 @@ def padded_lang_states(enc, lang):
 
 
 def padded_traj_states(enc, traj, obs_feats):
+    obs = dense_obs(traj)
+
     def step_input(t, h):
-        cell_ctx = enc.readout(h, enc.readout.cells(traj.obs[:, t]))
+        cell_ctx = enc.readout(h, enc.readout.cells(obs[:, t]))
         return ad.concat([obs_feats[t], enc.emb(traj.dec_tgt[:, t]), cell_ctx], axis=1)
 
     return masked_gru_encode(enc.gru, traj.mask, step_input)
 
 
 def padded_action_logll(dec, traj, obs_feats, memory, memory_mask=None, h0=None):
+    obs = dense_obs(traj)
+
     def head(t, h, ctx):
-        cell_ctx = dec.readout(ad.concat([h, ctx], axis=1), dec.readout.cells(traj.obs[:, t]))
+        cell_ctx = dec.readout(ad.concat([h, ctx], axis=1), dec.readout.cells(obs[:, t]))
         return dec.head(ad.concat([ctx, h, cell_ctx], axis=1))
 
     return masked_teacher_forced(dec, traj.mask, traj.dec_in, traj.dec_tgt, memory, memory_mask, h0,
