@@ -102,8 +102,8 @@ def stacked_total_loss(model, lang, trajs, unpaired, hp, rng):
 
 
 def per_pass_total_loss(model, lang, trajs, unpaired, hp, rng):
-    """The objective's per-pass composition, whose batches the masked loops
-    read densely."""
+    """The objective's per-pass composition: the masked loops run it one
+    batch at a time."""
     return total_loss_per_pass(model, lang, md.make_traj_batch(trajs), md.make_traj_batch(unpaired), hp, rng)
 
 
