@@ -102,10 +102,10 @@ class LangBatch:
     def __post_init__(self):
         self.packing = nn.Packing(self.enc_mask)  # shared by the encoder and the decoder
 
-    def rows(self, index) -> "LangBatch":
-        """The batch of this batch's rows `index` (repeats allowed)."""
-        width = _width(self.enc_mask, index)
-        return LangBatch(self.enc_mask[index, :width], self.dec_in[index, :width], self.dec_tgt[index, :width])
+    def repeat_first(self, b: int) -> "LangBatch":
+        """This batch's rows, then its first b rows again."""
+        index = np.r_[: self.enc_mask.shape[0], :b]
+        return LangBatch(self.enc_mask[index], self.dec_in[index], self.dec_tgt[index])
 
 
 @dataclass
@@ -121,18 +121,16 @@ class TrajBatch:
     def __post_init__(self):
         self.packing = nn.Packing(self.mask)
 
-    def rows(self, index) -> tuple["TrajBatch", np.ndarray]:
-        """The batch of this batch's rows `index` (repeats allowed), and the
-        packed row of this batch that each of its packed rows repeats."""
-        width = _width(self.mask, index)
-        mask = self.mask[index, :width]
-        source = nn.Packing(mask).pack(self.packing.positions()[index, :width])
-        return TrajBatch(self.packed_obs[source], self.dec_in[index, :width], self.dec_tgt[index, :width], mask), source
-
-
-def _width(mask: np.ndarray, index) -> int:
-    """The longest of the rows `index` of a ones-then-zeros (B, T) mask."""
-    return int(mask[index].sum(axis=1).max())
+    def repeat_first(self, b: int) -> tuple["TrajBatch", np.ndarray]:
+        """This batch's rows, then its first b rows again; and the packed row
+        of this batch that each packed row of the new batch repeats."""
+        index = np.r_[: self.mask.shape[0], :b]
+        mask = self.mask[index]
+        batch = TrajBatch(np.empty((int(mask.sum()), self.packed_obs.shape[1])), self.dec_in[index],
+                          self.dec_tgt[index], mask)
+        source = batch.packing.pack(self.packing.positions()[index])
+        np.take(self.packed_obs, source, axis=0, out=batch.packed_obs)
+        return batch, source
 
 
 def make_lang_batch(token_lists) -> LangBatch:
@@ -173,13 +171,13 @@ def make_traj_batch(trajectories) -> TrajBatch:
         dec_in[i, 1:n] = tr.actions[: n - 1]
         dec_tgt[i, :n] = tr.actions
         mask[i, :n] = 1.0
+    batch = TrajBatch(np.empty((int(mask.sum()), trajectories[0].observations.shape[1])), dec_in, dec_tgt, mask)
     # each trajectory's observations go straight to their packed rows, with
     # no padded (B, T, obs_dim) copy
-    positions = nn.Packing(mask).positions()
-    packed_obs = np.empty((int(mask.sum()), trajectories[0].observations.shape[1]))
+    positions = batch.packing.positions()
     for i, tr in enumerate(trajectories):
-        packed_obs[positions[i, : len(tr)]] = tr.observations
-    return TrajBatch(packed_obs, dec_in, dec_tgt, mask)
+        batch.packed_obs[positions[i, : len(tr)]] = tr.observations
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -736,13 +734,13 @@ def per_sample_terms(model: MsVae, lang: LangBatch, traj: TrajBatch, rng) -> dic
     noise = rng.standard_normal((n + n_paired,) + m1.value.shape[1:])  # in draw order, to latent row order
     z = nn.reparameterize(means, logvars, np.concatenate([noise[:n_paired], noise[2 * n_paired:],
                                                           noise[n_paired : 2 * n_paired]]))
-    decoded, source = traj.rows(np.r_[:n, :n_paired])
+    decoded, source = traj.repeat_first(n_paired)
     feats = ad.embedding(model.obs_mlp.features(traj), source)
     paired = np.r_[:n_paired, n : n + n_paired]
     prior_mean, prior_logvar = nn.prior_log_density_params(model.prior, z)
     return {
         "actions": model.action_log_likelihood(z, decoded, feats),
-        "words": model.language_log_likelihood(ad.gather_rows(z, paired), lang.rows(np.r_[:n_paired, :n_paired])),
+        "words": model.language_log_likelihood(ad.gather_rows(z, paired), lang.repeat_first(n_paired)),
         "kl": nn.gaussian_kl_per_sample(means, logvars, prior_mean, prior_logvar),
         "traj_means": m1,
         "n_paired": n_paired,

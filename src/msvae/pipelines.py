@@ -341,12 +341,9 @@ def warm_start(model, ckpt_path, rename: dict[str, str] | None = None) -> list[s
 # pipelines
 
 
-def _paired_batch(records, corpus, cfg: TrainConfig, rng, unpaired=()) -> tuple[md.LangBatch, md.TrajBatch]:
-    """Draw a paired batch from records and, if there are `unpaired` records
-    and cfg.unpaired_batch > 0, that many of them, whose trajectories follow."""
+def _paired_batch(records, corpus, cfg: TrainConfig, rng) -> tuple[md.LangBatch, md.TrajBatch]:
     idx = rng.integers(0, len(records), size=min(cfg.paired_batch, len(records)))
-    uidx = rng.integers(0, len(unpaired), size=cfg.unpaired_batch) if unpaired and cfg.unpaired_batch > 0 else ()
-    return pair_batches(records, corpus, idx, cfg.model.obs_view, [unpaired[i] for i in uidx])
+    return pair_batches(records, corpus, idx, cfg.model.obs_view)
 
 
 def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
@@ -415,6 +412,7 @@ def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
     if not corpus.paired:
         raise ValueError("no paired records to train on")
     mcfg = cfg.model_config(len(corpus.vocab))
+    use_unpaired = cfg.unpaired_batch > 0 and len(corpus.unpaired) > 0
 
     def build(rng):
         model = md.MsVae(rng, mcfg)
@@ -427,7 +425,12 @@ def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
         return model
 
     def step_loss(model, batch_rng, loss_rng):
-        lang, traj = _paired_batch(corpus.paired, corpus, cfg, batch_rng, corpus.unpaired)
+        # the paired draw of _paired_batch, then the unpaired one; the
+        # unpaired trajectories follow the paired ones in one batch
+        idx = batch_rng.integers(0, len(corpus.paired), size=min(cfg.paired_batch, len(corpus.paired)))
+        uidx = batch_rng.integers(0, len(corpus.unpaired), size=cfg.unpaired_batch) if use_unpaired else ()
+        lang, traj = pair_batches(corpus.paired, corpus, idx, cfg.model.obs_view,
+                                  [corpus.unpaired[i] for i in uidx])
         return md.total_loss(model, lang, traj, cfg.hp, loss_rng)
 
     def evaluate(model):

@@ -105,28 +105,27 @@ class TestRepeatedRows:
         trajs = trajectories(r, (3, 1, 4, 2))
         return trajs, md.make_traj_batch(trajs)
 
-    def test_rows_equal_a_batch_made_from_the_repeated_trajectories(self):
+    def test_repeat_first_equals_a_batch_made_from_the_repeated_trajectories(self):
         trajs, traj = self.batch()
-        index = np.array([0, 1, 2, 3, 2, 0])
-        sub, source = traj.rows(index)
-        made = md.make_traj_batch([trajs[i] for i in index])
+        sub, source = traj.repeat_first(2)
+        made = md.make_traj_batch(trajs + trajs[:2])
         for name in ("dec_in", "dec_tgt", "mask", "packed_obs"):
             np.testing.assert_array_equal(getattr(sub, name), getattr(made, name), err_msg=name)
         np.testing.assert_array_equal(sub.packing.counts, made.packing.counts)
         np.testing.assert_array_equal(traj.packed_obs[source], made.packed_obs)
 
-    def test_rows_drop_steps_no_row_reaches(self):
-        trajs, traj = self.batch()
-        sub, _ = traj.rows(np.array([3, 1, 3]))
-        assert sub.mask.shape == (3, 2)
-        np.testing.assert_array_equal(sub.packed_obs, md.make_traj_batch([trajs[i] for i in (3, 1, 3)]).packed_obs)
+    def test_lang_repeat_first_equals_a_batch_made_from_the_repeated_tokens(self):
+        tokens = [[4, 5], [6], [7, 8, 4]]
+        sub, made = md.make_lang_batch(tokens).repeat_first(3), md.make_lang_batch(tokens + tokens)
+        for name in ("enc_mask", "dec_in", "dec_tgt"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(made, name), err_msg=name)
 
     def test_gathered_features_gradient(self):
         # the decoder's features gathered by repeated packed rows: the
         # gather's backward adds the repeated rows' gradients into each
         # source row, checked by central differences
         _, traj = self.batch()
-        _, source = traj.rows(np.array([0, 1, 2, 3, 0, 2]))
+        _, source = traj.repeat_first(3)
         assert np.unique(source).size < source.size
         r = np.random.default_rng(14)
         mlp = md.ObsMlp(r, OBS_DIM, hidden=3, width=4)
