@@ -125,11 +125,10 @@ class TrajBatch:
         """This batch's rows, then its first b rows again; and the packed row
         of this batch that each packed row of the new batch repeats."""
         index = np.r_[: self.mask.shape[0], :b]
-        mask = self.mask[index]
-        batch = TrajBatch(np.empty((int(mask.sum()), self.packed_obs.shape[1])), self.dec_in[index],
-                          self.dec_tgt[index], mask)
+        # the packed rows are gathered once the new batch's packing orders them
+        batch = TrajBatch(self.packed_obs[:0], self.dec_in[index], self.dec_tgt[index], self.mask[index])
         source = batch.packing.pack(self.packing.positions()[index])
-        np.take(self.packed_obs, source, axis=0, out=batch.packed_obs)
+        batch.packed_obs = self.packed_obs[source]
         return batch, source
 
 
