@@ -8,9 +8,9 @@ flat one-hot grids that decode back to the exact world state.
 
 from __future__ import annotations
 
+import bisect
 import functools
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -68,6 +68,10 @@ class Task:
     connectors: tuple[str, ...]  # len(subgoals) - 1, from CONNECTORS
 
 
+def _position(item) -> tuple[int, int]:
+    return item[0]
+
+
 @dataclass(frozen=True)
 class World:
     width: int
@@ -80,7 +84,7 @@ class World:
     def __post_init__(self):
         # canonical object order: equality and observation round-trips are
         # insensitive to placement history
-        ordered = tuple(sorted(self.objects, key=lambda item: item[0]))
+        ordered = tuple(sorted(self.objects, key=_position))
         object.__setattr__(self, "objects", ordered)
 
     def object_at(self, pos) -> ObjectSpec | None:
@@ -122,41 +126,50 @@ class Trajectory:
 # dynamics
 
 
-def _posed(world: World, agent_pos: tuple[int, int], agent_dir: int) -> World:
-    """`world` with the agent at a new pose. Its objects tuple is already in
-    canonical order, so the successor shares it and skips the re-sort (and
-    the field-by-field rebuild) of dataclasses.replace."""
+def _successor(world: World, **fields) -> World:
+    """`world` with some fields changed. The caller keeps the objects tuple
+    in canonical order, so the successor skips the re-sort (and the
+    field-by-field rebuild) of dataclasses.replace."""
     new = object.__new__(World)
-    new.__dict__.update(world.__dict__, agent_pos=agent_pos, agent_dir=agent_dir)
+    new.__dict__.update(world.__dict__, **fields)
     return new
 
 
+# action value -> integer code: the lookup Action(value) makes first
+_ACTION_CODES = {int(a): int(a) for a in Action}
+_LEFT, _RIGHT, _FORWARD, _PICKUP, _DROP, _DONE = _ACTION_CODES  # plain ints compare faster than members
+
+
 def step(world: World, action: int) -> tuple[World, bool]:
-    """Deterministic, total transition; invalid actions are no-ops."""
-    action = Action(action)
-    if action == Action.left:
-        return _posed(world, world.agent_pos, (world.agent_dir - 1) % 4), False
-    if action == Action.right:
-        return _posed(world, world.agent_pos, (world.agent_dir + 1) % 4), False
-    if action == Action.forward:
-        target = world.facing_cell()
-        if world.in_bounds(target) and world.object_at(target) is None:
-            return _posed(world, target, world.agent_dir), False
+    """Deterministic, total transition; invalid actions are no-ops. Accepts
+    exactly the values Action() accepts, and raises its ValueError for the
+    rest."""
+    try:
+        code = _ACTION_CODES[action]
+    except (KeyError, TypeError):  # Action rejects these, or searches for unhashable ones
+        code = Action(action)
+    if code == _LEFT:
+        return _successor(world, agent_dir=(world.agent_dir - 1) % 4), False
+    if code == _RIGHT:
+        return _successor(world, agent_dir=(world.agent_dir + 1) % 4), False
+    if code == _DONE:
+        return world, True
+    target = world.facing_cell()
+    if not world.in_bounds(target):  # forward, pickup and drop all need the facing cell on the grid
         return world, False
-    if action == Action.pickup:
-        target = world.facing_cell()
-        spec = world.object_at(target) if world.in_bounds(target) else None
-        if spec is not None and world.carried is None:
-            objects = tuple((p, s) for p, s in world.objects if p != target)
-            return replace(world, objects=objects, carried=spec), False
+    spec = world.object_at(target)
+    if code == _FORWARD:
+        return (world if spec is not None else _successor(world, agent_pos=target)), False
+    if code == _PICKUP:
+        if spec is None or world.carried is not None:
+            return world, False
+        objects = tuple(item for item in world.objects if item[0] != target)
+        return _successor(world, objects=objects, carried=spec), False
+    if spec is not None or world.carried is None:  # drop
         return world, False
-    if action == Action.drop:
-        target = world.facing_cell()
-        if world.carried is not None and world.in_bounds(target) and world.object_at(target) is None:
-            objects = world.objects + ((target, world.carried),)
-            return replace(world, objects=objects, carried=None), False
-        return world, False
-    return world, True  # done
+    i = bisect.bisect(world.objects, target, key=_position)  # the dropped object's sorted place
+    objects = world.objects[:i] + ((target, world.carried),) + world.objects[i:]
+    return _successor(world, objects=objects, carried=None), False
 
 
 def step_cap(oracle_length: int) -> int:
@@ -362,13 +375,15 @@ def render_instruction(task: Task) -> list[str]:
 # task sampling
 
 
+_ALL_SPECS = tuple(ObjectSpec(k, c) for k in KINDS for c in COLORS)
+
+
 def _place_candidate(rng: np.random.Generator, difficulty: str, width: int, height: int,
                      subgoal_weights) -> tuple[World, Task]:
     n_sub = int(rng.choice(4, p=subgoal_weights)) + 1
     n_distract = int(rng.integers(2, 5))
-    all_specs = [ObjectSpec(k, c) for k in KINDS for c in COLORS]
-    picked = rng.choice(len(all_specs), size=n_sub + n_distract, replace=False)
-    specs = [all_specs[i] for i in picked]
+    picked = rng.choice(len(_ALL_SPECS), size=n_sub + n_distract, replace=False)
+    specs = [_ALL_SPECS[i] for i in picked]
 
     if difficulty == "goto_seq":
         verbs = ["goto"] * n_sub
@@ -383,10 +398,10 @@ def _place_candidate(rng: np.random.Generator, difficulty: str, width: int, heig
         pool = CONNECTORS if i == n_sub - 2 else CONNECTORS[:2]
         connectors.append(pool[int(rng.integers(len(pool)))])
 
-    cells = [(x, y) for x in range(width) for y in range(height)]
-    chosen = rng.choice(len(cells), size=len(specs) + 1, replace=False)
-    objects = tuple((cells[c], spec) for c, spec in zip(chosen[:-1], specs))
-    agent_pos = cells[chosen[-1]]
+    # cell c is (c // height, c % height), as Python ints: the end state goes to JSON
+    chosen = rng.choice(width * height, size=len(specs) + 1, replace=False).tolist()
+    objects = tuple((divmod(c, height), spec) for c, spec in zip(chosen, specs))
+    agent_pos = divmod(chosen[-1], height)
     world = World(width, height, objects, agent_pos, int(rng.integers(4)))
     return world, Task(subgoals, tuple(connectors))
 
@@ -452,35 +467,59 @@ def check_success(states: list[World], task: Task) -> bool:
 # oracle
 
 
+@functools.cache
+def _moves(width: int, height: int) -> tuple:
+    """Per agent state (y * width + x) * 4 + dir: the (state, action) pairs
+    that left, right and, unless it leaves the grid, forward lead to."""
+    table = []
+    for state in range(width * height * 4):
+        cell, d = divmod(state, 4)
+        y, x = divmod(cell, width)
+        dx, dy = DIR_VECTORS[d]
+        moves = [(cell * 4 + (d - 1) % 4, Action.left), (cell * 4 + (d + 1) % 4, Action.right)]
+        if 0 <= x + dx < width and 0 <= y + dy < height:
+            moves.append((((y + dy) * width + x + dx) * 4 + d, Action.forward))
+        table.append(tuple(moves))
+    return tuple(table)
+
+
 def _bfs(world: World, goals: set[tuple[tuple[int, int], int]]) -> list[Action] | None:
     """Shortest left/right/forward path from the agent state to any goal
-    (position, facing) state. Object cells block movement."""
+    (position, facing) state. Object cells block movement.
+
+    States are expanded first in, first out, each trying left, right, then
+    forward, and a goal is taken when it is first discovered. Each visited
+    state links to its parent and the action that reached it, and the path
+    is rebuilt once, from the goal back."""
     start = (world.agent_pos, world.agent_dir)
     if start in goals:
         return []
-    blocked = {p for p, _ in world.objects}
-    seen = {start}
-    queue = deque([(start, [])])
-    while queue:
-        (pos, d), path = queue.popleft()
-        for action in (Action.left, Action.right, Action.forward):
-            if action == Action.left:
-                nxt = (pos, (d - 1) % 4)
-            elif action == Action.right:
-                nxt = (pos, (d + 1) % 4)
-            else:
-                dx, dy = DIR_VECTORS[d]
-                tgt = (pos[0] + dx, pos[1] + dy)
-                if not (0 <= tgt[0] < world.width and 0 <= tgt[1] < world.height) or tgt in blocked:
-                    continue
-                nxt = (tgt, d)
-            if nxt in seen:
+    width, height = world.width, world.height
+
+    def code(pos, d):
+        return (pos[1] * width + pos[0]) * 4 + d
+
+    targets = {code(p, d) for p, d in goals if 0 <= p[0] < width and 0 <= p[1] < height and 0 <= d < 4}
+    first = code(*start)
+    # The states of object cells count as visited, so forward never enters
+    # them. The start cell is left out even when it holds an object: turns
+    # reach its other facings by depth 2, before any forward could re-enter it.
+    link = {code(p, d): None for p, _ in world.objects if p != start[0] and world.in_bounds(p) for d in range(4)}
+    link[first] = None
+    table = _moves(width, height)
+    queue = [first]
+    for state in queue:  # the loop reaches the states appended while it runs
+        for nxt, action in table[state]:
+            if nxt in link:
                 continue
-            seen.add(nxt)
-            new_path = path + [action]
-            if nxt in goals:
-                return new_path
-            queue.append((nxt, new_path))
+            link[nxt] = (state, action)
+            if nxt in targets:
+                path = []
+                while nxt != first:
+                    nxt, action = link[nxt]
+                    path.append(action)
+                return path[::-1]
+            queue.append(nxt)
     return None
 
 

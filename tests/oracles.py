@@ -7,7 +7,11 @@ layers that take the K latent slots as one tensor are checked against
 their per-slot forms, one slot at a time. The training objective, which
 runs each module once over stacked rows, is checked against its per-pass
 composition: each encoder, decoder and prior pass over one batch at a time.
+The gridworld's parent-link BFS is checked against the search that copies
+its path at every expansion.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -164,3 +168,35 @@ def oracle_speak_fn():
         return corpus.vocab.tokenize(gw.render_instruction(task)), False
 
     return fn
+
+
+def bfs_copying_paths(world: gw.World, goals) -> list[gw.Action] | None:
+    """The oracle for gridworld._bfs: a first-in, first-out search whose
+    queue holds each state with a copy of the path that reached it."""
+    start = (world.agent_pos, world.agent_dir)
+    if start in goals:
+        return []
+    blocked = {p for p, _ in world.objects}
+    seen = {start}
+    queue = deque([(start, [])])
+    while queue:
+        (pos, d), path = queue.popleft()
+        for action in (gw.Action.left, gw.Action.right, gw.Action.forward):
+            if action == gw.Action.left:
+                nxt = (pos, (d - 1) % 4)
+            elif action == gw.Action.right:
+                nxt = (pos, (d + 1) % 4)
+            else:
+                dx, dy = gw.DIR_VECTORS[d]
+                tgt = (pos[0] + dx, pos[1] + dy)
+                if not (0 <= tgt[0] < world.width and 0 <= tgt[1] < world.height) or tgt in blocked:
+                    continue
+                nxt = (tgt, d)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            new_path = path + [action]
+            if nxt in goals:
+                return new_path
+            queue.append((nxt, new_path))
+    return None

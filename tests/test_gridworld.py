@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from msvae import gridworld as gw
 from msvae.gridworld import Action, ObjectSpec, Subgoal, Task, World
+from oracles import bfs_copying_paths
 
 
 def simple_world(**kw):
@@ -155,28 +156,55 @@ def state_sequence(draw):
     return gw.replay(draw(random_world(size)), actions)[draw(st.integers(0, 1)):]
 
 
+def replace_successor(world, action):
+    """What step must return, built by dataclasses.replace, which re-sorts
+    the objects; a no-op returns the world itself."""
+    target = world.facing_cell()
+    on_grid = world.in_bounds(target)
+    spec = world.object_at(target) if on_grid else None
+    if action == Action.left:
+        return replace(world, agent_dir=(world.agent_dir - 1) % 4)
+    if action == Action.right:
+        return replace(world, agent_dir=(world.agent_dir + 1) % 4)
+    if action == Action.forward and on_grid and spec is None:
+        return replace(world, agent_pos=target)
+    if action == Action.pickup and spec is not None and world.carried is None:
+        return replace(world, objects=tuple(item for item in world.objects if item[0] != target), carried=spec)
+    if action == Action.drop and on_grid and spec is None and world.carried is not None:
+        return replace(world, objects=world.objects + ((target, world.carried),), carried=None)
+    return world
+
+
 class TestSuccessors:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 8).flatmap(random_world), st.sampled_from(list(Action)))
-    def test_successors_equal_what_replace_builds(self, world, action):
-        new, done = gw.step(world, action)
-        target = world.facing_cell()
-        free = world.in_bounds(target) and world.object_at(target) is None
-        if action == Action.left:
-            expected = replace(world, agent_dir=(world.agent_dir - 1) % 4)
-        elif action == Action.right:
-            expected = replace(world, agent_dir=(world.agent_dir + 1) % 4)
-        elif action == Action.forward and free:
-            expected = replace(world, agent_pos=target)
+    @given(st.integers(2, 8).flatmap(random_world), st.sampled_from(list(Action)), SPECS)
+    def test_successors_equal_what_replace_builds(self, world, action, spec):
+        # every facing, with empty and full hands, so pickups and drops take effect
+        for facing in range(4):
+            for carried in (None, spec):
+                before = replace(world, agent_dir=facing, carried=carried)
+                new, done = gw.step(before, action)
+                expected = replace_successor(before, action)
+                assert type(new) is World and vars(new) == vars(expected)
+                assert new == expected and hash(new) == hash(expected) and repr(new) == repr(expected)
+                if action in (Action.left, Action.right, Action.forward):
+                    # a turn or a move shares the parent's canonical objects tuple
+                    assert new.objects is before.objects
+                assert new.objects == tuple(sorted(new.objects, key=lambda item: item[0]))
+                assert done == (action == Action.done)
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), 2.0, np.float64(2.0), True, np.True_, Action.forward,
+                                       np.array(2), 2.5, -1, 6, "2", None, [2]],
+                             ids=repr)
+    def test_step_takes_exactly_the_values_action_takes(self, value):
+        world = simple_world()
+        try:
+            action = Action(value)
+        except ValueError:
+            with pytest.raises(ValueError):
+                gw.step(world, value)
         else:
-            expected = None
-        if expected is not None:
-            # a turn or a move shares the parent's canonical objects tuple
-            assert new.objects is world.objects
-            assert type(new) is World and vars(new) == vars(expected)
-            assert new == expected and hash(new) == hash(expected) and repr(new) == repr(expected)
-        assert new == replace(new)  # any successor's objects stay in canonical order
-        assert done == (action == Action.done)
+            assert gw.step(world, value) == gw.step(world, action)
 
 
 class TestBatchedEncoders:
@@ -457,6 +485,41 @@ class TestBfsAgainstBruteForce:
             path = gw._bfs(world, goals)
             assert path is not None
             assert len(path) == brute_force_shortest(world, goals)
+
+
+@st.composite
+def bfs_case(draw):
+    """A random world and a goal set of on-grid states: possibly empty, on
+    object cells, walled off, or holding the start. No sampled world puts an
+    object under the agent, but the search must handle one like any other
+    object cell it starts on: free to turn on, never re-entered."""
+    size = draw(st.integers(2, 8))
+    world = draw(random_world(size))
+    if draw(st.booleans()):
+        world = replace(world, objects=world.objects + ((world.agent_pos, draw(SPECS)),))
+    states = st.tuples(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), st.integers(0, 3))
+    goals = draw(st.sets(states, max_size=6))
+    if draw(st.booleans()):
+        goals.add((world.agent_pos, world.agent_dir))
+    return world, goals
+
+
+class TestBfsAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(bfs_case())
+    def test_same_path_as_the_path_copying_search(self, case):
+        world, goals = case
+        path = gw._bfs(world, goals)
+        assert path == bfs_copying_paths(world, goals)
+        assert path is None or all(type(a) is Action for a in path)
+
+    def test_oracle_solve_equals_the_oracle_built_plan(self, monkeypatch):
+        tasks = [gw.sample_task_record(seed, difficulty)
+                 for difficulty in ("boss", "goto_seq") for seed in range(120)]
+        monkeypatch.setattr(gw, "_bfs", bfs_copying_paths)
+        for world, task, _, plan in tasks:
+            assert gw.oracle_solve(world, task) == plan
+        assert sum(Action.drop in plan for *_, plan in tasks) >= 5  # the drop branch ran
 
 
 class TestStepCap:
