@@ -117,9 +117,8 @@ def _end_state(world: gw.World) -> list[int]:
 
 
 def _make_record(seed: int, difficulty: str, vocab: Vocab, subgoal_weights, with_tokens: bool) -> dict:
-    world, task, tries, plan = gw.sample_task_record(seed, difficulty, subgoal_weights=subgoal_weights)
-    actions = [int(a) for a in plan]
-    rec = {"seed": seed, "tries": tries, "actions": actions, "end": _end_state(gw.replay(world, actions)[-1])}
+    _, task, tries, plan = gw.sample_task_record(seed, difficulty, subgoal_weights=subgoal_weights)
+    rec = {"seed": seed, "tries": tries, "actions": [int(a) for a in plan], "end": _end_state(plan.end)}
     if with_tokens:
         rec["tokens"] = vocab.tokenize(gw.render_instruction(task))
     return rec

@@ -378,9 +378,26 @@ def render_instruction(task: Task) -> list[str]:
 _ALL_SPECS = tuple(ObjectSpec(k, c) for k in KINDS for c in COLORS)
 
 
+@functools.lru_cache(maxsize=16)
+def _checked_cdf(p) -> tuple[float, ...]:
+    np.random.default_rng(0).choice(4, p=p)  # a throwaway draw raises choice's ValueError for a bad p
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    return tuple((cdf / cdf[-1]).tolist())
+
+
+def _subgoal_cdf(subgoal_weights) -> tuple[float, ...]:
+    """The normalised cdf Generator.choice(4, p=subgoal_weights) searches
+    with its one random() draw, once the weights pass the checks choice
+    makes. Lists and tuples of numbers, which configs and corpus headers
+    hold, are checked once per value; anything else on every call."""
+    if type(subgoal_weights) in (list, tuple) and {int, float}.issuperset(map(type, subgoal_weights)):
+        return _checked_cdf(tuple(subgoal_weights))
+    return _checked_cdf.__wrapped__(subgoal_weights)
+
+
 def _place_candidate(rng: np.random.Generator, difficulty: str, width: int, height: int,
                      subgoal_weights) -> tuple[World, Task]:
-    n_sub = int(rng.choice(4, p=subgoal_weights)) + 1
+    n_sub = bisect.bisect(_subgoal_cdf(subgoal_weights), rng.random()) + 1  # the draw rng.choice(4, p=...) makes
     n_distract = int(rng.integers(2, 5))
     picked = rng.choice(len(_ALL_SPECS), size=n_sub + n_distract, replace=False)
     specs = [_ALL_SPECS[i] for i in picked]
@@ -413,9 +430,10 @@ def sample_task(seed: int, difficulty: str, **kw) -> tuple[World, Task]:
 
 def sample_task_record(seed: int, difficulty: str, *, width: int = DEFAULT_SIZE,
                        height: int = DEFAULT_SIZE, subgoal_weights=SUBGOAL_WEIGHTS,
-                       max_tries: int = 100) -> tuple[World, Task, int, list[Action]]:
+                       max_tries: int = 100) -> tuple[World, Task, int, Plan]:
     """Sample a solvable (world, task); returns it with the accepted attempt
-    index and the oracle plan that proved it solvable.
+    index and the oracle plan that proved it solvable, whose `end` is the
+    world the plan leads to.
 
     Attempt i draws from the substream [seed, i], so a record can be rebuilt
     later without re-running solvability checks (see rebuild_task).
@@ -483,9 +501,10 @@ def _moves(width: int, height: int) -> tuple:
     return tuple(table)
 
 
-def _bfs(world: World, goals: set[tuple[tuple[int, int], int]]) -> list[Action] | None:
+def _bfs(world: World, goals: set[tuple[tuple[int, int], int]]) -> tuple[list[Action], tuple] | None:
     """Shortest left/right/forward path from the agent state to any goal
-    (position, facing) state. Object cells block movement.
+    (position, facing) state, with the goal state it stops in. Object cells
+    block movement.
 
     States are expanded first in, first out, each trying left, right, then
     forward, and a goal is taken when it is first discovered. Each visited
@@ -493,7 +512,7 @@ def _bfs(world: World, goals: set[tuple[tuple[int, int], int]]) -> list[Action] 
     is rebuilt once, from the goal back."""
     start = (world.agent_pos, world.agent_dir)
     if start in goals:
-        return []
+        return [], start
     width, height = world.width, world.height
 
     def code(pos, d):
@@ -514,11 +533,13 @@ def _bfs(world: World, goals: set[tuple[tuple[int, int], int]]) -> list[Action] 
                 continue
             link[nxt] = (state, action)
             if nxt in targets:
+                cell, d = divmod(nxt, 4)
+                stop = (cell % width, cell // width), d
                 path = []
                 while nxt != first:
                     nxt, action = link[nxt]
                     path.append(action)
-                return path[::-1]
+                return path[::-1], stop
             queue.append(nxt)
     return None
 
@@ -532,33 +553,65 @@ def _goal_states_facing(world: World, target: tuple[int, int]) -> set[tuple[tupl
     return goals
 
 
-def oracle_solve(world: World, task: Task) -> list[Action]:
+@functools.cache
+def _fronts(width: int, height: int) -> tuple:
+    """(state, its cell, the cell it faces) for every on-grid agent state
+    that faces an on-grid cell."""
+    return tuple((((x, y), d), (x, y), (x + dx, y + dy))
+                 for x in range(width) for y in range(height) for d, (dx, dy) in enumerate(DIR_VECTORS)
+                 if 0 <= x + dx < width and 0 <= y + dy < height)
+
+
+def _drop_goals(world: World) -> set[tuple[tuple[int, int], int]]:
+    """Every state on an empty cell that faces another empty cell, bar the
+    agent's own: where the carried object can be dropped. One pass over the
+    grid."""
+    occupied = {p for p, _ in world.objects}
+    blocked = occupied | {world.agent_pos}
+    return {state for state, cell, front in _fronts(world.width, world.height)
+            if cell not in occupied and front not in blocked}
+
+
+class Plan(list):
+    """An oracle plan: its actions, with the world they lead to in `end`."""
+
+    end: World
+
+
+def _follow(world: World, found, last: Action | None, plan: Plan) -> World:
+    """Append a _bfs result's path to the plan, then `last` unless it is
+    None; returns the world they lead to, built from the state the search
+    stopped in, without replaying the path."""
+    path, (pos, d) = found
+    plan += path
+    world = _successor(world, agent_pos=pos, agent_dir=d)
+    if last is None:
+        return world
+    plan.append(last)
+    return step(world, last)[0]
+
+
+def oracle_solve(world: World, task: Task) -> Plan:
     """Solve the task with per-subgoal BFS-shortest paths; ends with done."""
-    actions: list[Action] = []
+    plan = Plan()
     w = world
     for sg in task.subgoals:
         if sg.verb == "pickup" and w.carried is not None:
             # free the hands on the nearest empty facing cell
-            empty = [(x, y) for x in range(w.width) for y in range(w.height)
-                     if w.object_at((x, y)) is None and (x, y) != w.agent_pos]
-            path = _bfs(w, set().union(*(_goal_states_facing(w, cell) for cell in empty)))
-            if path is None:
+            found = _bfs(w, _drop_goals(w))
+            if found is None:
                 raise UnsolvableTask("nowhere to drop the carried object")
-            path.append(Action.drop)
-            w = replay(w, path)[-1]
-            actions += path
+            w = _follow(w, found, Action.drop, plan)
         target = w.find_object(sg.spec)
         if target is None:
             raise UnsolvableTask(f"referenced object {sg.spec} not in world")
-        path = _bfs(w, _goal_states_facing(w, target))
-        if path is None:
+        found = _bfs(w, _goal_states_facing(w, target))
+        if found is None:
             raise UnsolvableTask(f"object {sg.spec} unreachable")
-        if sg.verb == "pickup":
-            path.append(Action.pickup)
-        w = replay(w, path)[-1]
-        actions += path
-    actions.append(Action.done)
-    return actions
+        w = _follow(w, found, Action.pickup if sg.verb == "pickup" else None, plan)
+    plan.append(Action.done)
+    plan.end = w
+    return plan
 
 
 # ---------------------------------------------------------------------------

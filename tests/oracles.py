@@ -8,7 +8,8 @@ their per-slot forms, one slot at a time. The training objective, which
 runs each module once over stacked rows, is checked against its per-pass
 composition: each encoder, decoder and prior pass over one batch at a time.
 The gridworld's parent-link BFS is checked against the search that copies
-its path at every expansion.
+its path at every expansion, and the oracle's one-pass drop goals against
+their union over the empty cells.
 """
 
 from collections import deque
@@ -200,3 +201,11 @@ def bfs_copying_paths(world: gw.World, goals) -> list[gw.Action] | None:
                 return new_path
             queue.append((nxt, new_path))
     return None
+
+
+def drop_goals_union(world: gw.World) -> set:
+    """The oracle for gridworld._drop_goals: the union of the states facing
+    each empty cell but the agent's, one _goal_states_facing call per cell."""
+    empty = [(x, y) for x in range(world.width) for y in range(world.height)
+             if world.object_at((x, y)) is None and (x, y) != world.agent_pos]
+    return set().union(*(gw._goal_states_facing(world, cell) for cell in empty))

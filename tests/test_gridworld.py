@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from msvae import gridworld as gw
 from msvae.gridworld import Action, ObjectSpec, Subgoal, Task, World
-from oracles import bfs_copying_paths
+from oracles import bfs_copying_paths, drop_goals_union
 
 
 def simple_world(**kw):
@@ -367,6 +367,29 @@ class TestSampling:
             assert (world, task) == (w2, t2)
             assert plan == gw.oracle_solve(world, task)
 
+    @pytest.mark.parametrize("weights", [gw.SUBGOAL_WEIGHTS, [0.25] * 4, [0, 0, 0, 1], [1, 0, 0, 0],
+                                         [0.3, 0.0, 0.7, 0.0], [0.55, 0.25, 0.12, 0.08 + 1e-9],
+                                         np.array([0.4, 0.3, 0.2, 0.1], dtype=np.float32)], ids=repr)
+    def test_subgoal_count_is_the_draw_choice_makes(self, weights):
+        for seed in range(1000):
+            expected = int(np.random.default_rng([seed, 0]).choice(4, p=weights)) + 1
+            _, task = gw.rebuild_task(seed, 0, "goto_seq", subgoal_weights=weights)
+            assert len(task.subgoals) == expected
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.5, -0.5], (0.6, -0.1, 0.3, 0.2), [float("nan"), 0.5, 0.25, 0.25],
+                                         [0.55, 0.25, 0.12, 0.08 + 1e-7], [0.55, 0.25, 0.12, 0.08 - 1e-7],
+                                         [0.5, 0.5], [0.2] * 5, [], [[0.5, 0.5], [0.0, 0.0]],
+                                         np.array([0.5, 0.5, 0.5, -0.5]), np.array([np.nan, 0.5, 0.25, 0.25]),
+                                         np.array([0.3, 0.3, 0.3, 0.3]), np.array([0.5, 0.5])], ids=repr)
+    def test_weights_that_choice_rejects_raise(self, weights):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(4, p=weights)
+        for _ in range(2):  # a rejected vector is never remembered as checked
+            with pytest.raises(ValueError):
+                gw.sample_task(0, "boss", subgoal_weights=weights)
+            with pytest.raises(ValueError):
+                gw.rebuild_task(0, 0, "boss", subgoal_weights=weights)
+
     def test_mean_instruction_length_band(self):
         lengths = []
         for seed in range(400):
@@ -482,9 +505,9 @@ class TestBfsAgainstBruteForce:
             first = task.subgoals[0]
             target = world.find_object(first.spec)
             goals = gw._goal_states_facing(world, target)
-            path = gw._bfs(world, goals)
-            assert path is not None
-            assert len(path) == brute_force_shortest(world, goals)
+            found = gw._bfs(world, goals)
+            assert found is not None
+            assert len(found[0]) == brute_force_shortest(world, goals)
 
 
 @st.composite
@@ -509,17 +532,63 @@ class TestBfsAgainstOracle:
     @given(bfs_case())
     def test_same_path_as_the_path_copying_search(self, case):
         world, goals = case
-        path = gw._bfs(world, goals)
+        found = gw._bfs(world, goals)
+        path = None if found is None else found[0]
         assert path == bfs_copying_paths(world, goals)
         assert path is None or all(type(a) is Action for a in path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bfs_case())
+    def test_stop_state_is_the_goal_the_path_reaches(self, case):
+        world, goals = case
+        found = gw._bfs(world, goals)
+        if found is not None:
+            path, stop = found
+            end = gw.replay(world, path)[-1]
+            assert stop == (end.agent_pos, end.agent_dir) and stop in goals
+            assert all(type(v) is int for v in (*stop[0], stop[1]))  # the end state goes to JSON
 
     def test_oracle_solve_equals_the_oracle_built_plan(self, monkeypatch):
         tasks = [gw.sample_task_record(seed, difficulty)
                  for difficulty in ("boss", "goto_seq") for seed in range(120)]
-        monkeypatch.setattr(gw, "_bfs", bfs_copying_paths)
+
+        def oracle_bfs(world, goals):
+            path = bfs_copying_paths(world, goals)
+            if path is None:
+                return None
+            end = gw.replay(world, path)[-1]
+            return path, (end.agent_pos, end.agent_dir)
+
+        monkeypatch.setattr(gw, "_bfs", oracle_bfs)
+        monkeypatch.setattr(gw, "_drop_goals", drop_goals_union)
         for world, task, _, plan in tasks:
             assert gw.oracle_solve(world, task) == plan
         assert sum(Action.drop in plan for *_, plan in tasks) >= 5  # the drop branch ran
+
+
+@st.composite
+def drop_case(draw):
+    """A random world whose agent may also stand on an object."""
+    world = draw(st.integers(2, 8).flatmap(random_world))
+    if draw(st.booleans()):
+        world = replace(world, objects=world.objects + ((world.agent_pos, draw(SPECS)),))
+    return world
+
+
+class TestOracleEndWorld:
+    def test_end_world_is_the_replayed_plan(self):
+        tasks = [gw.sample_task_record(seed, difficulty)
+                 for difficulty, seeds in (("boss", range(240)), ("goto_seq", range(100))) for seed in seeds]
+        for world, _, _, plan in tasks:
+            end = gw.replay(world, plan)[-1]
+            assert vars(plan.end) == vars(end) and plan.end == end
+            assert plan.end.objects == tuple(sorted(plan.end.objects, key=lambda item: item[0]))
+        assert sum(Action.drop in plan for *_, plan in tasks) >= 20  # the drop branch ran
+
+    @settings(max_examples=300, deadline=None)
+    @given(drop_case())
+    def test_one_pass_drop_goals_equal_their_union_per_empty_cell(self, world):
+        assert gw._drop_goals(world) == drop_goals_union(world)
 
 
 class TestStepCap:

@@ -5,11 +5,13 @@
 PARENT_SRC and CHANGE_SRC are `src` directories (each holds the `msvae`
 package). For each side, under OUT/parent and OUT/change, the script runs
 the CLI with BLAS on one thread: `gen-data` (m=24, n=24, 8 val and 8 test
-tasks); `train` of the five pipelines plus `supervised-follower` with
-`arch_variant=no_attention` and with `bottleneck` (3 epochs of 8 iterations,
-batch 6, seed 7, a small model); `eval --mode pragmatic --candidates 3` on
-the msvae run and `eval --mode speak` on the speaker run. It then prints
-`same` or `DIFF` for every corpus file and, in every run directory and stage
+tasks) of a boss corpus, which the runs train on, and of a goto_seq corpus,
+which is only compared; `train` of the five pipelines plus
+`supervised-follower` with `arch_variant=no_attention` and with
+`bottleneck` (3 epochs of 8 iterations, batch 6, seed 7, a small model);
+`eval --mode pragmatic --candidates 3` on the msvae run and
+`eval --mode speak` on the speaker run. It then prints `same` or `DIFF` for
+every file of both corpora and, in every run directory and stage
 subdirectory, `metrics.csv`, `best.bin`, `pseudo_paired.jsonl` and
 `runrecord.json`, and for both eval json files; in `runrecord.json` and the
 eval json the side's output directory is replaced by a placeholder before
@@ -29,6 +31,8 @@ import sys
 from pathlib import Path
 
 CORPUS_SETS = ["corpus.m=24", "corpus.n=24", "corpus.val_tasks=8", "corpus.test_tasks=8"]
+# corpus directory -> extra settings; the runs train on the first
+CORPORA = {"corpus": [], "corpus-goto_seq": ["corpus.difficulty=goto_seq"]}
 TRAIN_SETS = ["train.epochs=3", "train.iters_per_epoch=8", "train.paired_batch=6", "train.unpaired_batch=6",
               "train.seed=7", "model.hidden=16", "model.word_emb=8", "model.action_emb=4", "model.attn_dim=8",
               "model.cell_dim=4", "model.obs_hidden=8", "train.k_slots=2", "train.latent_dim=8",
@@ -65,8 +69,9 @@ def run_side(src: Path, out: Path) -> None:
         print(f"[{out.name}] msvae {' '.join(argv[:3])}", flush=True)
         subprocess.run([sys.executable, "-m", "msvae", *argv], env=env, check=True, stdout=subprocess.DEVNULL)
 
+    for name, extra in CORPORA.items():
+        cli("gen-data", "--out", str(out / name), *_sets(CORPUS_SETS + extra))
     corpus = out / "corpus"
-    cli("gen-data", "--out", str(corpus), *_sets(CORPUS_SETS))
     for name, (pipeline, extra) in RUNS.items():
         cli("train", "--pipeline", pipeline, "--corpus", str(corpus), "--out", str(out / name),
             *_sets(TRAIN_SETS + extra))
@@ -77,7 +82,7 @@ def run_side(src: Path, out: Path) -> None:
 
 def compared_files(out: Path) -> list[Path]:
     """The files the gate compares, relative to one side's directory."""
-    files = [p for p in (out / "corpus").iterdir() if p.is_file()]
+    files = [p for name in CORPORA for p in (out / name).iterdir() if p.is_file()]
     files += [p for p in out.rglob("*") if p.name in RUN_FILES]
     files += [out / name for name in EVALS]
     return sorted(p.relative_to(out) for p in files)
