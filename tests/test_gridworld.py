@@ -566,15 +566,6 @@ class TestBfsAgainstOracle:
         assert sum(Action.drop in plan for *_, plan in tasks) >= 5  # the drop branch ran
 
 
-@st.composite
-def drop_case(draw):
-    """A random world whose agent may also stand on an object."""
-    world = draw(st.integers(2, 8).flatmap(random_world))
-    if draw(st.booleans()):
-        world = replace(world, objects=world.objects + ((world.agent_pos, draw(SPECS)),))
-    return world
-
-
 class TestOracleEndWorld:
     def test_end_world_is_the_replayed_plan(self):
         tasks = [gw.sample_task_record(seed, difficulty)
@@ -586,8 +577,9 @@ class TestOracleEndWorld:
         assert sum(Action.drop in plan for *_, plan in tasks) >= 20  # the drop branch ran
 
     @settings(max_examples=300, deadline=None)
-    @given(drop_case())
-    def test_one_pass_drop_goals_equal_their_union_per_empty_cell(self, world):
+    @given(bfs_case())
+    def test_one_pass_drop_goals_equal_their_union_per_empty_cell(self, case):
+        world, _ = case  # the agent may stand on an object
         assert gw._drop_goals(world) == drop_goals_union(world)
 
 
