@@ -202,17 +202,16 @@ class ObsMlp(nn.Layer):
         computed."""
         return self(ad.constant(traj.packed_obs))
 
-    def one_hot_row(self, o: np.ndarray) -> Node:
+    def one_hot_row(self, o: np.ndarray) -> np.ndarray:
         """The features of one (1, obs_dim) one-hot observation, as a decode
-        step needs them. The first layer sums the weight rows at the ones
-        (about 130 of 1 699 in the ego view) instead of reading the whole
-        weight through a dense product. Batches keep the dense product of
-        __call__, which is much faster there than a gather."""
+        step needs them: an array, no graph. The first layer sums the weight
+        rows at the ones (about 130 of 1 699 in the ego view) instead of
+        reading the whole weight through a dense product. Batches keep the
+        dense product of __call__, which is much faster there than a gather."""
         if o.ndim != 2 or o.shape[0] != 1:
             raise ad.ShapeMismatch(f"one_hot_row: expected one (1, obs_dim) row, got {o.shape}")
-        rows = ad.embedding(self.l1.w, np.flatnonzero(o[0]))
-        h = ad.add_rowvec(ad.reduce_sum(rows, axis=0, keepdims=True), self.l1.b)
-        return ad.tanh(self.l2(ad.tanh(h)))
+        h = self.l1.w.value[np.flatnonzero(o[0])].sum(axis=0, keepdims=True) + self.l1.b.value
+        return np.tanh(np.tanh(h) @ self.l2.w.value + self.l2.b.value)
 
 
 def _grid_shape(obs_view: str, obs_dim: int) -> tuple[int, int]:
@@ -234,6 +233,21 @@ def observation_encoder(cfg: ModelConfig):
     return gw.OBS_VIEWS[cfg.obs_view][0]
 
 
+def grid_readout_values(query: np.ndarray, cells: np.ndarray, wq_w: np.ndarray, wq_b: np.ndarray,
+                        wc_w: np.ndarray, wc_b: np.ndarray, pos: np.ndarray, scale: float):
+    """The forward arithmetic of fused_grid_readout on arrays, the one place
+    it is written. Returns the attended cell features and what the backward
+    pass reads: the projected query, the attention weights and the mix of
+    the raw cells."""
+    qv = query @ wq_w + wq_b
+    qc = qv @ wc_w.T
+    scores = (np.matmul(cells, qc[:, :, None])[:, :, 0] + qv @ pos.T) * scale
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    mix = np.matmul(w[:, None, :], cells)[:, 0, :]
+    return mix @ wc_w + wc_b + w @ pos, qv, w, mix
+
+
 def fused_grid_readout(query: Node, cells: np.ndarray, wq_w: Node, wq_b: Node, wc_w: Node,
                        wc_b: Node, pos: Node, scale: float) -> Node:
     """GridReadout attention as a single graph node with a hand-written backward.
@@ -243,13 +257,8 @@ def fused_grid_readout(query: Node, cells: np.ndarray, wq_w: Node, wq_b: Node, w
     with one node where the composed form builds fifteen. `cells` is the
     constant (B, n_cells, channels) grid, captured rather than an operand.
     """
-    qv = query.value @ wq_w.value + wq_b.value
-    qc = qv @ wc_w.value.T
-    scores = (np.matmul(cells, qc[:, :, None])[:, :, 0] + qv @ pos.value.T) * scale
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    w = e / e.sum(axis=1, keepdims=True)
-    mix = np.matmul(w[:, None, :], cells)[:, 0, :]
-    out = mix @ wc_w.value + wc_b.value + w @ pos.value
+    out, qv, w, mix = grid_readout_values(query.value, cells, wq_w.value, wq_b.value, wc_w.value, wc_b.value,
+                                          pos.value, scale)
 
     def vjp(g):
         dw = np.matmul(cells, (g @ wc_w.value.T)[:, :, None])[:, :, 0] + g @ pos.value.T
@@ -408,6 +417,27 @@ class _Decoder(nn.Layer):
         ctx, weights = self._context(h, memory, prepared, memory_mask)
         return h, ctx, weights if self.slot_memory else ctx
 
+    def _recurrent_values(self):
+        """_recurrent_step on arrays: a function of its arguments, every Node
+        an ndarray, that builds no graph. The GRU's values are read here."""
+        u, bx, bh = self.gru.u.value, self.gru.bx.value, self.gru.bh.value
+
+        def recurrent(gates, h, prev, memory, prepared, feed, memory_mask):
+            h = nn.gru_step_values(gates, h, u, bx, bh, prev, feed)[0]
+            ctx, weights = (self.attn.attend(h, prepared, memory, memory_mask) if self.use_attention
+                            else (memory, None))
+            return h, ctx, weights if self.slot_memory else ctx
+
+        return recurrent
+
+    def _rollout_arrays(self, memory: Node, h: Node | None):
+        """What a rollout's steps read, as arrays, made once: the initial
+        state (None: zeros), the memory, its prepared keys (None without
+        attention), the feed weights and the static rows of the input weight."""
+        prepared, feed = self.prepare(memory)
+        return (np.zeros((1, self.gru.n_hidden)) if h is None else h.value, memory.value,
+                None if prepared is None else prepared.value, feed.value, self.gru.w.value[: self.static_dim])
+
     def _teacher_forced(self, batch, gates: list[Node], memory, memory_mask, h0: Node | None, step_inputs) -> Node:
         """Per-sample sum of log p(batch.dec_tgt[:, t] | ...) over each row's
         steps -> (B,), in the caller's row order.
@@ -475,27 +505,41 @@ class ActionDecoder(_Decoder):
         obs = traj.packing.split(traj.packed_obs)
         return self._teacher_forced(traj, gates, memory, memory_mask, h0, lambda t: (self.readout.cells(obs[t]),))
 
+    def array_step(self):
+        """step_logits on arrays: a function of its arguments, every Node an
+        ndarray, that returns the same logits, state and feed bit for bit and
+        builds no graph. The parameter values are read here, once."""
+        recurrent = self._recurrent_values()
+        r = self.readout
+        readout = (r.wq.w.value, r.wq.b.value, r.wc.w.value, r.wc.b.value, r.pos.value, r.scale)
+        head_w, head_b = self.head.w.value, self.head.b.value
+
+        def step(gates, cell_feats, h, prev, memory, prepared, feed, memory_mask):
+            h, ctx, fed = recurrent(gates, h, prev, memory, prepared, feed, memory_mask)
+            cell_ctx = grid_readout_values(np.concatenate([h, ctx], axis=1), cell_feats, *readout)[0]
+            return np.concatenate([ctx, h, cell_ctx], axis=1) @ head_w + head_b, h, fed
+
+        return step
+
     def rollout(self, world: gw.World, obs_mlp: ObsMlp, encode_obs, memory, memory_mask, h: Node | None,
                 mode: str, rng, max_steps: int):
         """Act in the environment from one episode's memory and initial state
-        (None: zeros) until `done` or max_steps; returns (trajectory, visited states)."""
-        h = self.gru.init_state(1) if h is None else h
-        prepared, feed = self.prepare(memory)
-        w_static, fed = self._weights()[0], None
-        prev = np.array([gw.N_ACTIONS], dtype=np.intp)  # the start id
+        (None: zeros) until `done` or max_steps; returns (trajectory, visited
+        states). The steps run on arrays (array_step)."""
+        h, memory, prepared, feed, w_static = self._rollout_arrays(memory, h)
+        step, emb = self.array_step(), self.emb.table.value
+        fed, prev = None, gw.N_ACTIONS  # the start id
         states = [world]
         obs_rows, actions = [], []
         for _ in range(max_steps):
             o = encode_obs([world])
-            gates = ad.matmul(ad.concat([obs_mlp.one_hot_row(o), self.emb(prev)], axis=1), w_static)
-            logits, h, fed = self.step_logits(gates, self.readout.cells(o), h, fed, memory, prepared, feed,
-                                              memory_mask)
-            a = _pick(logits.value[0], mode, rng)
+            gates = np.concatenate([obs_mlp.one_hot_row(o), emb[[prev]]], axis=1) @ w_static
+            logits, h, fed = step(gates, self.readout.cells(o), h, fed, memory, prepared, feed, memory_mask)
+            prev = _pick(logits[0], mode, rng)
             obs_rows.append(o[0])
-            actions.append(a)
-            world, done = gw.step(world, a)
+            actions.append(prev)
+            world, done = gw.step(world, prev)
             states.append(world)
-            prev = np.array([a], dtype=np.intp)
             if done:
                 break
         return gw.Trajectory(np.array(obs_rows), tuple(actions)), states
@@ -526,22 +570,31 @@ class WordDecoder(_Decoder):
         """gates are the per-step blocks of input_gates."""
         return self._teacher_forced(lang, gates, memory, memory_mask, h0, lambda t: ())
 
+    def array_step(self):
+        """step_logits on arrays, as ActionDecoder.array_step."""
+        recurrent = self._recurrent_values()
+        head_w, head_b = self.head.w.value, self.head.b.value
+
+        def step(gates, h, prev, memory, prepared, feed, memory_mask):
+            h, ctx, fed = recurrent(gates, h, prev, memory, prepared, feed, memory_mask)
+            return np.concatenate([ctx, h], axis=1) @ head_w + head_b, h, fed
+
+        return step
+
     def rollout(self, memory, memory_mask, h: Node | None, mode: str, rng, len_cap: int):
         """Speak from one episode's memory and initial state (None: zeros)
-        until eos or len_cap tokens; returns (token ids, truncated flag)."""
-        h = self.gru.init_state(1) if h is None else h
-        prepared, feed = self.prepare(memory)
-        w_static, fed = self._weights()[0], None
-        prev = np.array([RESERVED["<bos>"]], dtype=np.intp)
+        until eos or len_cap tokens; returns (token ids, truncated flag). The
+        steps run on arrays (array_step)."""
+        h, memory, prepared, feed, w_static = self._rollout_arrays(memory, h)
+        step, emb = self.array_step(), self.emb.table.value
+        fed, prev = None, RESERVED["<bos>"]
         out = []
         for _ in range(len_cap):
-            gates = ad.matmul(self.emb(prev), w_static)
-            logits, h, fed = self.step_logits(gates, h, fed, memory, prepared, feed, memory_mask)
-            w = _pick(logits.value[0], mode, rng)
-            if w == RESERVED["<eos>"]:
+            logits, h, fed = step(emb[[prev]] @ w_static, h, fed, memory, prepared, feed, memory_mask)
+            prev = _pick(logits[0], mode, rng)
+            if prev == RESERVED["<eos>"]:
                 return out, False
-            out.append(w)
-            prev = np.array([w], dtype=np.intp)
+            out.append(prev)
         return out, True
 
 
@@ -607,7 +660,8 @@ class MsVae(nn.Layer):
     # The follower and speaker interface of every model kind, which the
     # baselines take by assignment: each reads only the kind's memory.
     # perfbench wraps these methods, in this class's own body, and the
-    # decoders' step_logits by name. Inference runs frozen: it builds no graph.
+    # decoders' step_logits by name. Inference runs frozen: the memory is
+    # encoded by frozen nodes, and the rollouts step on arrays.
 
     def follower_log_likelihood(self, lang: LangBatch, traj: TrajBatch) -> Node:
         """Per-sample teacher-forced log p(actions | instruction) -> (B,)."""

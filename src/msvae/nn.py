@@ -66,8 +66,8 @@ class Layer:
     def frozen(self):
         """Run the block graph-free: inside it no parameter needs a gradient,
         so every op node drops its operands and VJP as it is built (see
-        autodiff.Node) and a decode step's arrays are freed when the step
-        ends. Each parameter's needs_grad is restored on exit, also when the
+        autodiff.Node) and its arrays are freed once nothing else holds
+        them. Each parameter's needs_grad is restored on exit, also when the
         block raises; nesting on one model restores the outer values."""
         leaves = list(self._leaves())
         saved = [p.needs_grad for p in leaves]
@@ -115,6 +115,33 @@ class Embedding(Layer):
         return ad.embedding(self.table, ids)
 
 
+def gru_step_values(gx: np.ndarray, hv: np.ndarray, u: np.ndarray, bx: np.ndarray, bh: np.ndarray,
+                    x: np.ndarray | None = None, w: np.ndarray | None = None):
+    """The forward arithmetic of fused_gru_step on arrays, the one place it
+    is written. Returns the next state and what the backward pass reads:
+    the r and z gates in one (n, 2H) array, the candidate state n and the
+    candidate's recurrent pre-activation gh_n."""
+    nh = hv.shape[1]
+    pre = gx + bx
+    if x is not None:
+        pre += np.matmul(x[:, None, :], w)[:, 0] if w.ndim == 3 else x @ w
+    gh = hv @ u
+    gh += bh
+    rz = np.add(pre[:, : 2 * nh], gh[:, : 2 * nh])  # the r and z gates in one array
+    np.negative(rz, out=rz)
+    np.exp(rz, out=rz)
+    rz += 1.0
+    np.divide(1.0, rz, out=rz)
+    gh_n = gh[:, 2 * nh :].copy()  # a view would keep all of gh alive for the backward pass
+    n = rz[:, :nh] * gh_n
+    n += pre[:, 2 * nh :]
+    np.tanh(n, out=n)
+    out = hv - n  # h' = n + z * (h - n)
+    out *= rz[:, nh:]
+    out += n
+    return out, rz, n, gh_n
+
+
 def fused_gru_step(gx: Node, h: Node, u: Node, bx: Node, bh: Node, x: Node | None = None,
                    w: Node | None = None) -> Node:
     """One GRU step as a single graph node with a hand-written backward.
@@ -125,32 +152,17 @@ def fused_gru_step(gx: Node, h: Node, u: Node, bx: Node, bh: Node, x: Node | Non
     the state and w its weight rows, shared (in, 3H) or one block per row
     (n, in, 3H), as when attention weights mix each row's memory projected
     by the input weight (an input-fed context). The bias and the product
-    are added here, so no pre-activation array outlives the step.
-    Equivalent to concatenating every input and multiplying by the whole
-    input weight, the oracle it is tested against, with an order of
+    are added in gru_step_values, so no pre-activation array outlives the
+    step. Equivalent to concatenating every input and multiplying by the
+    whole input weight, the oracle it is tested against, with an order of
     magnitude fewer nodes.
     """
     hv = h.value
     nh = hv.shape[1]
-    pre = gx.value + bx.value
-    per_row = x is not None and w.value.ndim == 3
-    if x is not None:
-        pre += np.matmul(x.value[:, None, :], w.value)[:, 0] if per_row else x.value @ w.value
-    gh = hv @ u.value
-    gh += bh.value
-    rz = np.add(pre[:, : 2 * nh], gh[:, : 2 * nh])  # the r and z gates in one array
-    np.negative(rz, out=rz)
-    np.exp(rz, out=rz)
-    rz += 1.0
-    np.divide(1.0, rz, out=rz)
+    out, rz, n, gh_n = gru_step_values(gx.value, hv, u.value, bx.value, bh.value,
+                                       None if x is None else x.value, None if x is None else w.value)
     r, z = rz[:, :nh], rz[:, nh:]
-    gh_n = gh[:, 2 * nh :].copy()  # a view would keep all of gh alive for the backward pass
-    n = r * gh_n
-    n += pre[:, 2 * nh :]
-    np.tanh(n, out=n)
-    out = hv - n  # h' = n + z * (h - n)
-    out *= z
-    out += n
+    per_row = x is not None and w.value.ndim == 3
     operands = (gx, h, u, bx, bh) + ((x, w) if x is not None else ())
 
     def vjp(g):
@@ -305,6 +317,17 @@ class KeyValueAttention(Layer):
     def __call__(self, query: Node, prepared: Node, values: Node, mask: np.ndarray | None = None):
         w = self.weights(query, prepared, mask)
         return ad.bmix(w, values), w
+
+    def attend(self, query: np.ndarray, prepared: np.ndarray, values: np.ndarray,
+               mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """__call__ on arrays, as a decode step runs it: the same ops in the
+        same order, so the mix and the weights are the same bits."""
+        scores = np.einsum("bp,bnp->bn", query @ self.wq.value, prepared) * self.scale
+        if mask is not None:
+            scores = scores + (mask - 1.0) * 1e9
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        return np.einsum("bn,bnh->bh", w, values), w
 
 
 def gaussian_heads(layer: Layer, rows: Node, shape) -> tuple[Node, Node]:

@@ -9,11 +9,13 @@ tasks) of a boss corpus, which the runs train on, and of a goto_seq corpus,
 which is only compared; `train` of the five pipelines plus
 `supervised-follower` with `arch_variant=no_attention` and with
 `bottleneck` (3 epochs of 8 iterations, batch 6, seed 7, a small model);
-`eval --mode pragmatic --candidates 3` on the msvae run and
-`eval --mode speak` on the speaker run. It then prints `same` or `DIFF` for
+`eval --mode pragmatic --candidates 3` on the msvae run, `eval --mode speak`
+on the speaker run, and `eval --mode follow` on the attention follower
+(with `eval.decoding=sample`) and on the no_attention follower, so every
+decoder variant is decoded by an eval. It then prints `same` or `DIFF` for
 every file of both corpora and, in every run directory and stage
 subdirectory, `metrics.csv`, `best.bin`, `pseudo_paired.jsonl` and
-`runrecord.json`, and for both eval json files; in `runrecord.json` and the
+`runrecord.json`, and for every eval json file; in `runrecord.json` and the
 eval json the side's output directory is replaced by a placeholder before
 comparing. A `metrics.csv` that differs also gets the largest relative
 difference over its numeric cells, so a numeric fast path can show how far
@@ -51,6 +53,8 @@ RUNS = {
 EVALS = {
     "eval_pragmatic.json": ("msvae", "pragmatic", ["--candidates", "3"]),
     "eval_speak.json": ("supervised-speaker", "speak", []),
+    "eval_follow_sample.json": ("supervised-follower", "follow", ["--set", "eval.decoding=sample"]),
+    "eval_follow_no_attention.json": ("supervised-follower-no_attention", "follow", []),
 }
 RUN_FILES = ("metrics.csv", "best.bin", "pseudo_paired.jsonl", "runrecord.json")
 PATH_FILES = ("runrecord.json", *EVALS)  # files that record paths under the output directory
