@@ -357,8 +357,8 @@ def _first_rows(x, n: int):
 class _Decoder(nn.Layer):
     """What both autoregressive decoders share: the recurrent step with its
     input feed, the context it reads from the memory (by attention or,
-    without it, as the fixed (B, memory_dim) summary itself), and the
-    teacher-forced loop.
+    without it, as the fixed (B, memory_dim) summary itself), the
+    teacher-forced loop, and the same step on arrays for rollouts.
 
     The GRU input is the static parts (observation features, previous
     action or word embedding), then the previous step's context (input

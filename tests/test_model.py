@@ -500,7 +500,7 @@ class TestFrozenInference:
         # a rollout's steps run on arrays: once prepare has made the keys
         # and the feed, no Node is built until the rollout returns
         m = self.model(kind)
-        built, armed = [], [False]
+        built, armed = [], [False]  # built: per Node made, whether prepare had returned
         init, prepare = ad.Node.__init__, md._Decoder.prepare
 
         def counting_init(node, *args, **kwargs):
@@ -526,6 +526,7 @@ class TestFrozenInference:
             call()
             assert armed[0] and built  # the memory was encoded and prepared with nodes
             assert not any(built)
+
     def test_training_graph_after_inference(self):
         # inference must not leave the parameters frozen for the next step
         m = md.build_model("follower", np.random.default_rng(4), ego_cfg())
