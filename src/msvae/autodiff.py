@@ -11,8 +11,8 @@ Every node carries a `needs_grad` bit: leaves set it, constants clear it,
 and an op node sets it when it is built if any operand does. An op node
 keeps as parents only the operands that need a gradient, and its VJP leaves
 the others' slots None, so backward never walks a constant or computes a
-gradient nothing reads. Inference clears the bit on a model's parameter
-leaves (nn.Layer.frozen), so its op nodes keep no graph at all.
+gradient nothing reads. Inference runs the same forward pass, and its
+graph is freed when the call that built it returns.
 """
 
 from __future__ import annotations

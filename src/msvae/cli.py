@@ -261,7 +261,7 @@ def main(argv=None) -> int:
         return 1
     except ad.ShapeMismatch as e:  # a ValueError, but no input can cause one
         fault = e
-    except (corpus_mod.CorpusError, FileNotFoundError, ValueError) as e:
+    except (corpus_mod.CorpusError, FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except pl.NumericFailure as e:

@@ -660,8 +660,8 @@ class MsVae(nn.Layer):
     # The follower and speaker interface of every model kind, which the
     # baselines take by assignment: each reads only the kind's memory.
     # perfbench wraps these methods, in this class's own body, and the
-    # decoders' step_logits by name. Inference runs frozen: the memory is
-    # encoded by frozen nodes, and the rollouts step on arrays.
+    # decoders' step_logits by name. Inference is the plain forward pass:
+    # one batch-1 graph encodes the memory, and the rollouts step on arrays.
 
     def follower_log_likelihood(self, lang: LangBatch, traj: TrajBatch) -> Node:
         """Per-sample teacher-forced log p(actions | instruction) -> (B,)."""
@@ -677,23 +677,20 @@ class MsVae(nn.Layer):
     def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
         """Roll the policy in the environment from a language instruction;
         returns (trajectory, visited states)."""
-        with self.frozen():
-            memory, mask, h = self.instruction_memory(make_lang_batch([list(tokens)]))
-            return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), memory, mask, h,
-                                        mode, rng, max_steps)
+        memory, mask, h = self.instruction_memory(make_lang_batch([list(tokens)]))
+        return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), memory, mask, h,
+                                    mode, rng, max_steps)
 
     def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None,
               len_cap: int = 30) -> tuple[list[int], bool]:
         """Describe a trajectory; returns (token ids, truncated flag)."""
-        with self.frozen():
-            memory, mask, h = self.trajectory_memory(make_traj_batch([traj]))
-            return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap)
+        memory, mask, h = self.trajectory_memory(make_traj_batch([traj]))
+        return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap)
 
     def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
         """log p(tokens | traj); the pragmatic-inference score."""
-        with self.frozen():
-            tb, lang = make_traj_batch([traj]), make_lang_batch([list(tokens)])
-            return float(self.speaker_log_likelihood(tb, lang).value[0])
+        tb, lang = make_traj_batch([traj]), make_lang_batch([list(tokens)])
+        return float(self.speaker_log_likelihood(tb, lang).value[0])
 
 
 def _pick(logits: np.ndarray, mode: str, rng) -> int:

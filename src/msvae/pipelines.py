@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -299,12 +300,19 @@ def _require_val(corpus) -> None:
 
 def _truncate_steps(path: Path, last_step: int) -> list[str]:
     """Keep the header and the whole rows of a step log up to `last_step`;
-    returns the kept rows."""
+    returns the kept rows. Written like nn.save_checkpoint: a temp file in
+    the same directory replaces `path`, so a crash mid-write loses no row."""
     if not path.exists():  # resumed into a fresh run directory
         return []
     header, *rows = path.read_text().splitlines(keepends=True)
     keep = [r for r in rows if r.endswith("\n") and int(r.split(",", 1)[0]) <= last_step]
-    path.write_text(header + "".join(keep))
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    try:
+        tmp.write_text(header + "".join(keep))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return keep
 
 
@@ -341,9 +349,12 @@ def warm_start(model, ckpt_path, rename: dict[str, str] | None = None) -> list[s
 # pipelines
 
 
-def _paired_batch(records, corpus, cfg: TrainConfig, rng) -> tuple[md.LangBatch, md.TrajBatch]:
+def _paired_batch(records, corpus, cfg: TrainConfig, rng, unpaired=()) -> tuple[md.LangBatch, md.TrajBatch]:
+    """Draw a paired batch from `records`, then cfg.unpaired_batch rows of
+    `unpaired`, whose trajectories follow the paired ones in one batch."""
     idx = rng.integers(0, len(records), size=min(cfg.paired_batch, len(records)))
-    return pair_batches(records, corpus, idx, cfg.model.obs_view)
+    uidx = rng.integers(0, len(unpaired), size=cfg.unpaired_batch) if unpaired and cfg.unpaired_batch else ()
+    return pair_batches(records, corpus, idx, cfg.model.obs_view, [unpaired[i] for i in uidx])
 
 
 def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
@@ -412,7 +423,6 @@ def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
     if not corpus.paired:
         raise ValueError("no paired records to train on")
     mcfg = cfg.model_config(len(corpus.vocab))
-    use_unpaired = cfg.unpaired_batch > 0 and len(corpus.unpaired) > 0
 
     def build(rng):
         model = md.MsVae(rng, mcfg)
@@ -425,12 +435,7 @@ def train_msvae(cfg: TrainConfig, corpus, out_dir, resume_from=None):
         return model
 
     def step_loss(model, batch_rng, loss_rng):
-        # the paired draw of _paired_batch, then the unpaired one; the
-        # unpaired trajectories follow the paired ones in one batch
-        idx = batch_rng.integers(0, len(corpus.paired), size=min(cfg.paired_batch, len(corpus.paired)))
-        uidx = batch_rng.integers(0, len(corpus.unpaired), size=cfg.unpaired_batch) if use_unpaired else ()
-        lang, traj = pair_batches(corpus.paired, corpus, idx, cfg.model.obs_view,
-                                  [corpus.unpaired[i] for i in uidx])
+        lang, traj = _paired_batch(corpus.paired, corpus, cfg, batch_rng, corpus.unpaired)
         return md.total_loss(model, lang, traj, cfg.hp, loss_rng)
 
     def evaluate(model):

@@ -68,21 +68,20 @@ def test_cases_cover_every_golden_variant():
 def test_array_step_equals_step_logits(case):
     name, steps = CASES[case]
     model = sharpened(name)
-    with model.frozen():
-        dec, memory, mask, h0, gates, extra = steps(model)
-        prepared, feed = dec.prepare(memory)
-        array_step = dec.array_step()
-        arrays = (memory.value, None if prepared is None else prepared.value, feed.value)
-        h_node = dec.gru.init_state(1) if h0 is None else h0
-        h_array, prev_node, prev_array = h_node.value, None, None
-        for t in range(N_STEPS):
-            logits_node, h_node, prev_node = dec.step_logits(ad.constant(gates[t]), *extra[t], h_node, prev_node,
-                                                             memory, prepared, feed, mask)
-            logits, h_array, prev_array = array_step(gates[t], *extra[t], h_array, prev_array, *arrays, mask)
-            assert np.array_equal(logits, logits_node.value), t
-            assert np.array_equal(h_array, h_node.value), t
-            assert np.array_equal(prev_array, prev_node.value), t
-        assert len(np.unique(logits)) > 1  # the steps computed something
+    dec, memory, mask, h0, gates, extra = steps(model)
+    prepared, feed = dec.prepare(memory)
+    array_step = dec.array_step()
+    arrays = (memory.value, None if prepared is None else prepared.value, feed.value)
+    h_node = dec.gru.init_state(1) if h0 is None else h0
+    h_array, prev_node, prev_array = h_node.value, None, None
+    for t in range(N_STEPS):
+        logits_node, h_node, prev_node = dec.step_logits(ad.constant(gates[t]), *extra[t], h_node, prev_node,
+                                                         memory, prepared, feed, mask)
+        logits, h_array, prev_array = array_step(gates[t], *extra[t], h_array, prev_array, *arrays, mask)
+        assert np.array_equal(logits, logits_node.value), t
+        assert np.array_equal(h_array, h_node.value), t
+        assert np.array_equal(prev_array, prev_node.value), t
+    assert len(np.unique(logits)) > 1  # the steps computed something
 
 
 @pytest.mark.parametrize("masked", [False, True])

@@ -228,6 +228,17 @@ class TestTrain:
                        "--out", str(tmp_path / "x"))
         assert code == 2
 
+    @pytest.mark.parametrize("wrong", ["corpus", "out"])
+    def test_path_of_the_wrong_kind_is_data_error(self, corpus_dir, tmp_path, capsys, wrong):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("not a directory\n")
+        paths = {"corpus": str(corpus_dir), "out": str(tmp_path / "x"), wrong: str(a_file)}
+        code = run_cli("train", "--pipeline", "supervised-follower", "--corpus", paths["corpus"],
+                       "--out", paths["out"], *SMOKE_SETS)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error")
+        assert a_file.read_text() == "not a directory\n"
+
     def test_paired_record_without_tokens_is_data_error(self, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "corpus"
         shutil.copytree(corpus_dir, bad)
@@ -432,6 +443,14 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "data error" in err and str(vocab) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_checkpoint_that_is_a_directory_is_data_error(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "eval.json"
+        code = run_cli("eval", "--checkpoint", str(tmp_path), "--corpus", str(corpus_dir), "--mode", "follow",
+                       "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error")
         assert not out.exists()
 
     def test_eval_bytes_deterministic(self, corpus_dir, trained, tmp_path):

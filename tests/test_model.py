@@ -7,7 +7,6 @@ from msvae import autodiff as ad
 from msvae import gridworld as gw
 from msvae import model as md
 from msvae import nn
-from msvae import pipelines as pl
 from oracles import save_model
 
 
@@ -406,17 +405,16 @@ class TestInterface:
         world, task = gw.sample_task(5, "goto_seq")
         _, traj = gw.rollout(world, gw.oracle_solve(world, task), view="ego")
         encode = md.observation_encoder(m.cfg)
-        with m.frozen():
-            memory, _ = m.encode_language(md.make_lang_batch([[4, 5, 6]]))
-            slots, _ = m.encode_trajectory(md.make_traj_batch([traj]))
-            for mode in ("greedy", "sample"):
-                follows, speaks = [], []
-                for h in (None, m.act_dec.gru.init_state(1)):
-                    follows.append(m.act_dec.rollout(world, m.obs_mlp, encode, memory, None, h, mode,
-                                                     np.random.default_rng(1), 12)[0].actions)
-                for h in (None, m.word_dec.gru.init_state(1)):
-                    speaks.append(m.word_dec.rollout(slots, None, h, mode, np.random.default_rng(2), 10))
-                assert follows[0] == follows[1] and speaks[0] == speaks[1]
+        memory, _ = m.encode_language(md.make_lang_batch([[4, 5, 6]]))
+        slots, _ = m.encode_trajectory(md.make_traj_batch([traj]))
+        for mode in ("greedy", "sample"):
+            follows, speaks = [], []
+            for h in (None, m.act_dec.gru.init_state(1)):
+                follows.append(m.act_dec.rollout(world, m.obs_mlp, encode, memory, None, h, mode,
+                                                 np.random.default_rng(1), 12)[0].actions)
+            for h in (None, m.word_dec.gru.init_state(1)):
+                speaks.append(m.word_dec.rollout(slots, None, h, mode, np.random.default_rng(2), 10))
+            assert follows[0] == follows[1] and speaks[0] == speaks[1]
 
 
 def ego_cfg(**kw):
@@ -426,17 +424,17 @@ def ego_cfg(**kw):
     return md.ModelConfig(**base)
 
 
-FROZEN_KINDS = ("msvae", "follower", "speaker")
+INFERENCE_KINDS = ("msvae", "follower", "speaker")
 
 
-class TestFrozenInference:
-    """follow, speak and trajectory_language_score run with every parameter
-    frozen, so they build no graph, and hand each parameter's needs_grad
-    back as they found it."""
+class TestInference:
+    """follow, speak and trajectory_language_score run the plain forward
+    pass: they leave every parameter's needs_grad as they found it, and a
+    rollout's steps build no graph."""
 
     def model(self, kind):
         m = md.build_model(kind, np.random.default_rng(4), ego_cfg())
-        # a parameter frozen by the caller must stay frozen afterwards
+        # a parameter the caller set to need no gradient must stay so afterwards
         next(iter(m.named_params().values())).needs_grad = False
         return m
 
@@ -457,7 +455,7 @@ class TestFrozenInference:
     def needs(m):
         return {name: p.needs_grad for name, p in m.named_params().items()}
 
-    @pytest.mark.parametrize("kind", FROZEN_KINDS)
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
     def test_needs_grad_restored(self, kind):
         m = self.model(kind)
         before = self.needs(m)
@@ -465,7 +463,7 @@ class TestFrozenInference:
         self.infer(m)
         assert self.needs(m) == before
 
-    @pytest.mark.parametrize("kind", FROZEN_KINDS)
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
     def test_needs_grad_restored_when_decoding_raises(self, kind):
         m = self.model(kind)
         before = self.needs(m)
@@ -473,29 +471,7 @@ class TestFrozenInference:
             self.infer(m, mode="beam")
         assert self.needs(m) == before
 
-    def test_nested_on_one_model(self):
-        # the latent model as its own follower and speaker, as in msvae self-scoring
-        m = self.model("msvae")
-        before = self.needs(m)
-        world, _ = self.oracle_traj()
-        with m.frozen():
-            pl.pragmatic_infer(m, m, [4, 5, 6], world, 2, np.random.default_rng(1), max_steps=6)
-            assert not any(self.needs(m).values())
-        assert self.needs(m) == before
-        pl.pragmatic_infer(m, m, [4, 5, 6], world, 2, np.random.default_rng(1), max_steps=6)
-        assert self.needs(m) == before
-
-    def test_frozen_keeps_parameter_names(self):
-        # named_params would rename them relative to the layer it is called on
-        m = self.model("msvae")
-        params = m.params()
-        names = [p.name for p in params]
-        with m.act_dec.frozen():
-            pass
-        assert [p.name for p in params] == names
-        assert [p.name for p in m.act_dec._leaves()] == [n for n in names if n.startswith("act_dec.")]
-
-    @pytest.mark.parametrize("kind", FROZEN_KINDS)
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
     def test_rollout_steps_build_no_node(self, kind, monkeypatch):
         # a rollout's steps run on arrays: once prepare has made the keys
         # and the feed, no Node is built until the rollout returns
@@ -528,7 +504,7 @@ class TestFrozenInference:
             assert not any(built)
 
     def test_training_graph_after_inference(self):
-        # inference must not leave the parameters frozen for the next step
+        # inference leaves every parameter needing a gradient for the next step
         m = md.build_model("follower", np.random.default_rng(4), ego_cfg())
         self.infer(m)
         world, traj = self.oracle_traj()

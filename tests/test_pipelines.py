@@ -214,6 +214,22 @@ class TestMsVae:
         seconds = [float(s) for _, s in rows]
         assert seconds == sorted(seconds)
 
+    def test_log_rewrite_that_fails_partway_keeps_every_row(self, tmp_path, monkeypatch):
+        log = tmp_path / "metrics.csv"
+        text = "step,loss\n" + "".join(f"{step},{step / 10}\n" for step in range(1, 7))
+        log.write_text(text)
+        write_text = Path.write_text
+
+        def out_of_space_partway(path, data, *args, **kwargs):
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", out_of_space_partway)
+        with pytest.raises(OSError, match="No space"):
+            pl._truncate_steps(log, 3)
+        assert log.read_text() == text
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
     def test_warm_start_speeds_convergence(self, small_corpus, tmp_path):
         # warm start begins at the supervised follower; reaching its SR takes
         # fewer epochs than from scratch (deterministic under fixed seeds)
