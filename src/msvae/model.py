@@ -687,10 +687,16 @@ class MsVae(nn.Layer):
         memory, mask, h = self.trajectory_memory(make_traj_batch([traj]))
         return self.word_dec.rollout(memory, mask, h, mode, rng, len_cap)
 
-    def trajectory_language_score(self, traj: gw.Trajectory, tokens) -> float:
-        """log p(tokens | traj); the pragmatic-inference score."""
-        tb, lang = make_traj_batch([traj]), make_lang_batch([list(tokens)])
-        return float(self.speaker_log_likelihood(tb, lang).value[0])
+    def trajectory_language_score(self, trajs, tokens) -> np.ndarray:
+        """log p(tokens | traj) for each trajectory, the pragmatic-inference
+        score, from one batched teacher-forced pass. A trajectory equal to an
+        earlier one (same actions, same observation bytes) is scored once and
+        its score copied, so exact ties stay exact."""
+        first: dict = {}  # (actions, observation bytes) -> (row, trajectory)
+        rows = [first.setdefault((tuple(t.actions), t.observations.tobytes()), (len(first), t))[0] for t in trajs]
+        unique = [t for _, t in first.values()]
+        lang = make_lang_batch([list(tokens)] * len(unique))
+        return self.speaker_log_likelihood(make_traj_batch(unique), lang).value[rows]
 
 
 def _pick(logits: np.ndarray, mode: str, rng) -> int:

@@ -522,8 +522,11 @@ def can_speak(model, meta: dict) -> bool:
 
 def pragmatic_candidates(follower, speaker, tokens, world, n_candidates: int, rng,
                          max_steps: int = 64):
-    """Greedy rollout plus sampled rollouts, each scored by the speaker's
-    likelihood of the given instruction."""
+    """The greedy rollout plus n_candidates sampled ones, each from its own
+    follow call, and the speaker's log-likelihood of the instruction given
+    each. One trajectory_language_score call per episode scores every
+    candidate that moved, in candidate order (a repeated one gets a copy of
+    its first score); a candidate with no actions scores -inf."""
     greedy_traj, greedy_states = follower.follow(tokens, world, mode="greedy", max_steps=max_steps)
     candidates = [(greedy_traj, greedy_states)]
     for _ in range(n_candidates):
@@ -531,20 +534,21 @@ def pragmatic_candidates(follower, speaker, tokens, world, n_candidates: int, rn
     # the follower already observed the visited states; re-encode them only
     # when the speaker sees the world through a different view
     encode = None if follower.cfg.obs_view == speaker.cfg.obs_view else md.observation_encoder(speaker.cfg)
-    scores = []
-    for traj, states in candidates:
-        if not traj.actions:
-            scores.append(-np.inf)
-            continue
-        seen = traj if encode is None else gw.Trajectory(encode(states[:-1]), traj.actions)
-        scores.append(speaker.trajectory_language_score(seen, tokens))
+    moved = [i for i, (traj, _) in enumerate(candidates) if traj.actions]
+    scores = np.full(len(candidates), -np.inf)
+    if moved:
+        seen = [traj if encode is None else gw.Trajectory(encode(states[:-1]), traj.actions)
+                for traj, states in (candidates[i] for i in moved)]
+        scores[moved] = speaker.trajectory_language_score(seen, tokens)
     return candidates, scores
 
 
 def pragmatic_infer(follower, speaker, tokens, world, n_candidates: int, rng,
                     max_steps: int = 64):
-    """Pick the candidate the speaker scores highest; ties keep the greedy
-    rollout (candidate 0). n_candidates=0 is plain greedy decoding."""
+    """Pick the candidate the speaker scores highest, from one batched
+    scoring pass (pragmatic_candidates); ties keep the first of the tied
+    candidates, so a sampled rollout that repeats the greedy one (candidate
+    0) never displaces it. n_candidates=0 is plain greedy decoding."""
     if n_candidates == 0:
         return follower.follow(tokens, world, mode="greedy", max_steps=max_steps)
     candidates, scores = pragmatic_candidates(follower, speaker, tokens, world, n_candidates, rng, max_steps)

@@ -9,7 +9,8 @@ runs each module once over stacked rows, is checked against its per-pass
 composition: each encoder, decoder and prior pass over one batch at a time.
 The gridworld's parent-link BFS is checked against the search that copies
 its path at every expansion, and the oracle's one-pass drop goals against
-their union over the empty cells.
+their union over the empty cells. The batched pragmatic score is checked
+against one one-element scoring call per trajectory.
 """
 
 from collections import deque
@@ -158,6 +159,13 @@ def save_model(path, model, vocab_words: list[str], extra: dict | None = None) -
     """Write a model's parameters the way a training run's checkpoint holds them."""
     arrays = {k: v.value for k, v in model.named_params().items()}
     nn.save_checkpoint(path, arrays, {**md.checkpoint_meta(model, vocab_words), **(extra or {})})
+
+
+def serial_language_scores(speaker, trajs, tokens) -> np.ndarray:
+    """trajectory_language_score one trajectory at a time, each its own
+    one-element call; the oracle for the batched pass over all of them."""
+    score = type(speaker).trajectory_language_score
+    return np.array([score(speaker, [t], tokens)[0] for t in trajs])
 
 
 def oracle_speak_fn():

@@ -7,7 +7,7 @@ from msvae import autodiff as ad
 from msvae import gridworld as gw
 from msvae import model as md
 from msvae import nn
-from oracles import save_model
+from oracles import save_model, serial_language_scores
 
 
 def tiny_cfg(**kw):
@@ -449,7 +449,7 @@ class TestInference:
             m.follow([4, 5, 6], world, mode=mode, rng=rng, max_steps=6)
         if hasattr(m, "speak"):
             m.speak(traj, mode=mode, rng=rng, len_cap=6)
-            m.trajectory_language_score(traj, [4, 5, 6])
+            m.trajectory_language_score([traj], [4, 5, 6])
 
     @staticmethod
     def needs(m):
@@ -512,6 +512,55 @@ class TestInference:
                                                                md.make_traj_batch([traj]))))
         ad.backward(loss)
         assert all(p.grad is not None for p in m.params())
+
+
+class TestScore:
+    """trajectory_language_score scores a list of trajectories in one batched
+    pass, one score per trajectory passed; a repeated trajectory is scored
+    once and gets that score's bits."""
+
+    TOKENS = [4, 5, 6, 7]
+
+    @staticmethod
+    def trajs():
+        out = [gw.rollout(w, gw.oracle_solve(w, t), view="ego")[1]
+               for w, t in (gw.sample_task(seed, "boss") for seed in range(6))]
+        assert len({len(t) for t in out}) > 2  # ragged lengths
+        return out
+
+    @staticmethod
+    def counting(m, monkeypatch):
+        """The batch sizes of m's speaker_log_likelihood calls, as they happen."""
+        rows, real = [], m.speaker_log_likelihood
+        monkeypatch.setattr(m, "speaker_log_likelihood",
+                            lambda traj, lang: rows.append(traj.mask.shape[0]) or real(traj, lang))
+        return rows
+
+    @pytest.mark.parametrize("kind", ("msvae", "speaker"))
+    def test_batched_equals_one_element_calls(self, kind, monkeypatch):
+        m = md.build_model(kind, np.random.default_rng(4), ego_cfg())
+        trajs = self.trajs()
+        serial = serial_language_scores(m, trajs, self.TOKENS)
+        rows = self.counting(m, monkeypatch)
+        batched = m.trajectory_language_score(trajs, self.TOKENS)
+        assert rows == [len(trajs)] and batched.shape == (len(trajs),)
+        np.testing.assert_allclose(batched, serial, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ("msvae", "speaker"))
+    def test_repeat_scored_once_with_identical_bits(self, kind, monkeypatch):
+        m = md.build_model(kind, np.random.default_rng(4), ego_cfg())
+        a, b = self.trajs()[:2]
+        twin = gw.Trajectory(a.observations.copy(), tuple(a.actions))  # equal, another object
+        flipped = a.observations.copy()
+        flipped[0, 0] = 1.0 - flipped[0, 0]
+        seen_otherwise = gw.Trajectory(flipped, a.actions)  # same actions, other observations
+        rows = self.counting(m, monkeypatch)
+        scores = m.trajectory_language_score([a, b, twin, a, seen_otherwise, b], self.TOKENS)
+        assert rows == [3]
+        assert scores.shape == (6,)
+        assert scores[0].tobytes() == scores[2].tobytes() == scores[3].tobytes()
+        assert scores[1].tobytes() == scores[5].tobytes()
+        assert scores[4] != scores[0]
 
 
 class TestOneHotRow:

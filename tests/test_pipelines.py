@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from msvae import autodiff as ad, corpus, gridworld as gw, metrics, model as md, nn, pipelines as pl
-from oracles import oracle_speak_fn
+from oracles import oracle_speak_fn, serial_language_scores
 
 
 @pytest.fixture(scope="module")
@@ -404,10 +404,10 @@ class TestPragmatic:
         assert follower.cfg.obs_view == speaker.cfg.obs_view == "ego"
         rec = small_corpus.test[1]
         world, _ = small_corpus.rebuild(rec)
-        seen = []
+        calls = []
         real_score = speaker.trajectory_language_score
         monkeypatch.setattr(speaker, "trajectory_language_score",
-                            lambda traj, tokens: seen.append(traj) or real_score(traj, tokens))
+                            lambda trajs, tokens: calls.append(list(trajs)) or real_score(trajs, tokens))
         observe, dim, *rest = gw.OBS_VIEWS["ego"]
         observed = []
         monkeypatch.setitem(gw.OBS_VIEWS, "ego", (lambda ws: observed.append(len(ws)) or observe(ws), dim, *rest))
@@ -415,31 +415,146 @@ class TestPragmatic:
                                                 np.random.default_rng(4), 20)
         # the speaker scores the follower's own trajectories; the only encoder
         # calls are the follower's, one world per step it took
+        [seen] = calls
         assert [id(t) for t, _ in cands if t.actions] == [id(t) for t in seen]
         assert observed == [1] * sum(len(t.actions) for t, _ in cands)
-        for (traj, states), score in zip(cands, scores):
-            if traj.actions:
-                again = gw.Trajectory(np.stack([observe([s])[0] for s in states[:-1]]), traj.actions)
-                assert score == real_score(again, rec["tokens"])
+        moved = [i for i, (t, _) in enumerate(cands) if t.actions]
+        again = [gw.Trajectory(np.stack([observe([s])[0] for s in cands[i][1][:-1]]), cands[i][0].actions)
+                 for i in moved]
+        np.testing.assert_array_equal(scores[moved], real_score(again, rec["tokens"]))
 
     def test_other_view_is_re_encoded(self, small_corpus, pair, monkeypatch):
         follower, _ = pair
         mcfg = small_cfg(model=md.ModelConfig(hidden=24, word_emb=12, action_emb=8, attn_dim=16,
                                               prior_hidden=16, k_slots=2, latent_dim=16, obs_view="grid"))
         speaker = md.BaselineSpeaker(np.random.default_rng(0), mcfg.model_config(len(small_corpus.vocab)))
-        seen = []
+        calls = []
         real_score = speaker.trajectory_language_score
         monkeypatch.setattr(speaker, "trajectory_language_score",
-                            lambda traj, tokens: seen.append(traj) or real_score(traj, tokens))
+                            lambda trajs, tokens: calls.append(list(trajs)) or real_score(trajs, tokens))
         rec = small_corpus.test[1]
         world, _ = small_corpus.rebuild(rec)
         cands, _ = pl.pragmatic_candidates(follower, speaker, rec["tokens"], world, 2,
                                            np.random.default_rng(4), 20)
         moved = [(t, s) for t, s in cands if t.actions]
+        [seen] = calls
         assert len(seen) == len(moved)
         for traj, (cand, states) in zip(seen, moved):
             np.testing.assert_array_equal(traj.observations, np.stack([gw.observe([s])[0] for s in states[:-1]]))
             assert traj.actions == cand.actions
+
+
+class ScriptedFollower:
+    """A follower whose follow calls return the given (trajectory, states)
+    pairs in turn."""
+
+    def __init__(self, cfg, candidates):
+        self.cfg, self.candidates = cfg, iter(candidates)
+
+    def follow(self, tokens, world, mode="greedy", rng=None, max_steps=64):
+        return next(self.candidates)
+
+
+def oracle_candidate(seed):
+    world, task = gw.sample_task(seed, "boss")
+    return gw.rollout(world, gw.oracle_solve(world, task), view="ego")[::-1]
+
+
+class TestPragmaticScoring:
+    """Each episode's candidates are scored by one batched call; the
+    speaker's batch holds each distinct trajectory once."""
+
+    def test_one_call_gets_every_moved_candidate_in_order(self, small_corpus, pair, monkeypatch):
+        follower, speaker = pair
+        rec = small_corpus.test[1]
+        world, _ = small_corpus.rebuild(rec)
+        a, b, c = (oracle_candidate(seed) for seed in (1, 2, 3))
+        empty = (gw.Trajectory(np.zeros((0, gw.ego_dim())), ()), [world])
+        cands = [a, empty, b, a, c, empty]
+        calls, real_score = [], speaker.trajectory_language_score
+        monkeypatch.setattr(speaker, "trajectory_language_score",
+                            lambda trajs, tokens: calls.append(list(trajs)) or real_score(trajs, tokens))
+        got, scores = pl.pragmatic_candidates(ScriptedFollower(follower.cfg, cands), speaker, rec["tokens"],
+                                              world, len(cands) - 1, np.random.default_rng(0), 20)
+        assert got == cands
+        [seen] = calls
+        assert [id(t) for t in seen] == [id(t) for t, _ in (a, b, a, c)]
+        assert scores.shape == (6,) and scores[1] == scores[5] == -np.inf
+        assert np.isfinite(scores[[0, 2, 3, 4]]).all()
+
+    def test_no_moved_candidate_makes_no_call(self, small_corpus, pair, monkeypatch):
+        follower, speaker = pair
+        rec = small_corpus.test[1]
+        world, _ = small_corpus.rebuild(rec)
+        cands = [(gw.Trajectory(np.zeros((0, gw.ego_dim())), ()), [world]) for _ in range(3)]
+        monkeypatch.setattr(speaker, "trajectory_language_score", None)  # calling it would raise
+        chosen = pl.pragmatic_infer(ScriptedFollower(follower.cfg, cands), speaker, rec["tokens"], world, 2,
+                                    np.random.default_rng(0), 20)
+        assert chosen[0] is cands[0][0]
+
+    def test_repeated_candidate_scored_once_and_first_kept(self, small_corpus, pair, monkeypatch):
+        follower, speaker = pair
+        rec = small_corpus.test[1]
+        world, _ = small_corpus.rebuild(rec)
+        a, b = oracle_candidate(1), oracle_candidate(2)
+        lo, hi = sorted((a, b), key=lambda c: speaker.trajectory_language_score([c[0]], rec["tokens"])[0])
+
+        def twin():  # equal to hi, another object
+            return gw.Trajectory(hi[0].observations.copy(), hi[0].actions), hi[1]
+
+        cands = [lo, hi, twin(), lo, twin()]
+        rows, real = [], speaker.speaker_log_likelihood
+        monkeypatch.setattr(speaker, "speaker_log_likelihood",
+                            lambda traj, lang: rows.append(traj.mask.shape[0]) or real(traj, lang))
+        _, scores = pl.pragmatic_candidates(ScriptedFollower(follower.cfg, cands), speaker, rec["tokens"],
+                                            world, 4, np.random.default_rng(0), 20)
+        assert rows == [2]
+        assert scores[1].tobytes() == scores[2].tobytes() == scores[4].tobytes() and scores[1] > scores[0]
+        chosen = pl.pragmatic_infer(ScriptedFollower(follower.cfg, cands), speaker, rec["tokens"], world, 4,
+                                    np.random.default_rng(0), 20)
+        assert chosen is cands[1]
+
+
+@pytest.fixture(scope="module")
+def gate_b_corpus(tmp_path_factory):
+    """A boss corpus of tools/gate_b.py's sizes: m=24, n=24, 8 val and 8 test tasks."""
+    root = tmp_path_factory.mktemp("gateb")
+    corpus.generate(root, seed=0, difficulty="boss", m=24, n=24, val_tasks=8, test_tasks=8)
+    return corpus.load(root)
+
+
+@pytest.mark.parametrize("kinds", [("msvae", "msvae"), ("follower", "speaker")])
+def test_batched_scoring_picks_as_serial_scoring(gate_b_corpus, kinds, monkeypatch):
+    """pragmatic_infer picks the same candidate whether the speaker scores
+    them in one batched pass or one one-element call each."""
+    mcfg = small_cfg().model_config(len(gate_b_corpus.vocab))
+    models = {kind: md.build_model(kind, np.random.default_rng(3), mcfg) for kind in set(kinds)}
+    follower, speaker = (models[kind] for kind in kinds)
+
+    def picks():
+        """Each record's candidate scores and the index pragmatic_infer picks."""
+        out, real = [], pl.pragmatic_candidates
+
+        def recording(*args):
+            out.append(real(*args))
+            return out[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(pl, "pragmatic_candidates", recording)
+            picked = []
+            for k, rec in enumerate(gate_b_corpus.val + gate_b_corpus.test):
+                world, _ = gate_b_corpus.rebuild(rec)
+                chosen = pl.pragmatic_infer(follower, speaker, rec["tokens"], world, 4,
+                                            np.random.default_rng([5, k]), 20)
+                picked.append(next(i for i, c in enumerate(out[-1][0]) if c is chosen))
+        return [scores for _, scores in out], picked
+
+    batched, picked = picks()
+    monkeypatch.setattr(speaker, "trajectory_language_score",
+                        lambda trajs, tokens: serial_language_scores(speaker, trajs, tokens))
+    serial, serial_picked = picks()
+    assert len(picked) == 16 and picked == serial_picked
+    np.testing.assert_allclose(np.concatenate(batched), np.concatenate(serial), rtol=1e-12, atol=0)
 
 
 class TestEvalHelpers:

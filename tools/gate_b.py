@@ -9,10 +9,13 @@ tasks) of a boss corpus, which the runs train on, and of a goto_seq corpus,
 which is only compared; `train` of the five pipelines plus
 `supervised-follower` with `arch_variant=no_attention` and with
 `bottleneck` (3 epochs of 8 iterations, batch 6, seed 7, a small model);
-`eval --mode pragmatic --candidates 3` on the msvae run, `eval --mode speak`
-on the speaker run, and `eval --mode follow` on the attention follower
-(with `eval.decoding=sample`) and on the no_attention follower, so every
-decoder variant is decoded by an eval. It then prints `same` or `DIFF` for
+`eval --mode pragmatic --candidates 3` on the msvae run and `--candidates
+10` on the attention follower scored by the speaker run
+(`--speaker-checkpoint`), so the pragmatic scoring pass batches both
+speaker kinds and repeated candidates; `eval --mode speak` on the speaker
+run, and `eval --mode follow` on the attention follower (with
+`eval.decoding=sample`) and on the no_attention follower, so every decoder
+variant is decoded by an eval. It then prints `same` or `DIFF` for
 every file of both corpora and, in every run directory and stage
 subdirectory, `metrics.csv`, `best.bin`, `pseudo_paired.jsonl` and
 `runrecord.json`, and for every eval json file; in `runrecord.json` and the
@@ -49,9 +52,12 @@ RUNS = {
     "speaker-follower": ("speaker-follower", []),
     "msvae-speaker-follower": ("msvae-speaker-follower", []),
 }
-# eval json -> (checkpoint's run, mode, extra arguments)
+# eval json -> (checkpoint's run, mode, extra arguments); {out} is the side's directory
 EVALS = {
     "eval_pragmatic.json": ("msvae", "pragmatic", ["--candidates", "3"]),
+    "eval_pragmatic_speaker.json": ("supervised-follower", "pragmatic",
+                                    ["--candidates", "10", "--speaker-checkpoint",
+                                     "{out}/supervised-speaker/checkpoints/best.bin"]),
     "eval_speak.json": ("supervised-speaker", "speak", []),
     "eval_follow_sample.json": ("supervised-follower", "follow", ["--set", "eval.decoding=sample"]),
     "eval_follow_no_attention.json": ("supervised-follower-no_attention", "follow", []),
@@ -80,7 +86,8 @@ def run_side(src: Path, out: Path) -> None:
         cli("train", "--pipeline", pipeline, "--corpus", str(corpus), "--out", str(out / name),
             *_sets(TRAIN_SETS + extra))
     for name, (run, mode, extra) in EVALS.items():
-        cli("eval", "--mode", mode, *extra, "--checkpoint", str(out / run / "checkpoints" / "best.bin"),
+        cli("eval", "--mode", mode, *(a.format(out=out) for a in extra),
+            "--checkpoint", str(out / run / "checkpoints" / "best.bin"),
             "--corpus", str(corpus), "--out", str(out / name))
 
 
