@@ -14,8 +14,7 @@ from msvae import model as md
 rng = np.random.default_rng(1)
 
 cfg = md.ModelConfig(vocab_size=12, obs_dim=6, word_emb=4, action_emb=4, hidden=8,
-                     attn_dim=6, cell_dim=4, k_slots=2, latent_dim=4, prior_hidden=6,
-                     obs_view="synthetic")
+                     attn_dim=6, cell_dim=4, k_slots=2, latent_dim=4, prior_hidden=6)
 model = md.MsVae(rng, cfg)
 
 lang = md.make_lang_batch([[4, 5, 6], [7, 8, 9, 10]])

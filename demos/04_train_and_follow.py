@@ -36,7 +36,7 @@ traj, states = model.follow(rec["tokens"], world, max_steps=gw.step_cap(len(rec[
 print("rollout:", [gw.Action(a).name for a in traj.actions])
 print("success:", gw.check_success(states, task))
 
-spoken, _ = model.speak(c.trajectory(rec, model.cfg.obs_view))
+spoken, _ = model.speak(c.trajectory(rec, md.OBS_VIEW))
 print("speaker describes the oracle trajectory as:", c.vocab.detokenize(spoken))
 
 report = pl.evaluate_follower(model, c, c.test)

@@ -186,7 +186,11 @@ def cmd_eval(args) -> int:
 
 def _load_run(run_dir: Path) -> dict:
     def read(name: str, missing=None):
-        return json.loads((run_dir / name).read_text()) if (run_dir / name).exists() else missing
+        path = run_dir / name
+        doc = json.loads(path.read_text()) if path.exists() else missing
+        if not isinstance(doc, (dict, type(None))):
+            raise ValueError(f"{path} does not hold a JSON object")
+        return doc
 
     return {"dir": str(run_dir), "config": read("config.json", {}), "runrecord": read("runrecord.json"),
             "eval": read("eval.json")}
@@ -198,13 +202,17 @@ def _condition(run: dict) -> str:
 
 def _score(run: dict) -> tuple[float, float]:
     """(SR, BLEU) for aggregation; prefers test eval.json over val record."""
-    if run["eval"] is not None:
-        return float(run["eval"]["sr"]), float(run["eval"]["bleu4"])
     rr = run["runrecord"]
-    if rr is None:
+    if run["eval"] is None and rr is None:
         raise cfg_mod.ConfigError(f"run {run['dir']} has neither eval.json nor runrecord.json")
-    best = max(rr["entries"], key=lambda e: e["smoothed"]) if rr["entries"] else {"sr": 0.0, "bleu": 0.0}
-    return float(best["sr"]), float(best["bleu"])
+    try:
+        if run["eval"] is not None:
+            return float(run["eval"]["sr"]), float(run["eval"]["bleu4"])
+        best = max(rr["entries"], key=lambda e: e["smoothed"]) if rr["entries"] else {"sr": 0.0, "bleu": 0.0}
+        return float(best["sr"]), float(best["bleu"])
+    except KeyError as e:
+        name = "eval.json" if run["eval"] is not None else "runrecord.json"
+        raise ValueError(f"{Path(run['dir'], name)}: missing key {e}") from None
 
 
 def cmd_report(args) -> int:

@@ -27,8 +27,8 @@ def _pick(doc: dict, keys) -> dict:
 
 
 # The model and train sections come from the dataclasses' fields and
-# defaults. The corpus fixes vocab_size and obs_dim, so they are no keys; the
-# latent geometry is set in the train section, next to the objective weights.
+# defaults. The corpus fixes vocab_size and the model's view obs_dim, so they
+# are no keys; the latent geometry is set in the train section.
 _LATENT_KEYS = ["k_slots", "latent_dim"]
 _MODEL_KEYS = _fields(md.ModelConfig, skip=["vocab_size", "obs_dim", *_LATENT_KEYS])
 _HP_KEYS = _fields(md.HyperParams)
@@ -71,9 +71,8 @@ PRESETS: dict[str, dict] = {
 # choices; numbers are finite and >= 0, sizes (these and every model.* int) >= 1,
 # and corpus split sizes <= 1e6, the span of a split's seed range.
 _NULLABLE = {"eval.limit": int, "train.pretrain_follower": str, "train.pretrain_speaker": str}
-_CHOICES = {"corpus.difficulty": ("goto_seq", "boss"), "model.obs_view": tuple(gw.OBS_VIEWS),
-            "train.arch_variant": ("attention", "no_attention", "bottleneck"),
-            "eval.split": ("val", "test"), "eval.decoding": ("greedy", "sample")}
+_CHOICES = {"corpus.difficulty": ("goto_seq", "boss"), "eval.split": ("val", "test"),
+            "train.arch_variant": ("attention", "no_attention", "bottleneck"), "eval.decoding": ("greedy", "sample")}
 _SIZES = {"eval.limit", *(f"train.{k}" for k in ("epochs", "iters_per_epoch", "paired_batch", "eval_every",
                                                    "eval_tasks", "n_projections", "k_slots", "latent_dim"))}
 _SPLIT_SIZES = {"corpus.m", "corpus.n", "corpus.val_tasks", "corpus.test_tasks"}

@@ -18,13 +18,15 @@ VAR_FLOOR = 1e-12
 
 @dataclass
 class EvalReport:
-    sr: float
-    n_episodes: int
     outcomes: list[bool]
 
-    def __post_init__(self):
-        if self.outcomes and abs(self.sr - sum(self.outcomes) / len(self.outcomes)) > 1e-12:
-            raise ValueError("sr must equal successes / episodes exactly")
+    @property
+    def n_episodes(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def sr(self) -> float:
+        return sum(self.outcomes) / self.n_episodes if self.outcomes else 0.0
 
 
 @dataclass
@@ -46,9 +48,7 @@ def episodes_from_records(corpus, records) -> list[Episode]:
 def success_rate(play, episodes: list[Episode]) -> EvalReport:
     """Play each episode once and check subgoal completion; play(episode)
     returns the visited states. The one loop that scores rollouts."""
-    outcomes = [bool(gw.check_success(play(ep), ep.task)) for ep in episodes]
-    n = len(outcomes)
-    return EvalReport(sr=sum(outcomes) / n if n else 0.0, n_episodes=n, outcomes=outcomes)
+    return EvalReport([bool(gw.check_success(play(ep), ep.task)) for ep in episodes])
 
 
 # ---------------------------------------------------------------------------

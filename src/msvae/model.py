@@ -17,7 +17,7 @@ objective is maximized; trainers minimize its negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -39,10 +39,13 @@ class HyperParams:
     n_projections: int = 50
 
 
+OBS_VIEW = "ego"  # every model reads the egocentric view, as BabyAI's agents do; gw keeps both encoders
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int = 0  # set from the corpus vocabulary by TrainConfig.model_config
-    obs_dim: int = 0  # 0 takes the width of obs_view
+    obs_dim: int = gw.OBS_VIEWS[OBS_VIEW][1]  # any other width is a synthetic test vector (_grid_shape)
     word_emb: int = 32
     action_emb: int = 16
     hidden: int = 64
@@ -52,16 +55,6 @@ class ModelConfig:
     k_slots: int = 4
     latent_dim: int = 128
     prior_hidden: int = 128
-    obs_view: str = "ego"  # model-side observation frame: ego | grid | synthetic
-
-    def __post_init__(self):
-        if self.obs_view not in gw.OBS_VIEWS:
-            return
-        dim = gw.OBS_VIEWS[self.obs_view][1]
-        if self.obs_dim == 0:
-            self.obs_dim = dim
-        elif self.obs_dim != dim:
-            raise ValueError(f"obs_dim {self.obs_dim} does not match view {self.obs_view!r} (expected {dim})")
 
 
 @dataclass
@@ -214,23 +207,14 @@ class ObsMlp(nn.Layer):
         return np.tanh(np.tanh(h) @ self.l2.w.value + self.l2.b.value)
 
 
-def _grid_shape(obs_view: str, obs_dim: int) -> tuple[int, int]:
+def _grid_shape(obs_dim: int) -> tuple[int, int]:
     """(n_cells, channels) factorization of a flat observation.
 
-    Observations that are not whole grids (synthetic feature vectors in small
-    tests) degrade to a single cell, making the readout a plain projection.
+    Observations of another width than the view's (synthetic feature vectors
+    in small tests) degrade to a single cell: the readout is a projection.
     """
-    if obs_view in gw.OBS_VIEWS:
-        _, dim, cells, channels = gw.OBS_VIEWS[obs_view]
-        if obs_dim == dim:
-            return cells, channels
-    return 1, obs_dim
-
-
-def observation_encoder(cfg: ModelConfig):
-    """The observation encoder of the model's view: a sequence of worlds in,
-    one (len(worlds), dim) array out."""
-    return gw.OBS_VIEWS[cfg.obs_view][0]
+    _, dim, cells, channels = gw.OBS_VIEWS[OBS_VIEW]
+    return (cells, channels) if obs_dim == dim else (1, obs_dim)
 
 
 def grid_readout_values(query: np.ndarray, cells: np.ndarray, wq_w: np.ndarray, wq_b: np.ndarray,
@@ -283,7 +267,7 @@ class GridReadout(nn.Layer):
 
     def __init__(self, rng, query_dim: int, proj_dim: int, cfg: ModelConfig):
         super().__init__()
-        self.n_cells, self.channels = _grid_shape(cfg.obs_view, cfg.obs_dim)
+        self.n_cells, self.channels = _grid_shape(cfg.obs_dim)
         self.cell_block = self.n_cells * self.channels  # trailing dims (carried object) are global
         self.scale = 1.0 / np.sqrt(proj_dim)
         self.wc = self._child("wc", nn.Linear(rng, self.channels, proj_dim))
@@ -676,9 +660,9 @@ class MsVae(nn.Layer):
 
     def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
         """Roll the policy in the environment from a language instruction;
-        returns (trajectory, visited states)."""
+        returns (trajectory, visited states). The encoder is looked up per call."""
         memory, mask, h = self.instruction_memory(make_lang_batch([list(tokens)]))
-        return self.act_dec.rollout(world, self.obs_mlp, observation_encoder(self.cfg), memory, mask, h,
+        return self.act_dec.rollout(world, self.obs_mlp, gw.OBS_VIEWS[OBS_VIEW][0], memory, mask, h,
                                     mode, rng, max_steps)
 
     def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None,
@@ -924,18 +908,30 @@ def build_model(kind: str, rng, cfg: ModelConfig, attention: bool = True):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-# ModelConfig fields that older checkpoints carry, with the one value every
-# run trained with
-_RETIRED_FIELDS = {"input_feed": True, "n_actions": gw.N_ACTIONS}
+# ModelConfig fields that older checkpoints and training states carry, with
+# the one value every run trained with
+_RETIRED_FIELDS = {"input_feed": True, "n_actions": gw.N_ACTIONS, "obs_view": OBS_VIEW}
+
+
+def check_model_settings(settings: dict, where: str) -> None:
+    """Drop the retired fields from recorded ModelConfig settings, in place; a
+    retired field of another value or an unknown key is a ValueError naming it."""
+    for key, value in _RETIRED_FIELDS.items():
+        held = settings.pop(key, value)
+        if held != value:
+            raise ValueError(f"{where}.{key}={held!r} is not supported (only {value!r})")
+    unknown = sorted(set(settings) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ValueError(f"{where}.{unknown[0]} is not a model setting")
 
 
 def load_model(path):
     """Rebuild a model from a checkpoint; returns (model, meta)."""
     arrays, meta = nn.load_checkpoint(path)
-    for key, value in _RETIRED_FIELDS.items():
-        held = meta["model_config"].pop(key, value)
-        if held != value:
-            raise ValueError(f"checkpoint {path}: model_config.{key}={held!r} is not supported (only {value!r})")
+    for key, kind, name in (("kind", str, "a string"), ("model_config", dict, "an object")):
+        if not isinstance(meta.get(key), kind):
+            raise ValueError(f"checkpoint {path}: the metadata's {key} is missing or not {name}")
+    check_model_settings(meta["model_config"], f"checkpoint {path}: model_config")
     cfg = ModelConfig(**meta["model_config"])
     model = build_model(meta["kind"], np.random.default_rng(0), cfg, meta.get("attention", True))
     params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import corpus as corpus_mod
-from . import gridworld as gw
 from . import metrics as metrics_mod
 from . import model as md
 from . import nn
@@ -71,19 +70,19 @@ class RunRecord:
 # batches from corpus records
 
 
-def pair_batches(records, corpus, idx, view: str = "ego", unpaired=()) -> tuple[md.LangBatch, md.TrajBatch]:
+def pair_batches(records, corpus, idx, unpaired=()) -> tuple[md.LangBatch, md.TrajBatch]:
     """The instructions of records[idx] and one batch of their trajectories,
     followed by those of the `unpaired` records (model.total_loss's batch)."""
     chosen = [records[i] for i in idx]
     lang = md.make_lang_batch([r["tokens"] for r in chosen])
-    traj = md.make_traj_batch([corpus.trajectory(r, view) for r in chosen + list(unpaired)])
+    traj = md.make_traj_batch([corpus.trajectory(r, md.OBS_VIEW) for r in chosen + list(unpaired)])
     return lang, traj
 
 
-def traj_batch(records, corpus, idx, view: str = "ego") -> md.TrajBatch:
+def traj_batch(records, corpus, idx) -> md.TrajBatch:
     """The trajectories of records[idx] as one batch. The pipelines draw
     unpaired rows through pair_batches; perfbench's tracer times this name."""
-    return md.make_traj_batch([corpus.trajectory(records[i], view) for i in idx])
+    return md.make_traj_batch([corpus.trajectory(records[i], md.OBS_VIEW) for i in idx])
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +96,7 @@ def evaluate_follower(model, corpus, records, decoding: str = "greedy", rng=None
 
 
 def evaluate_speaker(model, corpus, records) -> tuple[float, int]:
-    hyps = [model.speak(corpus.trajectory(rec, model.cfg.obs_view))[0] for rec in records]
+    hyps = [model.speak(corpus.trajectory(rec, md.OBS_VIEW))[0] for rec in records]
     return metrics_mod.bleu4(hyps, [rec["tokens"] for rec in records]), len(records)
 
 
@@ -266,6 +265,7 @@ class _Run:
                 raise ValueError(f"{path} does not fit this model: {name} has shape "
                                  f"{have.get(name, 'none')} there and {want.get(name, 'none')} here")
         if "train" in meta:  # states saved before the settings were recorded resume unchecked
+            md.check_model_settings(meta["train"]["model"], f"{path}: train.model")
             there, here = _dotted(meta["train"]), _dotted(asdict(self.cfg))
             for key in sorted(there.keys() | here.keys()):
                 if key != "train.epochs" and there.get(key) != here.get(key):
@@ -354,7 +354,7 @@ def _paired_batch(records, corpus, cfg: TrainConfig, rng, unpaired=()) -> tuple[
     `unpaired`, whose trajectories follow the paired ones in one batch."""
     idx = rng.integers(0, len(records), size=min(cfg.paired_batch, len(records)))
     uidx = rng.integers(0, len(unpaired), size=cfg.unpaired_batch) if unpaired and cfg.unpaired_batch else ()
-    return pair_batches(records, corpus, idx, cfg.model.obs_view, [unpaired[i] for i in uidx])
+    return pair_batches(records, corpus, idx, [unpaired[i] for i in uidx])
 
 
 def train_supervised_follower(cfg: TrainConfig, corpus, out_dir, records=None,
@@ -474,7 +474,7 @@ def augment(speak_fn, corpus, out_path, speaker_tag: str) -> list[dict]:
 
 
 def model_speak_fn(model, len_cap: int = 30):
-    return lambda corpus, rec: model.speak(corpus.trajectory(rec, model.cfg.obs_view), len_cap=len_cap)
+    return lambda corpus, rec: model.speak(corpus.trajectory(rec, md.OBS_VIEW), len_cap=len_cap)
 
 
 def train_speaker_follower(cfg: TrainConfig, corpus, out_dir, speaker_ckpt=None,
@@ -526,20 +526,16 @@ def pragmatic_candidates(follower, speaker, tokens, world, n_candidates: int, rn
     follow call, and the speaker's log-likelihood of the instruction given
     each. One trajectory_language_score call per episode scores every
     candidate that moved, in candidate order (a repeated one gets a copy of
-    its first score); a candidate with no actions scores -inf."""
+    its first score); a candidate with no actions scores -inf. The speaker
+    scores the follower's own trajectories: every model reads md.OBS_VIEW."""
     greedy_traj, greedy_states = follower.follow(tokens, world, mode="greedy", max_steps=max_steps)
     candidates = [(greedy_traj, greedy_states)]
     for _ in range(n_candidates):
         candidates.append(follower.follow(tokens, world, mode="sample", rng=rng, max_steps=max_steps))
-    # the follower already observed the visited states; re-encode them only
-    # when the speaker sees the world through a different view
-    encode = None if follower.cfg.obs_view == speaker.cfg.obs_view else md.observation_encoder(speaker.cfg)
     moved = [i for i, (traj, _) in enumerate(candidates) if traj.actions]
     scores = np.full(len(candidates), -np.inf)
     if moved:
-        seen = [traj if encode is None else gw.Trajectory(encode(states[:-1]), traj.actions)
-                for traj, states in (candidates[i] for i in moved)]
-        scores[moved] = speaker.trajectory_language_score(seen, tokens)
+        scores[moved] = speaker.trajectory_language_score([candidates[i][0] for i in moved], tokens)
     return candidates, scores
 
 

@@ -49,7 +49,7 @@ class TestConfig:
         assert cfg_mod.train_config(desk) == pl.TrainConfig(seed=0)
 
     def test_every_model_and_train_key_reaches_the_train_config(self):
-        other = {"obs_view": "grid", "arch_variant": "bottleneck"}
+        other = {"arch_variant": "bottleneck"}
         for section in ("model", "train"):
             for key, default in cfg_mod.DEFAULTS[section].items():
                 if isinstance(default, bool):
@@ -193,16 +193,12 @@ class TestTrain:
         assert cfg["pipeline"] == "msvae"
         assert cfg["train"]["epochs"] == 2
 
-    def test_obs_view_override(self, corpus_dir, tmp_path):
-        out = tmp_path / "grid"
-        code = run_cli("train", "--pipeline", "supervised-follower", "--corpus", str(corpus_dir),
-                       "--out", str(out), *SMOKE_SETS, "--set", "train.epochs=1",
-                       "--set", "model.obs_view=grid")
-        assert code == 0
-        _, meta = nn.load_checkpoint(out / "checkpoints" / "best.bin")
-        assert meta["model_config"]["obs_view"] == "grid"
-        assert run_cli("train", "--pipeline", "supervised-follower", "--corpus", str(corpus_dir),
-                       "--out", str(tmp_path / "bad"), "--set", "model.obs_view=polar") == 1
+    def test_model_view_is_no_config_key(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "ego"
+        assert run_cli("train", "--pipeline", "supervised-follower", "--corpus", str(corpus_dir), "--out", str(out),
+                       *SMOKE_SETS, "--set", "train.epochs=1", "--set", "model.obs_view=ego") == 1
+        assert "unknown config key: model.obs_view" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_pipeline_usage_error(self, corpus_dir, tmp_path):
         code = run_cli("train", "--pipeline", "warp", "--corpus", str(corpus_dir),
@@ -282,6 +278,32 @@ class TestTrain:
         assert run_cli(*base, "--out", str(part), "--set", "train.epochs=4",
                        "--resume", str(state)) == 0
         assert (full / "metrics.csv").read_bytes() == (part / "metrics.csv").read_bytes()
+
+    def test_resume_of_a_state_that_records_the_model_view(self, corpus_dir, tmp_path, capsys):
+        # training states written while the view was a model setting record
+        # model.obs_view: "ego" resumes as if it were not there, another view
+        # is a data error naming the key
+        full, part = tmp_path / "full", tmp_path / "part"
+        base = ["train", "--pipeline", "supervised-follower", "--corpus", str(corpus_dir), *SMOKE_SETS]
+        assert run_cli(*base, "--out", str(full), "--set", "train.epochs=4") == 0
+        assert run_cli(*base, "--out", str(part), "--set", "train.epochs=2") == 0
+        [state] = (part / "checkpoints").glob("epoch_*.bin")
+        arrays, meta = nn.load_checkpoint(state)
+        meta["model_config"]["obs_view"] = "ego"
+        for view, name in (("grid", "grid.bin"), ("ego", "ego.bin")):
+            meta["train"]["model"]["obs_view"] = view
+            nn.save_checkpoint(part / name, arrays, meta)
+        files = {name: (part / name).read_bytes() for name in ("config.json", "metrics.csv", "timing.csv")}
+        assert run_cli(*base, "--out", str(part), "--set", "train.epochs=4", "--resume", str(part / "grid.bin")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "train.model.obs_view='grid'" in err, err
+        assert {name: (part / name).read_bytes() for name in files} == files
+        assert run_cli(*base, "--out", str(part), "--set", "train.epochs=4", "--resume", str(part / "ego.bin")) == 0
+        assert (full / "metrics.csv").read_bytes() == (part / "metrics.csv").read_bytes()
+        best = [nn.load_checkpoint(run / "checkpoints" / "best.bin")[0] for run in (full, part)]
+        assert best[0].keys() == best[1].keys()
+        for name, value in best[0].items():
+            assert value.tobytes() == best[1][name].tobytes(), name
 
     def test_resume_that_does_not_fit_leaves_run_directory_unchanged(self, corpus_dir, trained, tmp_path, capsys):
         # a wrong model setting, another pipeline's training state, or train
@@ -499,23 +521,49 @@ class TestEval:
         assert "eval.decoding=sample works only with --mode follow" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,value", [("input_feed", False), ("n_actions", 7)])
-    def test_checkpoint_with_unsupported_retired_key_is_data_error(self, corpus_dir, tmp_path, capsys, key, value):
+    @staticmethod
+    def _eval_follower_with_meta(corpus_dir, tmp_path, capsys, change_meta) -> str:
+        """Evaluate a small follower saved with its metadata changed by
+        change_meta(meta); returns stderr of a run that must exit 2."""
         path = tmp_path / "f.bin"
         model = md.BaselineFollower(np.random.default_rng(0), md.ModelConfig(
             vocab_size=len(corpus_mod.load(corpus_dir).vocab), hidden=4, word_emb=3, action_emb=3, attn_dim=3,
             cell_dim=3, obs_hidden=4))
-        meta = md.checkpoint_meta(model, [])
-        meta["model_config"].update({"input_feed": True, "n_actions": 6, key: value})
+        meta = change_meta(md.checkpoint_meta(model, []))
         nn.save_checkpoint(path, {k: p.value for k, p in model.named_params().items()}, meta)
         out = tmp_path / "eval.json"
         code = run_cli("eval", "--checkpoint", str(path), "--corpus", str(corpus_dir), "--mode", "follow",
                        "--out", str(out))
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and f"model_config.{key}=" in err, err
+        assert err.startswith("data error: ") and str(path) in err, err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("key,value", [("input_feed", False), ("n_actions", 7), ("obs_view", "grid")])
+    def test_checkpoint_with_unsupported_retired_key_is_data_error(self, corpus_dir, tmp_path, capsys, key, value):
+        def change(meta):
+            meta["model_config"].update({"input_feed": True, "n_actions": 6, "obs_view": "ego", key: value})
+            return meta
+
+        err = self._eval_follower_with_meta(corpus_dir, tmp_path, capsys, change)
+        assert f"model_config.{key}=" in err, err
+
+    MALFORMED = {  # case -> (the metadata made from a good one, what the error names)
+        "empty": (lambda meta: {}, "kind"),
+        "no_kind": (lambda meta: {k: v for k, v in meta.items() if k != "kind"}, "kind"),
+        "no_model_config": (lambda meta: {k: v for k, v in meta.items() if k != "model_config"}, "model_config"),
+        "model_config_list": (lambda meta: {**meta, "model_config": [1, 2]}, "model_config"),
+        "unknown_field": (lambda meta: {**meta, "model_config": {**meta["model_config"], "hidden2": 4}},
+                          "model_config.hidden2"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_checkpoint_metadata_is_data_error(self, corpus_dir, tmp_path, capsys, case):
+        change, named = self.MALFORMED[case]
+        err = self._eval_follower_with_meta(corpus_dir, tmp_path, capsys, change)
+        assert named in err, err
 
     def test_mode_checkpoint_mismatch_rejected(self, corpus_dir, tmp_path):
         spk = tmp_path / "spk"
@@ -650,6 +698,24 @@ class TestReport:
         d = self._mk_run(tmp_path, "r1", "msvae", 0.5, 0)
         assert run_cli("report", "--runs", str(d), "--compare", pair) == 1
         assert "usage error" in capsys.readouterr().err
+
+    MALFORMED = {  # run file -> (its content, what the error names)
+        "eval.json": ({"sr": 0.5, "n_episodes": 10}, "'bleu4'"),
+        "runrecord.json": ({"entries": [{"epoch": 0, "sr": 0.5, "bleu": 0.0}]}, "'smoothed'"),
+        "config.json": (["msvae"], "does not hold a JSON object"),
+    }
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_run_file_is_data_error(self, tmp_path, capsys, name):
+        content, named = self.MALFORMED[name]
+        d = self._mk_run(tmp_path, "r1", "msvae", 0.5, 0)
+        if name == "runrecord.json":
+            (d / "eval.json").unlink()  # the record is read only without an eval
+        (d / name).write_text(json.dumps(content))
+        assert run_cli("report", "--runs", str(d)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(d / name) in err and named in err, err
+        assert err.count("\n") == 1
 
     def test_unknown_compare_condition_is_usage_error_with_one_seed(self, tmp_path, capsys):
         # no condition has two seeds, so no p-value is computed, yet the

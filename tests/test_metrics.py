@@ -58,9 +58,13 @@ class TestSuccessRate:
         r2 = metrics.success_rate(oracle_play, eps)
         assert r1.outcomes == r2.outcomes
 
-    def test_sr_exactness_guard(self):
-        with pytest.raises(ValueError, match="exactly"):
-            metrics.EvalReport(sr=0.9, n_episodes=2, outcomes=[True, True])
+    def test_rate_and_count_are_read_from_the_outcomes(self):
+        report = metrics.EvalReport([True, False, True])
+        assert (report.sr, report.n_episodes) == (2 / 3, 3)
+        empty = metrics.success_rate(oracle_play, [])
+        assert (empty.sr, empty.n_episodes, empty.outcomes) == (0.0, 0, [])
+        with pytest.raises(AttributeError):
+            report.sr = 0.9
 
 
 def reference_bleu(hypotheses, references):

@@ -12,8 +12,7 @@ from oracles import save_model, serial_language_scores
 
 def tiny_cfg(**kw):
     base = dict(vocab_size=9, obs_dim=5, word_emb=3, action_emb=3,
-                hidden=4, attn_dim=3, cell_dim=3, k_slots=2, latent_dim=3, prior_hidden=4,
-                obs_view="synthetic")
+                hidden=4, attn_dim=3, cell_dim=3, k_slots=2, latent_dim=3, prior_hidden=4)
     base.update(kw)
     return md.ModelConfig(**base)
 
@@ -404,7 +403,7 @@ class TestInterface:
         m = TestRollouts().sharp_model()
         world, task = gw.sample_task(5, "goto_seq")
         _, traj = gw.rollout(world, gw.oracle_solve(world, task), view="ego")
-        encode = md.observation_encoder(m.cfg)
+        encode = gw.observe_ego
         memory, _ = m.encode_language(md.make_lang_batch([[4, 5, 6]]))
         slots, _ = m.encode_trajectory(md.make_traj_batch([traj]))
         for mode in ("greedy", "sample"):
@@ -607,23 +606,24 @@ class TestPersistence:
         assert f2.attention is False
 
     def test_checkpoint_with_retired_config_keys(self, tmp_path):
-        # checkpoints written while input feeding could be turned off and the
-        # action count was a field carry both keys in their model_config
-        m = md.BaselineFollower(np.random.default_rng(0), tiny_cfg())
+        # checkpoints written while input feeding could be turned off, the
+        # action count was a field and the model's view was a setting carry
+        # these keys in their model_config
+        m = md.BaselineFollower(np.random.default_rng(0), ego_cfg())
         arrays = {k: v.value for k, v in m.named_params().items()}
         path = tmp_path / "f.bin"
 
         def write(**retired):
             meta = md.checkpoint_meta(m, [])
-            meta["model_config"].update({"input_feed": True, "n_actions": 6, **retired})
+            meta["model_config"].update({"input_feed": True, "n_actions": 6, "obs_view": "ego", **retired})
             nn.save_checkpoint(path, arrays, meta)
 
         write()
         m2, meta = md.load_model(path)
-        assert m2.cfg == m.cfg and "input_feed" not in meta["model_config"]
+        assert m2.cfg == m.cfg and not {"input_feed", "n_actions", "obs_view"} & set(meta["model_config"])
         for name, node in m2.named_params().items():
             np.testing.assert_array_equal(node.value, arrays[name])
-        for key, value in (("input_feed", False), ("n_actions", 7)):
+        for key, value in (("input_feed", False), ("n_actions", 7), ("obs_view", "grid")):
             write(**{key: value})
             with pytest.raises(ValueError, match=f"model_config.{key}={value!r}"):
                 md.load_model(path)
@@ -645,10 +645,10 @@ class TestHoistedFeatures:
     """The reassociated readout and the all-steps observation MLP against the
     formulations they replace."""
 
-    @pytest.mark.parametrize("view", ["ego", "grid", "synthetic"])
+    @pytest.mark.parametrize("view", ["ego", "synthetic"])
     def test_readout_matches_materialised_keys(self, view):
-        obs_dim = gw.OBS_VIEWS[view][1] if view in gw.OBS_VIEWS else 5
-        cfg = tiny_cfg(obs_dim=obs_dim, obs_view=view, cell_dim=6)
+        obs_dim = gw.ego_dim() if view == "ego" else 5
+        cfg = tiny_cfg(obs_dim=obs_dim, cell_dim=6)
         r = np.random.default_rng(31)
         readout = md.GridReadout(r, query_dim=4, proj_dim=6, cfg=cfg)
         for p in readout.params():  # move every parameter off its initial scale
@@ -696,8 +696,8 @@ class TestHoistedFeatures:
         # nor any parameter gradient: in the stacked batch of the objective,
         # the unpaired rows padded to the longest paired one, and then the
         # paired rows padded to the longest unpaired one
-        obs_dim = gw.OBS_VIEWS["grid"][1]
-        m = md.MsVae(np.random.default_rng(2), tiny_cfg(obs_dim=obs_dim, obs_view="grid"))
+        obs_dim = gw.ego_dim()
+        m = md.MsVae(np.random.default_rng(2), tiny_cfg(obs_dim=obs_dim))
         r = np.random.default_rng(34)
         lang = md.make_lang_batch([synth_lang(r, n) for n in (2, 4, 3)])
         paired = [synth_traj(r, t, obs_dim) for t in (2, 5, 3)]

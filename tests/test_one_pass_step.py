@@ -20,12 +20,12 @@ from msvae import model as md
 from oracles import total_loss_per_pass
 
 TOL = 1e-12
-OBS_DIM = gw.OBS_VIEWS["grid"][1]
+OBS_DIM = gw.ego_dim()
 
 
 def build_model(seed=0):
     cfg = md.ModelConfig(vocab_size=9, obs_dim=OBS_DIM, word_emb=3, action_emb=3, hidden=4, obs_hidden=5,
-                         attn_dim=3, cell_dim=3, k_slots=2, latent_dim=3, prior_hidden=4, obs_view="grid")
+                         attn_dim=3, cell_dim=3, k_slots=2, latent_dim=3, prior_hidden=4)
     r = np.random.default_rng(seed)
     model = md.MsVae(r, cfg)
     for p in model.params():  # off the initial scale, so every input matters

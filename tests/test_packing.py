@@ -124,13 +124,12 @@ def padded_loops():
         yield
 
 
-VIEWS = {"synthetic": 5, "grid": gw.OBS_VIEWS["grid"][1]}
+VIEWS = {"synthetic": 5, "ego": gw.ego_dim()}
 
 
 def build(kind, view, seed):
     cfg = md.ModelConfig(vocab_size=9, obs_dim=VIEWS[view], word_emb=3, action_emb=3, hidden=4,
-                         obs_hidden=5, attn_dim=3, cell_dim=3, k_slots=2, latent_dim=3, prior_hidden=4,
-                         obs_view=view)
+                         obs_hidden=5, attn_dim=3, cell_dim=3, k_slots=2, latent_dim=3, prior_hidden=4)
     rng = np.random.default_rng(seed)
     name, _, attention = kind.partition("_")
     model = md.build_model(name, rng, cfg, attention != "no_attn")

@@ -94,7 +94,7 @@ class TestSupervisedSpeaker:
         cfg = small_cfg(epochs=1, iters_per_epoch=2)
         ck, _ = pl.train_supervised_speaker(cfg, small_corpus, tmp_path / "spk")
         model, _ = md.load_model(ck)
-        traj = small_corpus.trajectory(small_corpus.val[0], model.cfg.obs_view)
+        traj = small_corpus.trajectory(small_corpus.val[0], md.OBS_VIEW)
         assert model.speak(traj) == model.speak(traj)
 
 
@@ -401,7 +401,6 @@ class TestPragmatic:
 
     def test_same_view_reuses_follower_observations(self, small_corpus, pair, monkeypatch):
         follower, speaker = pair
-        assert follower.cfg.obs_view == speaker.cfg.obs_view == "ego"
         rec = small_corpus.test[1]
         world, _ = small_corpus.rebuild(rec)
         calls = []
@@ -423,33 +422,13 @@ class TestPragmatic:
                  for i in moved]
         np.testing.assert_array_equal(scores[moved], real_score(again, rec["tokens"]))
 
-    def test_other_view_is_re_encoded(self, small_corpus, pair, monkeypatch):
-        follower, _ = pair
-        mcfg = small_cfg(model=md.ModelConfig(hidden=24, word_emb=12, action_emb=8, attn_dim=16,
-                                              prior_hidden=16, k_slots=2, latent_dim=16, obs_view="grid"))
-        speaker = md.BaselineSpeaker(np.random.default_rng(0), mcfg.model_config(len(small_corpus.vocab)))
-        calls = []
-        real_score = speaker.trajectory_language_score
-        monkeypatch.setattr(speaker, "trajectory_language_score",
-                            lambda trajs, tokens: calls.append(list(trajs)) or real_score(trajs, tokens))
-        rec = small_corpus.test[1]
-        world, _ = small_corpus.rebuild(rec)
-        cands, _ = pl.pragmatic_candidates(follower, speaker, rec["tokens"], world, 2,
-                                           np.random.default_rng(4), 20)
-        moved = [(t, s) for t, s in cands if t.actions]
-        [seen] = calls
-        assert len(seen) == len(moved)
-        for traj, (cand, states) in zip(seen, moved):
-            np.testing.assert_array_equal(traj.observations, np.stack([gw.observe([s])[0] for s in states[:-1]]))
-            assert traj.actions == cand.actions
-
 
 class ScriptedFollower:
     """A follower whose follow calls return the given (trajectory, states)
     pairs in turn."""
 
-    def __init__(self, cfg, candidates):
-        self.cfg, self.candidates = cfg, iter(candidates)
+    def __init__(self, candidates):
+        self.candidates = iter(candidates)
 
     def follow(self, tokens, world, mode="greedy", rng=None, max_steps=64):
         return next(self.candidates)
@@ -465,7 +444,7 @@ class TestPragmaticScoring:
     speaker's batch holds each distinct trajectory once."""
 
     def test_one_call_gets_every_moved_candidate_in_order(self, small_corpus, pair, monkeypatch):
-        follower, speaker = pair
+        _, speaker = pair
         rec = small_corpus.test[1]
         world, _ = small_corpus.rebuild(rec)
         a, b, c = (oracle_candidate(seed) for seed in (1, 2, 3))
@@ -474,7 +453,7 @@ class TestPragmaticScoring:
         calls, real_score = [], speaker.trajectory_language_score
         monkeypatch.setattr(speaker, "trajectory_language_score",
                             lambda trajs, tokens: calls.append(list(trajs)) or real_score(trajs, tokens))
-        got, scores = pl.pragmatic_candidates(ScriptedFollower(follower.cfg, cands), speaker, rec["tokens"],
+        got, scores = pl.pragmatic_candidates(ScriptedFollower(cands), speaker, rec["tokens"],
                                               world, len(cands) - 1, np.random.default_rng(0), 20)
         assert got == cands
         [seen] = calls
@@ -483,17 +462,17 @@ class TestPragmaticScoring:
         assert np.isfinite(scores[[0, 2, 3, 4]]).all()
 
     def test_no_moved_candidate_makes_no_call(self, small_corpus, pair, monkeypatch):
-        follower, speaker = pair
+        _, speaker = pair
         rec = small_corpus.test[1]
         world, _ = small_corpus.rebuild(rec)
         cands = [(gw.Trajectory(np.zeros((0, gw.ego_dim())), ()), [world]) for _ in range(3)]
         monkeypatch.setattr(speaker, "trajectory_language_score", None)  # calling it would raise
-        chosen = pl.pragmatic_infer(ScriptedFollower(follower.cfg, cands), speaker, rec["tokens"], world, 2,
+        chosen = pl.pragmatic_infer(ScriptedFollower(cands), speaker, rec["tokens"], world, 2,
                                     np.random.default_rng(0), 20)
         assert chosen[0] is cands[0][0]
 
     def test_repeated_candidate_scored_once_and_first_kept(self, small_corpus, pair, monkeypatch):
-        follower, speaker = pair
+        _, speaker = pair
         rec = small_corpus.test[1]
         world, _ = small_corpus.rebuild(rec)
         a, b = oracle_candidate(1), oracle_candidate(2)
@@ -506,11 +485,11 @@ class TestPragmaticScoring:
         rows, real = [], speaker.speaker_log_likelihood
         monkeypatch.setattr(speaker, "speaker_log_likelihood",
                             lambda traj, lang: rows.append(traj.mask.shape[0]) or real(traj, lang))
-        _, scores = pl.pragmatic_candidates(ScriptedFollower(follower.cfg, cands), speaker, rec["tokens"],
+        _, scores = pl.pragmatic_candidates(ScriptedFollower(cands), speaker, rec["tokens"],
                                             world, 4, np.random.default_rng(0), 20)
         assert rows == [2]
         assert scores[1].tobytes() == scores[2].tobytes() == scores[4].tobytes() and scores[1] > scores[0]
-        chosen = pl.pragmatic_infer(ScriptedFollower(follower.cfg, cands), speaker, rec["tokens"], world, 4,
+        chosen = pl.pragmatic_infer(ScriptedFollower(cands), speaker, rec["tokens"], world, 4,
                                     np.random.default_rng(0), 20)
         assert chosen is cands[1]
 

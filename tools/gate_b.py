@@ -23,14 +23,19 @@ eval json the side's output directory is replaced by a placeholder before
 comparing. A `metrics.csv` that differs also gets the largest relative
 difference over its numeric cells, so a numeric fast path can show how far
 its loss curve moved (or a note that the two files do not line up cell for
-cell). Exits 1 on any `DIFF` or failed command, 2 on bad arguments,
-0 otherwise.
+cell). A `best.bin` that differs gets a note that says whether every
+parameter array is byte-identical (or how many differ) and lists the dotted
+metadata keys that differ, so a change that only renames or drops a recorded
+setting shows as such. Exits 1 on any `DIFF` or failed command, 2 on bad
+arguments, 0 otherwise.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +136,50 @@ def max_rel_diff(before: bytes, after: bytes) -> float | None:
     return worst
 
 
+def read_checkpoint(data: bytes) -> tuple[dict, dict[str, bytes]] | None:
+    """A checkpoint's metadata and the bytes of each named array, read with
+    the standard library: the MSVCKPT1 magic, an 8-byte little-endian header
+    length, the JSON header, then the float64 body. None if `data` is not a
+    whole checkpoint."""
+    if data[:8] != b"MSVCKPT1" or len(data) < 16:
+        return None
+    (length,) = struct.unpack("<Q", data[8:16])
+    try:
+        header = json.loads(data[16 : 16 + length])
+    except ValueError:
+        return None
+    body = data[16 + length :]
+    arrays = {}
+    for e in header["entries"]:
+        arrays[e["name"]] = body[e["offset"] : e["offset"] + 8 * math.prod(e["shape"])]
+    return header["meta"], arrays
+
+
+def _dotted(doc, prefix: str = "") -> dict:
+    """Nested metadata -> {dotted key: value}; lists are values."""
+    if not isinstance(doc, dict) or not doc:
+        return {prefix[:-1]: doc}
+    out = {}
+    for k, v in doc.items():
+        out.update(_dotted(v, f"{prefix}{k}."))
+    return out
+
+
+def checkpoint_note(before: bytes, after: bytes) -> str:
+    """What differs between two checkpoints: their parameter arrays, byte
+    for byte, and the dotted metadata keys whose values differ."""
+    read = [read_checkpoint(data) for data in (before, after)]
+    if None in read:
+        return "  (not both checkpoints)"
+    (meta_a, arrays_a), (meta_b, arrays_b) = read
+    changed = sorted(k for k in arrays_a.keys() | arrays_b.keys() if arrays_a.get(k) != arrays_b.get(k))
+    arrays = (f"{len(changed)} of {len(arrays_a.keys() | arrays_b.keys())} arrays differ, first {changed[0]}"
+              if changed else "every parameter array byte-identical")
+    flat_a, flat_b = _dotted(meta_a), _dotted(meta_b)
+    keys = sorted(k for k in flat_a.keys() | flat_b.keys() if flat_a.get(k, ...) != flat_b.get(k, ...))
+    return f"  ({arrays}; metadata differs at {', '.join(keys) or 'no key'})"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print("usage: python tools/gate_b.py PARENT_SRC CHANGE_SRC OUT", file=sys.stderr)
@@ -161,6 +210,8 @@ def main(argv: list[str]) -> int:
         if not same and rel.name == "metrics.csv" and before is not None and after is not None:
             worst = max_rel_diff(before, after)
             note = "  (cells do not line up)" if worst is None else f"  (max relative difference {worst:.3g})"
+        if not same and rel.name == "best.bin" and before is not None and after is not None:
+            note = checkpoint_note(before, after)
         print(f"{'same' if same else 'DIFF'}  {rel}{note}")
     print(f"{diffs} of the compared files differ")
     return 1 if diffs else 0
