@@ -197,7 +197,10 @@ def _load_run(run_dir: Path) -> dict:
 
 
 def _condition(run: dict) -> str:
-    return run["config"].get("pipeline", "unknown")
+    pipeline = run["config"].get("pipeline", "unknown")
+    if not isinstance(pipeline, str):
+        raise ValueError(f"{Path(run['dir'], 'config.json')}: 'pipeline' is not a string: {pipeline!r}")
+    return pipeline
 
 
 def _score(run: dict) -> tuple[float, float]:
@@ -205,14 +208,20 @@ def _score(run: dict) -> tuple[float, float]:
     rr = run["runrecord"]
     if run["eval"] is None and rr is None:
         raise cfg_mod.ConfigError(f"run {run['dir']} has neither eval.json nor runrecord.json")
+    path = Path(run["dir"], "eval.json" if run["eval"] is not None else "runrecord.json")
+
+    def number(doc: dict, key: str) -> float:
+        if type(doc[key]) not in (int, float):
+            raise ValueError(f"{path}: {key!r} is not a number: {doc[key]!r}")
+        return float(doc[key])
+
     try:
         if run["eval"] is not None:
-            return float(run["eval"]["sr"]), float(run["eval"]["bleu4"])
-        best = max(rr["entries"], key=lambda e: e["smoothed"]) if rr["entries"] else {"sr": 0.0, "bleu": 0.0}
-        return float(best["sr"]), float(best["bleu"])
+            return number(run["eval"], "sr"), number(run["eval"], "bleu4")
+        best = max(rr["entries"], key=lambda e: number(e, "smoothed")) if rr["entries"] else {"sr": 0.0, "bleu": 0.0}
+        return number(best, "sr"), number(best, "bleu")
     except KeyError as e:
-        name = "eval.json" if run["eval"] is not None else "runrecord.json"
-        raise ValueError(f"{Path(run['dir'], name)}: missing key {e}") from None
+        raise ValueError(f"{path}: missing key {e}") from None
 
 
 def cmd_report(args) -> int:

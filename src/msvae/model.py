@@ -414,13 +414,15 @@ class _Decoder(nn.Layer):
 
         return recurrent
 
-    def _rollout_arrays(self, memory: Node, h: Node | None):
+    def _rollout_arrays(self, memory: Node, memory_mask, h: Node | None):
         """What a rollout's steps read, as arrays, made once: the initial
         state (None: zeros), the memory, its prepared keys (None without
-        attention), the feed weights and the static rows of the input weight."""
+        attention), the feed weights, the static rows of the input weight and
+        the memory mask. Arrays, not nodes, so that keeping them keeps no graph."""
         prepared, feed = self.prepare(memory)
         return (np.zeros((1, self.gru.n_hidden)) if h is None else h.value, memory.value,
-                None if prepared is None else prepared.value, feed.value, self.gru.w.value[: self.static_dim])
+                None if prepared is None else prepared.value, feed.value, self.gru.w.value[: self.static_dim],
+                memory_mask)
 
     def _teacher_forced(self, batch, gates: list[Node], memory, memory_mask, h0: Node | None, step_inputs) -> Node:
         """Per-sample sum of log p(batch.dec_tgt[:, t] | ...) over each row's
@@ -505,22 +507,30 @@ class ActionDecoder(_Decoder):
 
         return step
 
-    def rollout(self, world: gw.World, obs_mlp: ObsMlp, encode_obs, memory, memory_mask, h: Node | None,
-                mode: str, rng, max_steps: int):
-        """Act in the environment from one episode's memory and initial state
-        (None: zeros) until `done` or max_steps; returns (trajectory, visited
-        states). The steps run on arrays (array_step)."""
-        h, memory, prepared, feed, w_static = self._rollout_arrays(memory, h)
+    def rollout(self, world: gw.World, obs_mlp: ObsMlp, encode_obs, arrays, mode: str, rng, max_steps: int,
+                seen: dict):
+        """Act in the environment from one instruction's _rollout_arrays until
+        `done` or max_steps; returns (trajectory, visited states). The steps
+        run on arrays (array_step). `seen` maps each world already observed
+        to its (observation row, ObsMlp.one_hot_row features, readout cells);
+        a world it lacks is encoded once and added, so a state that comes
+        back, in this rollout or in another that shares the dict, is not
+        encoded again."""
+        h, memory, prepared, feed, w_static, memory_mask = arrays
         step, emb = self.array_step(), self.emb.table.value
         fed, prev = None, gw.N_ACTIONS  # the start id
         states = [world]
         obs_rows, actions = [], []
         for _ in range(max_steps):
-            o = encode_obs([world])
-            gates = np.concatenate([obs_mlp.one_hot_row(o), emb[[prev]]], axis=1) @ w_static
-            logits, h, fed = step(gates, self.readout.cells(o), h, fed, memory, prepared, feed, memory_mask)
+            observed = seen.get(world)
+            if observed is None:
+                o = encode_obs([world])
+                observed = seen[world] = o[0], obs_mlp.one_hot_row(o), self.readout.cells(o)
+            row, feats, cells = observed
+            gates = np.concatenate([feats, emb[[prev]]], axis=1) @ w_static
+            logits, h, fed = step(gates, cells, h, fed, memory, prepared, feed, memory_mask)
             prev = _pick(logits[0], mode, rng)
-            obs_rows.append(o[0])
+            obs_rows.append(row)
             actions.append(prev)
             world, done = gw.step(world, prev)
             states.append(world)
@@ -569,7 +579,7 @@ class WordDecoder(_Decoder):
         """Speak from one episode's memory and initial state (None: zeros)
         until eos or len_cap tokens; returns (token ids, truncated flag). The
         steps run on arrays (array_step)."""
-        h, memory, prepared, feed, w_static = self._rollout_arrays(memory, h)
+        h, memory, prepared, feed, w_static, memory_mask = self._rollout_arrays(memory, memory_mask, h)
         step, emb = self.array_step(), self.emb.table.value
         fed, prev = None, RESERVED["<bos>"]
         out = []
@@ -658,12 +668,24 @@ class MsVae(nn.Layer):
         memory, mask, h0 = self.trajectory_memory(traj)
         return self.word_dec.teacher_forced_logll(lang, self.word_dec.input_gates(lang), memory, mask, h0)
 
-    def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64):
+    def follow(self, tokens, world: gw.World, mode: str = "greedy", rng=None, max_steps: int = 64,
+               cache: dict | None = None):
         """Roll the policy in the environment from a language instruction;
-        returns (trajectory, visited states). The encoder is looked up per call."""
-        memory, mask, h = self.instruction_memory(make_lang_batch([list(tokens)]))
-        return self.act_dec.rollout(world, self.obs_mlp, gw.OBS_VIEWS[OBS_VIEW][0], memory, mask, h,
-                                    mode, rng, max_steps)
+        returns (trajectory, visited states). The encoder is looked up per call.
+
+        `cache` (None: a fresh dict for this call) holds what the rollout
+        reads and does not change while the parameters do not: under
+        tuple(tokens) the instruction's _rollout_arrays, and under each world
+        already observed its features (ActionDecoder.rollout). Only what it
+        lacks is computed, and the outputs are the same bits either way. The
+        caller owns it, for one episode of this follower: a dict shared by
+        another model, or kept across a parameter update, gives stale values."""
+        cache = {} if cache is None else cache
+        key = tuple(tokens)
+        if key not in cache:
+            cache[key] = self.act_dec._rollout_arrays(*self.instruction_memory(make_lang_batch([list(tokens)])))
+        return self.act_dec.rollout(world, self.obs_mlp, gw.OBS_VIEWS[OBS_VIEW][0], cache[key], mode, rng,
+                                    max_steps, cache)
 
     def speak(self, traj: gw.Trajectory, mode: str = "greedy", rng=None,
               len_cap: int = 30) -> tuple[list[int], bool]:
@@ -915,14 +937,19 @@ _RETIRED_FIELDS = {"input_feed": True, "n_actions": gw.N_ACTIONS, "obs_view": OB
 
 def check_model_settings(settings: dict, where: str) -> None:
     """Drop the retired fields from recorded ModelConfig settings, in place; a
-    retired field of another value or an unknown key is a ValueError naming it."""
+    retired field of another value, an unknown key or a value of another
+    type than its field's default (a bool is no int) is a ValueError naming it."""
     for key, value in _RETIRED_FIELDS.items():
         held = settings.pop(key, value)
         if held != value:
             raise ValueError(f"{where}.{key}={held!r} is not supported (only {value!r})")
-    unknown = sorted(set(settings) - {f.name for f in fields(ModelConfig)})
+    defaults = {f.name: f.default for f in fields(ModelConfig)}
+    unknown = sorted(set(settings) - set(defaults))
     if unknown:
         raise ValueError(f"{where}.{unknown[0]} is not a model setting")
+    for key, value in settings.items():
+        if type(value) is not type(defaults[key]):
+            raise ValueError(f"{where}.{key}={value!r} is not {type(defaults[key]).__name__}")
 
 
 def load_model(path):

@@ -524,14 +524,17 @@ def pragmatic_candidates(follower, speaker, tokens, world, n_candidates: int, rn
                          max_steps: int = 64):
     """The greedy rollout plus n_candidates sampled ones, each from its own
     follow call, and the speaker's log-likelihood of the instruction given
-    each. One trajectory_language_score call per episode scores every
-    candidate that moved, in candidate order (a repeated one gets a copy of
-    its first score); a candidate with no actions scores -inf. The speaker
-    scores the follower's own trajectories: every model reads md.OBS_VIEW."""
-    greedy_traj, greedy_states = follower.follow(tokens, world, mode="greedy", max_steps=max_steps)
-    candidates = [(greedy_traj, greedy_states)]
+    each. The follow calls share one cache, made here for this episode, so
+    the instruction is encoded once and each world state observed once
+    (MsVae.follow). One trajectory_language_score call per episode scores
+    every candidate that moved, in candidate order (a repeated one gets a
+    copy of its first score); a candidate with no actions scores -inf. The
+    speaker scores the follower's own trajectories: every model reads
+    md.OBS_VIEW."""
+    cache: dict = {}
+    candidates = [follower.follow(tokens, world, mode="greedy", max_steps=max_steps, cache=cache)]
     for _ in range(n_candidates):
-        candidates.append(follower.follow(tokens, world, mode="sample", rng=rng, max_steps=max_steps))
+        candidates.append(follower.follow(tokens, world, mode="sample", rng=rng, max_steps=max_steps, cache=cache))
     moved = [i for i, (traj, _) in enumerate(candidates) if traj.actions]
     scores = np.full(len(candidates), -np.inf)
     if moved:

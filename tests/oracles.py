@@ -10,7 +10,9 @@ composition: each encoder, decoder and prior pass over one batch at a time.
 The gridworld's parent-link BFS is checked against the search that copies
 its path at every expansion, and the oracle's one-pass drop goals against
 their union over the empty cells. The batched pragmatic score is checked
-against one one-element scoring call per trajectory.
+against one one-element scoring call per trajectory, and the follower's
+cached rollouts against a rollout that encodes the instruction and
+observes every step's world afresh.
 """
 
 from collections import deque
@@ -166,6 +168,32 @@ def serial_language_scores(speaker, trajs, tokens) -> np.ndarray:
     one-element call; the oracle for the batched pass over all of them."""
     score = type(speaker).trajectory_language_score
     return np.array([score(speaker, [t], tokens)[0] for t in trajs])
+
+
+def uncached_follow(model, tokens, world, mode, rng, max_steps):
+    """MsVae.follow with nothing kept between steps or calls: the
+    instruction is encoded and every step's world observed and featurized
+    afresh, then the step runs array_step as a rollout does. The oracle for
+    follow's cache."""
+    dec = model.act_dec
+    memory, mask, h = model.instruction_memory(md.make_lang_batch([list(tokens)]))
+    prepared, feed = dec.prepare(memory)
+    prepared = None if prepared is None else prepared.value
+    h = np.zeros((1, dec.gru.n_hidden)) if h is None else h.value
+    step, emb, w_static = dec.array_step(), dec.emb.table.value, dec.gru.w.value[: dec.static_dim]
+    fed, prev, states, rows, actions = None, gw.N_ACTIONS, [world], [], []
+    for _ in range(max_steps):
+        o = gw.observe_ego([world])
+        gates = np.concatenate([model.obs_mlp.one_hot_row(o), emb[[prev]]], axis=1) @ w_static
+        logits, h, fed = step(gates, dec.readout.cells(o), h, fed, memory.value, prepared, feed.value, mask)
+        prev = md._pick(logits[0], mode, rng)
+        rows.append(o[0])
+        actions.append(prev)
+        world, done = gw.step(world, prev)
+        states.append(world)
+        if done:
+            break
+    return gw.Trajectory(np.array(rows), tuple(actions)), states
 
 
 def oracle_speak_fn():

@@ -557,6 +557,10 @@ class TestEval:
         "model_config_list": (lambda meta: {**meta, "model_config": [1, 2]}, "model_config"),
         "unknown_field": (lambda meta: {**meta, "model_config": {**meta["model_config"], "hidden2": 4}},
                           "model_config.hidden2"),
+        "str_value": (lambda meta: {**meta, "model_config": {**meta["model_config"], "hidden": "4"}},
+                      "model_config.hidden='4'"),
+        "bool_value": (lambda meta: {**meta, "model_config": {**meta["model_config"], "cell_dim": True}},
+                       "model_config.cell_dim=True"),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
@@ -703,11 +707,14 @@ class TestReport:
         "eval.json": ({"sr": 0.5, "n_episodes": 10}, "'bleu4'"),
         "runrecord.json": ({"entries": [{"epoch": 0, "sr": 0.5, "bleu": 0.0}]}, "'smoothed'"),
         "config.json": (["msvae"], "does not hold a JSON object"),
+        "eval.json:sr_null": ({"sr": None, "bleu4": 0.1, "n_episodes": 10}, "'sr' is not a number"),
+        "config.json:pipeline_list": ({"pipeline": ["msvae"]}, "'pipeline' is not a string"),
     }
 
     @pytest.mark.parametrize("name", MALFORMED)
     def test_malformed_run_file_is_data_error(self, tmp_path, capsys, name):
         content, named = self.MALFORMED[name]
+        name = name.split(":")[0]
         d = self._mk_run(tmp_path, "r1", "msvae", 0.5, 0)
         if name == "runrecord.json":
             (d / "eval.json").unlink()  # the record is read only without an eval

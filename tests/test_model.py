@@ -409,8 +409,9 @@ class TestInterface:
         for mode in ("greedy", "sample"):
             follows, speaks = [], []
             for h in (None, m.act_dec.gru.init_state(1)):
-                follows.append(m.act_dec.rollout(world, m.obs_mlp, encode, memory, None, h, mode,
-                                                 np.random.default_rng(1), 12)[0].actions)
+                arrays = m.act_dec._rollout_arrays(memory, None, h)
+                follows.append(m.act_dec.rollout(world, m.obs_mlp, encode, arrays, mode,
+                                                 np.random.default_rng(1), 12, {})[0].actions)
             for h in (None, m.word_dec.gru.init_state(1)):
                 speaks.append(m.word_dec.rollout(slots, None, h, mode, np.random.default_rng(2), 10))
             assert follows[0] == follows[1] and speaks[0] == speaks[1]

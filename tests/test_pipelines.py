@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from msvae import autodiff as ad, corpus, gridworld as gw, metrics, model as md, nn, pipelines as pl
-from oracles import oracle_speak_fn, serial_language_scores
+from oracles import oracle_speak_fn, serial_language_scores, uncached_follow
 
 
 @pytest.fixture(scope="module")
@@ -413,10 +413,10 @@ class TestPragmatic:
         cands, scores = pl.pragmatic_candidates(follower, speaker, rec["tokens"], world, 4,
                                                 np.random.default_rng(4), 20)
         # the speaker scores the follower's own trajectories; the only encoder
-        # calls are the follower's, one world per step it took
+        # calls are the follower's, one per distinct world its steps acted in
         [seen] = calls
         assert [id(t) for t, _ in cands if t.actions] == [id(t) for t in seen]
-        assert observed == [1] * sum(len(t.actions) for t, _ in cands)
+        assert observed == [1] * len({s for t, states in cands for s in states[: len(t.actions)]})
         moved = [i for i, (t, _) in enumerate(cands) if t.actions]
         again = [gw.Trajectory(np.stack([observe([s])[0] for s in cands[i][1][:-1]]), cands[i][0].actions)
                  for i in moved]
@@ -430,7 +430,7 @@ class ScriptedFollower:
     def __init__(self, candidates):
         self.candidates = iter(candidates)
 
-    def follow(self, tokens, world, mode="greedy", rng=None, max_steps=64):
+    def follow(self, tokens, world, mode="greedy", rng=None, max_steps=64, cache=None):
         return next(self.candidates)
 
 
@@ -534,6 +534,59 @@ def test_batched_scoring_picks_as_serial_scoring(gate_b_corpus, kinds, monkeypat
     serial, serial_picked = picks()
     assert len(picked) == 16 and picked == serial_picked
     np.testing.assert_allclose(np.concatenate(batched), np.concatenate(serial), rtol=1e-12, atol=0)
+
+
+FOLLOWERS = {"msvae": ("msvae", True), "follower": ("follower", True), "no_attention": ("follower", False)}
+
+
+def follower_and_speaker(corpus, name):
+    """An untrained follower of FOLLOWERS[name] and the speaker that scores
+    its candidates: the msvae model itself, else a BaselineSpeaker."""
+    mcfg = small_cfg().model_config(len(corpus.vocab))
+    kind, attention = FOLLOWERS[name]
+    follower = md.build_model(kind, np.random.default_rng(3), mcfg, attention)
+    return follower, follower if kind == "msvae" else md.build_model("speaker", np.random.default_rng(4), mcfg)
+
+
+@pytest.mark.parametrize("name", FOLLOWERS)
+def test_shared_cache_candidates_equal_uncached_rollouts(gate_b_corpus, name):
+    """pragmatic_candidates' follows share one cache per episode; their
+    candidates and scores are the bits of rollouts that keep nothing."""
+    follower, speaker = follower_and_speaker(gate_b_corpus, name)
+    steps = distinct = 0
+    for k, ep in enumerate(metrics.episodes_from_records(gate_b_corpus, gate_b_corpus.test)):
+        cands, scores = pl.pragmatic_candidates(follower, speaker, ep.tokens, ep.world, 10,
+                                                np.random.default_rng([5, k]), ep.max_steps)
+        rng = np.random.default_rng([5, k])
+        want = [uncached_follow(follower, ep.tokens, ep.world, "greedy", None, ep.max_steps)]
+        want += [uncached_follow(follower, ep.tokens, ep.world, "sample", rng, ep.max_steps) for _ in range(10)]
+        assert len(cands) == len(want) == 11
+        for (traj, states), (traj_want, states_want) in zip(cands, want):
+            assert traj.actions == traj_want.actions and states == states_want
+            assert traj.observations.shape == traj_want.observations.shape
+            assert traj.observations.tobytes() == traj_want.observations.tobytes()
+        moved = [i for i, (t, _) in enumerate(want) if t.actions]
+        scores_want = np.full(11, -np.inf)
+        scores_want[moved] = speaker.trajectory_language_score([want[i][0] for i in moved], ep.tokens)
+        assert scores.tobytes() == scores_want.tobytes()
+        steps += sum(len(t.actions) for t, _ in cands)
+        distinct += len({s for t, states in cands for s in states[: len(t.actions)]})
+    assert len(gate_b_corpus.test) == 8 and distinct < steps  # the cache was read, not only filled
+
+
+@pytest.mark.parametrize("name", ["msvae", "follower"])
+def test_instruction_encoded_once_per_pragmatic_episode(gate_b_corpus, name, monkeypatch):
+    follower, speaker = follower_and_speaker(gate_b_corpus, name)
+    calls, real = [], follower.instruction_memory
+    monkeypatch.setattr(follower, "instruction_memory", lambda lang: calls.append(lang) or real(lang))
+    records = gate_b_corpus.test[:3]
+    pl.evaluate_pragmatic(follower, speaker, gate_b_corpus, records, 4, np.random.default_rng(0))
+    assert len(calls) == len(records)
+    # a follow without a cache keeps nothing: each call encodes again
+    world, _ = gate_b_corpus.rebuild(records[0])
+    for _ in range(2):
+        follower.follow(records[0]["tokens"], world, max_steps=4)
+    assert len(calls) == len(records) + 2
 
 
 class TestEvalHelpers:

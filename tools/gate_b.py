@@ -10,9 +10,11 @@ which is only compared; `train` of the five pipelines plus
 `supervised-follower` with `arch_variant=no_attention` and with
 `bottleneck` (3 epochs of 8 iterations, batch 6, seed 7, a small model);
 `eval --mode pragmatic --candidates 3` on the msvae run and `--candidates
-10` on the attention follower scored by the speaker run
+10` on the attention follower and on the no_attention follower (whose
+initial state comes from `init_map`), each scored by the speaker run
 (`--speaker-checkpoint`), so the pragmatic scoring pass batches both
-speaker kinds and repeated candidates; `eval --mode speak` on the speaker
+speaker kinds and repeated candidates and the cached pragmatic rollouts
+run every follower memory; `eval --mode speak` on the speaker
 run, and `eval --mode follow` on the attention follower (with
 `eval.decoding=sample`) and on the no_attention follower, so every decoder
 variant is decoded by an eval. It then prints `same` or `DIFF` for
@@ -63,6 +65,9 @@ EVALS = {
     "eval_pragmatic_speaker.json": ("supervised-follower", "pragmatic",
                                     ["--candidates", "10", "--speaker-checkpoint",
                                      "{out}/supervised-speaker/checkpoints/best.bin"]),
+    "eval_pragmatic_no_attention.json": ("supervised-follower-no_attention", "pragmatic",
+                                         ["--candidates", "10", "--speaker-checkpoint",
+                                          "{out}/supervised-speaker/checkpoints/best.bin"]),
     "eval_speak.json": ("supervised-speaker", "speak", []),
     "eval_follow_sample.json": ("supervised-follower", "follow", ["--set", "eval.decoding=sample"]),
     "eval_follow_no_attention.json": ("supervised-follower-no_attention", "follow", []),
