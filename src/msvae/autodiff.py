@@ -5,7 +5,8 @@ and a closure that maps the upstream gradient onto operand gradients. A graph
 is built fresh each step and consumed by one backward pass, iteratively, in
 reverse topological order: only leaves keep `.grad`. There is no
 broadcasting beyond the explicit per-op rules below; shape violations raise
-ShapeMismatch naming both shapes.
+ShapeMismatch naming both shapes. One op, split_matmul, takes its constant
+operand as SplitColumns: dense columns as a block, sparse ones as column ids.
 
 Every node carries a `needs_grad` bit: leaves set it, constants clear it,
 and an op node sets it when it is built if any operand does. An op node
@@ -210,6 +211,67 @@ def matmul(a, b) -> Node:
         return g @ bv.T if a.needs_grad else None, av.T @ g if b.needs_grad else None
 
     return Node(av @ bv, (a, b), vjp)
+
+
+class SplitColumns:
+    """A constant (n, k) array cut for products with (k, m) weights, most of
+    whose columns are mostly zero (a batch of one-hot observations).
+
+    The columns set in more than 1/16 of the rows, and every column holding a
+    value other than 0 or 1, stay a dense (n, d) `block`. The ones of the other
+    columns become per-row column `ids`, padded to the longest row with the
+    id k, and the same ones as (`rows`, `cols`) pairs. So x @ w is
+    block @ w[dense] plus the sum of w's rows at each row's ids, for any x:
+    only the order of the float sums differs from the dense product.
+    """
+
+    __slots__ = ("shape", "dense", "block", "ids", "rows", "cols")
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ShapeMismatch(f"SplitColumns: expected a 2-d array, got {x.shape}")
+        n, k = self.shape = x.shape
+        ones = x == 1
+        dense = np.count_nonzero(ones, axis=0) * 16 > n
+        if np.count_nonzero(x) != np.count_nonzero(ones):
+            dense |= ((x != 0) & ~ones).any(axis=0)
+        self.dense = np.flatnonzero(dense)
+        self.block = x[:, self.dense]
+        ones[:, self.dense] = False
+        # flatnonzero on a bool mask, then divmod: np.nonzero on the floats is several times slower
+        self.rows, self.cols = np.divmod(np.flatnonzero(ones), k)
+        per_row = np.bincount(self.rows, minlength=n)
+        self.ids = np.full((n, per_row.max(initial=0)), k)
+        self.ids[self.rows, np.arange(self.rows.size) - (np.cumsum(per_row) - per_row)[self.rows]] = self.cols
+
+
+def split_matmul(x: SplitColumns, w) -> Node:
+    """x @ w for a constant x given as SplitColumns: the dense block through
+    BLAS plus a gather-sum of w's rows at the ids; w's gradient is the block's
+    product plus a scatter of the upstream rows at the ones, one output column
+    at a time, so no (ones x m) temporary is made."""
+    w = _coerce(w)
+    wv = w.value
+    if wv.ndim != 2 or wv.shape[0] != x.shape[1]:
+        raise ShapeMismatch(f"split_matmul: shapes {x.shape} and {wv.shape} do not conform")
+    out = x.block @ wv[x.dense]
+    for ids in x.ids.T:  # one id of every row at a time; rows with fewer ones skip the pad id k
+        held = ids < x.shape[1]
+        if held.all():
+            out += wv[ids]
+        else:
+            out[held] += wv[ids[held]]
+
+    def vjp(g):
+        gt = np.ascontiguousarray(g.T)
+        dwt = np.empty((wv.shape[1], wv.shape[0]))
+        for j, col in enumerate(gt):
+            dwt[j] = np.bincount(x.cols, weights=col[x.rows], minlength=wv.shape[0])
+        dwt[:, x.dense] = gt @ x.block
+        return (dwt.T,)
+
+    return Node(out, (w,), vjp)
 
 
 def add_rowvec(a, vec) -> Node:

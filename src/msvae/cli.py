@@ -218,7 +218,10 @@ def _score(run: dict) -> tuple[float, float]:
     try:
         if run["eval"] is not None:
             return number(run["eval"], "sr"), number(run["eval"], "bleu4")
-        best = max(rr["entries"], key=lambda e: number(e, "smoothed")) if rr["entries"] else {"sr": 0.0, "bleu": 0.0}
+        entries = rr["entries"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError(f"{path}: 'entries' is not a list of objects: {entries!r}")
+        best = max(entries, key=lambda e: number(e, "smoothed")) if entries else {"sr": 0.0, "bleu": 0.0}
         return number(best, "sr"), number(best, "bleu")
     except KeyError as e:
         raise ValueError(f"{path}: missing key {e}") from None

@@ -113,6 +113,16 @@ class TrajBatch:
 
     def __post_init__(self):
         self.packing = nn.Packing(self.mask)
+        self._obs_columns = None  # (packed_obs it was built from, its SplitColumns)
+
+    @property
+    def obs_columns(self) -> ad.SplitColumns:
+        """packed_obs cut for the observation MLPs' first layer, built on
+        first use and shared by every MLP that reads this batch; rebuilt when
+        packed_obs has been replaced since."""
+        if self._obs_columns is None or self._obs_columns[0] is not self.packed_obs:
+            self._obs_columns = self.packed_obs, ad.SplitColumns(self.packed_obs)
+        return self._obs_columns[1]
 
     def repeat_first(self, b: int) -> tuple["TrajBatch", np.ndarray]:
         """This batch's rows, then its first b rows again; and the packed row
@@ -185,22 +195,22 @@ class ObsMlp(nn.Layer):
         self.l1 = self._child("l1", nn.Linear(rng, obs_dim, width))
         self.l2 = self._child("l2", nn.Linear(rng, width, hidden))
 
-    def __call__(self, x: Node) -> Node:
-        return ad.tanh(self.l2(ad.tanh(self.l1(x))))
-
     def features(self, traj: TrajBatch) -> Node:
         """A packed batch's observations -> the (sum(counts), H) features of
         every running (step, row) pair, step-major as Packing.pack orders
         them. The MLP runs once over all of them; padded steps are never
-        computed."""
-        return self(ad.constant(traj.packed_obs))
+        computed. The first layer is ad.split_matmul over the batch's
+        obs_columns: a dense product for the columns most rows set, a
+        gather-sum of weight rows for the other ones."""
+        first = ad.add_rowvec(ad.split_matmul(traj.obs_columns, self.l1.w), self.l1.b)
+        return ad.tanh(self.l2(ad.tanh(first)))
 
     def one_hot_row(self, o: np.ndarray) -> np.ndarray:
         """The features of one (1, obs_dim) one-hot observation, as a decode
         step needs them: an array, no graph. The first layer sums the weight
         rows at the ones (about 130 of 1 699 in the ego view) instead of
-        reading the whole weight through a dense product. Batches keep the
-        dense product of __call__, which is much faster there than a gather."""
+        reading the whole weight through a dense product. Batches go through
+        features, whose split product builds a column index per batch."""
         if o.ndim != 2 or o.shape[0] != 1:
             raise ad.ShapeMismatch(f"one_hot_row: expected one (1, obs_dim) row, got {o.shape}")
         h = self.l1.w.value[np.flatnonzero(o[0])].sum(axis=0, keepdims=True) + self.l1.b.value

@@ -2,7 +2,8 @@
 
 The fused nodes and hoisted products of the package are checked against
 the composed-op forms below, written the plain way: concatenate every
-input, multiply by the whole weight, one elementary op at a time. The
+input, multiply by the whole weight, one elementary op at a time; the
+observation MLP's first layer is the dense product of the whole batch. The
 layers that take the K latent slots as one tensor are checked against
 their per-slot forms, one slot at a time. The training objective, which
 runs each module once over stacked rows, is checked against its per-pass
@@ -37,6 +38,13 @@ def gru_step_composed(cell: nn.GruCell, x: ad.Node, h: ad.Node) -> ad.Node:
     n = ad.tanh(ad.add(ad.narrow(gx, 1, 2 * nh, nh), ad.mul(r, ad.narrow(gh, 1, 2 * nh, nh))))
     # h' = n + z * (h - n)
     return ad.add(n, ad.mul(z, ad.sub(h, n)))
+
+
+def obs_mlp_dense(mlp: md.ObsMlp, x: np.ndarray) -> ad.Node:
+    """ObsMlp's two layers over an (n, obs_dim) observation array, the first
+    a dense product with the whole weight; the oracle for ObsMlp.features,
+    whose first layer is ad.split_matmul."""
+    return ad.tanh(mlp.l2(ad.tanh(mlp.l1(ad.constant(x)))))
 
 
 def readout_composed(readout: md.GridReadout, query: ad.Node, cells: np.ndarray) -> ad.Node:

@@ -68,6 +68,19 @@ class TestPrimitiveGradients:
             c = r.normal(size=(3,))
             check_op(lambda l: quad(ad.mul_colvec(l[0], l[1])), [a, c])
 
+    def test_split_matmul(self):
+        for r in self.instances(10):
+            x = np.zeros((40, 6))
+            x[:, 0] = 1.0  # set in every row: dense
+            x[r.random(40) < 0.5, 1] = 1.0
+            for col in range(2, 6):  # one or two ones: sparse
+                x[r.choice(40, size=r.integers(1, 3), replace=False), col] = 1.0
+            x[3, 4] = -0.5  # not 0 or 1: its column joins the block
+            split = ad.SplitColumns(x)
+            assert split.dense.tolist() == [0, 1, 4]
+            w = r.normal(size=(6, 3))
+            check_op(lambda l: quad(ad.split_matmul(split, l[0])), [w])
+
     def test_structure_ops(self):
         for r in self.instances(4):
             a, b = r.normal(size=(2, 3)), r.normal(size=(2, 3))
@@ -510,3 +523,59 @@ class TestAdam:
         np.testing.assert_array_equal(p.value, np.ones(2))
         assert not np.array_equal(q.value, np.ones(2))
         assert any("bad" in rec.message for rec in caplog.records)
+
+
+@st.composite
+def split_inputs(draw):
+    """(x, w, g) for split_matmul: 0/1 columns of many densities (some set in
+    every row, some in none), a row with no ones, n = 1, all-zero and
+    all-one arrays, and columns holding other values."""
+    n, k, m = draw(st.integers(1, 48)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["mixed", "zeros", "ones", "non_binary"]))
+    r = rng_for(draw(st.integers(0, 2**31)))
+    x = (r.random((n, k)) < r.choice([0.0, 0.02, 0.05, 0.2, 0.6, 1.0], size=k)).astype(float)
+    x[r.integers(n)] = 0.0
+    if kind == "zeros":
+        x[:] = 0.0
+    elif kind == "ones":
+        x[:] = 1.0
+    elif kind == "non_binary":
+        x[r.integers(n, size=3), r.integers(k, size=3)] = r.choice([-1.0, 0.5, 2.0, 1e-300], size=3)
+    return x, r.normal(size=(k, m)), r.normal(size=(n, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_inputs())
+def test_split_matmul_equals_dense_product(case):
+    x, w, g = case
+    n, k = x.shape
+    split = ad.SplitColumns(x)
+    binary = ((x == 0) | (x == 1)).all(axis=0)
+    expected_dense = ((x == 1).sum(axis=0) * 16 > n) | ~binary
+    assert split.dense.tolist() == np.flatnonzero(expected_dense).tolist()
+    np.testing.assert_array_equal(split.block, x[:, split.dense])
+    # the ids hold exactly the ones of the other columns, each row's in order
+    rebuilt = np.zeros_like(x)
+    rebuilt[:, split.dense] = split.block
+    for i, ids in enumerate(split.ids):
+        held = ids[ids < k]
+        assert held.tolist() == sorted(set(held.tolist())) and (ids[len(held):] == k).all()
+        rebuilt[i, held] = 1.0
+    np.testing.assert_array_equal(rebuilt, x)
+    assert sorted(zip(split.rows.tolist(), split.cols.tolist())) == [
+        (i, c) for i, ids in enumerate(split.ids) for c in ids[ids < k].tolist()]
+
+    leaf = ad.leaf(w.copy())
+    out = ad.split_matmul(split, leaf)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    # within 1e-12 of each entry's scale: the sum of its terms' magnitudes
+    assert (np.abs(out.value - x @ w) <= 1e-12 * (np.abs(x) @ np.abs(w))).all()
+    assert (np.abs(leaf.gradient - x.T @ g) <= 1e-12 * (np.abs(x).T @ np.abs(g))).all()
+
+
+def test_split_matmul_rejects_nonconforming_shapes():
+    split = ad.SplitColumns(np.eye(3))
+    with pytest.raises(ad.ShapeMismatch, match=r"\(3, 3\) and \(4, 2\)"):
+        ad.split_matmul(split, ad.leaf(np.zeros((4, 2))))
+    with pytest.raises(ad.ShapeMismatch, match="2-d"):
+        ad.SplitColumns(np.zeros(3))

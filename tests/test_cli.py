@@ -706,6 +706,8 @@ class TestReport:
     MALFORMED = {  # run file -> (its content, what the error names)
         "eval.json": ({"sr": 0.5, "n_episodes": 10}, "'bleu4'"),
         "runrecord.json": ({"entries": [{"epoch": 0, "sr": 0.5, "bleu": 0.0}]}, "'smoothed'"),
+        "runrecord.json:entries_numbers": ({"entries": [1]}, "'entries' is not a list of objects"),
+        "runrecord.json:entries_dict": ({"entries": {"epoch": 0, "sr": 0.5}}, "'entries' is not a list of objects"),
         "config.json": (["msvae"], "does not hold a JSON object"),
         "eval.json:sr_null": ({"sr": None, "bleu4": 0.1, "n_episodes": 10}, "'sr' is not a number"),
         "config.json:pipeline_list": ({"pipeline": ["msvae"]}, "'pipeline' is not a string"),

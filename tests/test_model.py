@@ -7,7 +7,7 @@ from msvae import autodiff as ad
 from msvae import gridworld as gw
 from msvae import model as md
 from msvae import nn
-from oracles import save_model, serial_language_scores
+from oracles import obs_mlp_dense, save_model, serial_language_scores
 
 
 def tiny_cfg(**kw):
@@ -575,7 +575,7 @@ class TestOneHotRow:
         assert set(np.unique(obs)) == {0.0, 1.0}
         for i in range(len(obs)):
             o = obs[i : i + 1]
-            np.testing.assert_allclose(mlp.one_hot_row(o), mlp(ad.constant(o)).value, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mlp.one_hot_row(o), obs_mlp_dense(mlp, o).value, rtol=0, atol=1e-12)
 
     def test_rejects_more_than_one_row(self):
         mlp, obs = self.mlp_and_obs()
@@ -687,7 +687,7 @@ class TestHoistedFeatures:
             return [f.value for f in feats], [p.gradient.copy() for p in mlp.params()]
 
         fast = run(ad.split_rows(mlp.features(traj), traj.packing.counts))
-        oracle = run([mlp(ad.constant(obs[:, t, :])) for t in range(4)])
+        oracle = run([obs_mlp_dense(mlp, obs[:, t, :]) for t in range(4)])
         for a, b in zip(fast[0] + fast[1], oracle[0] + oracle[1]):
             assert ad.max_rel_error(a, b) <= 1e-12
 
@@ -742,7 +742,7 @@ class TestHoistedFeatures:
             return [f.value for f in feats], [p.gradient.copy() for p in mlp.params()]
 
         fast = run(ad.split_rows(mlp.features(traj), traj.packing.counts))
-        oracle = run([mlp(ad.constant(obs[order[:n], t, :])) for t, n in enumerate(counts)])
+        oracle = run([obs_mlp_dense(mlp, obs[order[:n], t, :]) for t, n in enumerate(counts)])
         for a, b in zip(fast[0] + fast[1], oracle[0] + oracle[1]):
             assert a.shape == b.shape
             assert ad.max_rel_error(a, b) <= 1e-12

@@ -38,6 +38,14 @@ def trajectories(r, lengths):
             for n in lengths]
 
 
+def densified(split: ad.SplitColumns) -> np.ndarray:
+    """The array a SplitColumns was cut from, rebuilt from its block and ones."""
+    x = np.zeros(split.shape)
+    x[:, split.dense] = split.block
+    x[split.rows, split.cols] = 1.0
+    return x
+
+
 def report_and_gradients(model, loss_fn):
     loss, report = loss_fn()
     ad.zero_grad(model.params())
@@ -113,6 +121,20 @@ class TestRepeatedRows:
             np.testing.assert_array_equal(getattr(sub, name), getattr(made, name), err_msg=name)
         np.testing.assert_array_equal(sub.packing.counts, made.packing.counts)
         np.testing.assert_array_equal(traj.packed_obs[source], made.packed_obs)
+
+    def test_repeat_first_batch_splits_its_own_observations(self):
+        # the observation MLPs' column index is built on first use from the
+        # packed_obs the batch holds then: repeat_first assigns it after the
+        # batch is made, and a replaced packed_obs gets a new index
+        r = np.random.default_rng(15)
+        trajs = [gw.Trajectory((r.random((n, OBS_DIM)) < 0.02).astype(float), (0,) * n) for n in (9, 5, 12, 7)]
+        traj = md.make_traj_batch(trajs)
+        assert traj.obs_columns.rows.size > 0  # built before the repeat, with sparse ones
+        sub, _ = traj.repeat_first(3)
+        for batch in (traj, sub):
+            np.testing.assert_array_equal(densified(batch.obs_columns), batch.packed_obs)
+        sub.packed_obs = sub.packed_obs[::-1].copy()
+        np.testing.assert_array_equal(densified(sub.obs_columns), sub.packed_obs)
 
     def test_lang_repeat_first_equals_a_batch_made_from_the_repeated_tokens(self):
         tokens = [[4, 5], [6], [7, 8, 4]]

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from msvae import autodiff as ad
 from msvae import gridworld as gw
 from msvae import model as md
-from oracles import gru_step_composed, total_loss_per_pass
+from oracles import gru_step_composed, obs_mlp_dense, total_loss_per_pass
 
 RTOL = 1e-12
 
@@ -64,7 +64,7 @@ def dense_obs(traj):
 
 def padded_features(mlp, traj):
     obs = dense_obs(traj)
-    return [mlp(ad.constant(obs[:, t] * traj.mask[:, t, None])) for t in range(traj.mask.shape[1])]
+    return [obs_mlp_dense(mlp, obs[:, t] * traj.mask[:, t, None]) for t in range(traj.mask.shape[1])]
 
 
 def padded_lang_states(enc, lang):

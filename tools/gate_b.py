@@ -22,13 +22,14 @@ every file of both corpora and, in every run directory and stage
 subdirectory, `metrics.csv`, `best.bin`, `pseudo_paired.jsonl` and
 `runrecord.json`, and for every eval json file; in `runrecord.json` and the
 eval json the side's output directory is replaced by a placeholder before
-comparing. A `metrics.csv` that differs also gets the largest relative
-difference over its numeric cells, so a numeric fast path can show how far
-its loss curve moved (or a note that the two files do not line up cell for
-cell). A `best.bin` that differs gets a note that says whether every
-parameter array is byte-identical (or how many differ) and lists the dotted
-metadata keys that differ, so a change that only renames or drops a recorded
-setting shows as such. Exits 1 on any `DIFF` or failed command, 2 on bad
+comparing. A `metrics.csv` or `runrecord.json` that differs also gets the
+largest relative difference over its numbers, so a numeric fast path can
+show how far its loss curve and its recorded scores moved (or a note that
+the two files do not line up value for value). A `best.bin` that differs
+gets a note that says whether every parameter array is byte-identical (or
+how many differ, and the largest relative difference over their values) and
+lists the dotted metadata keys that differ, so a change that only renames
+or drops a recorded setting shows as such. Exits 1 on any `DIFF` or failed command, 2 on bad
 arguments, 0 otherwise.
 """
 
@@ -119,26 +120,64 @@ def content(side: Path, rel: Path) -> bytes | None:
     return data
 
 
-def max_rel_diff(before: bytes, after: bytes) -> float | None:
-    """The largest |a - b| / max(|a|, |b|) over the numeric cells of two
-    csv files (inf where only one is finite or nan); None unless both have
-    the same shape and the same text in every cell that is not a number."""
-    rows = [[line.split(",") for line in data.decode().splitlines()] for data in (before, after)]
-    if [len(r) for r in rows[0]] != [len(r) for r in rows[1]]:
-        return None
+def _worst(pairs) -> float:
+    """The largest |a - b| / max(|a|, |b|) over pairs of numbers (inf where
+    only one is finite or nan); 0.0 if every pair is equal."""
     worst = 0.0
-    for cell_a, cell_b in zip(*(sum(r, []) for r in rows)):
-        try:
-            a, b = float(cell_a), float(cell_b)
-        except ValueError:
-            if cell_a != cell_b:
-                return None
-            continue
+    for a, b in pairs:
         if a == b or (math.isnan(a) and math.isnan(b)):
             continue
         finite = math.isfinite(a) and math.isfinite(b)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)) if finite else math.inf)
     return worst
+
+
+def max_rel_diff(before: bytes, after: bytes) -> float | None:
+    """The largest relative difference (see _worst) over the numeric cells of
+    two csv files; None unless both have the same shape and the same text in
+    every cell that is not a number."""
+    rows = [[line.split(",") for line in data.decode().splitlines()] for data in (before, after)]
+    if [len(r) for r in rows[0]] != [len(r) for r in rows[1]]:
+        return None
+    pairs = []
+    for cell_a, cell_b in zip(*(sum(r, []) for r in rows)):
+        try:
+            pairs.append((float(cell_a), float(cell_b)))
+        except ValueError:
+            if cell_a != cell_b:
+                return None
+    return _worst(pairs)
+
+
+def _leaves(doc, path=()):
+    """A JSON document's leaves as (path, value) pairs, in document order."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaves(v, (*path, k))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _leaves(v, (*path, i))
+    else:
+        yield path, doc
+
+
+def json_max_rel_diff(before: bytes, after: bytes) -> float | None:
+    """The largest relative difference (see _worst) over the numbers of two
+    JSON documents; None unless both have the same keys, list lengths and
+    values that are not numbers (a bool is not a number)."""
+    try:
+        leaves = [list(_leaves(json.loads(data))) for data in (before, after)]
+    except ValueError:
+        return None
+    if [p for p, _ in leaves[0]] != [p for p, _ in leaves[1]]:
+        return None
+    pairs = []
+    for (_, a), (_, b) in zip(*leaves):
+        if {type(a), type(b)} <= {int, float}:
+            pairs.append((float(a), float(b)))
+        elif a != b or type(a) is not type(b):
+            return None
+    return _worst(pairs)
 
 
 def read_checkpoint(data: bytes) -> tuple[dict, dict[str, bytes]] | None:
@@ -178,8 +217,15 @@ def checkpoint_note(before: bytes, after: bytes) -> str:
         return "  (not both checkpoints)"
     (meta_a, arrays_a), (meta_b, arrays_b) = read
     changed = sorted(k for k in arrays_a.keys() | arrays_b.keys() if arrays_a.get(k) != arrays_b.get(k))
-    arrays = (f"{len(changed)} of {len(arrays_a.keys() | arrays_b.keys())} arrays differ, first {changed[0]}"
-              if changed else "every parameter array byte-identical")
+    arrays = "every parameter array byte-identical"
+    if changed:
+        arrays = f"{len(changed)} of {len(arrays_a.keys() | arrays_b.keys())} arrays differ, first {changed[0]}"
+        values = [[struct.unpack(f"<{len(d) // 8}d", d) for d in (arrays_a.get(k, b""), arrays_b.get(k, b""))]
+                  for k in changed]
+        if all(len(a) == len(b) for a, b in values):
+            arrays += f", max relative difference {_worst(pair for a, b in values for pair in zip(a, b)):.3g}"
+        else:
+            arrays += ", not all of the same size"
     flat_a, flat_b = _dotted(meta_a), _dotted(meta_b)
     keys = sorted(k for k in flat_a.keys() | flat_b.keys() if flat_a.get(k, ...) != flat_b.get(k, ...))
     return f"  ({arrays}; metadata differs at {', '.join(keys) or 'no key'})"
@@ -217,6 +263,9 @@ def main(argv: list[str]) -> int:
             note = "  (cells do not line up)" if worst is None else f"  (max relative difference {worst:.3g})"
         if not same and rel.name == "best.bin" and before is not None and after is not None:
             note = checkpoint_note(before, after)
+        if not same and rel.name == "runrecord.json" and before is not None and after is not None:
+            worst = json_max_rel_diff(before, after)
+            note = "  (values do not line up)" if worst is None else f"  (max relative difference {worst:.3g})"
         print(f"{'same' if same else 'DIFF'}  {rel}{note}")
     print(f"{diffs} of the compared files differ")
     return 1 if diffs else 0
