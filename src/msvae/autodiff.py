@@ -233,8 +233,10 @@ class SplitColumns:
             raise ShapeMismatch(f"SplitColumns: expected a 2-d array, got {x.shape}")
         n, k = self.shape = x.shape
         ones = x == 1
-        dense = np.count_nonzero(ones, axis=0) * 16 > n
-        if np.count_nonzero(x) != np.count_nonzero(ones):
+        # on bool masks, and int32 column sums: count_nonzero over axis 0 or
+        # over the floats takes twice as long or more
+        dense = ones.sum(axis=0, dtype=np.int32) > n / 16
+        if np.count_nonzero(x != 0) != np.count_nonzero(ones):
             dense |= ((x != 0) & ~ones).any(axis=0)
         self.dense = np.flatnonzero(dense)
         self.block = x[:, self.dense]

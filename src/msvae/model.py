@@ -17,6 +17,7 @@ objective is maximized; trainers minimize its negation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -113,16 +114,13 @@ class TrajBatch:
 
     def __post_init__(self):
         self.packing = nn.Packing(self.mask)
-        self._obs_columns = None  # (packed_obs it was built from, its SplitColumns)
 
-    @property
+    @functools.cached_property
     def obs_columns(self) -> ad.SplitColumns:
-        """packed_obs cut for the observation MLPs' first layer, built on
-        first use and shared by every MLP that reads this batch; rebuilt when
-        packed_obs has been replaced since."""
-        if self._obs_columns is None or self._obs_columns[0] is not self.packed_obs:
-            self._obs_columns = self.packed_obs, ad.SplitColumns(self.packed_obs)
-        return self._obs_columns[1]
+        """packed_obs cut for the observation MLPs' first layer, shared by
+        both of them. Built on first use, so after repeat_first has set
+        packed_obs."""
+        return ad.SplitColumns(self.packed_obs)
 
     def repeat_first(self, b: int) -> tuple["TrajBatch", np.ndarray]:
         """This batch's rows, then its first b rows again; and the packed row

