@@ -29,8 +29,8 @@ the two files do not line up value for value). A `best.bin` that differs
 gets a note that says whether every parameter array is byte-identical (or
 how many differ, and the largest relative difference over their values) and
 lists the dotted metadata keys that differ, so a change that only renames
-or drops a recorded setting shows as such. Exits 1 on any `DIFF` or failed command, 2 on bad
-arguments, 0 otherwise.
+or drops a recorded setting shows as such. Exits 1 on any `DIFF` or failed
+command, 2 on bad arguments, 0 otherwise.
 """
 
 from __future__ import annotations
